@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,28 @@ class TestForward:
         assert img.shape == (16, 16)
 
 
+GOLDEN_AENW_SHA256 = {
+    "regular": "11e4f6a8ca44f74ca057dc96c6f83cef2c7b3f4e006303b9575b64067708d6ea",
+    "gcb": "08ab5bd9baf647946734c64ec565a92aabc8580dfefd8ed3a8c277f74579ecb5",
+    "separable": "33a8642b6a7c19f1b196c6cbe79f472e86ea04ce46a67abd9ee6380247541748",
+    "squeeze": "2da9b72c8ad8a9559c74ff8c90dad4df990b356f78b41ff3c489cc7810eb752e",
+    "inception": "1a42b0c565a5077531dbc51c3199f0ea3112275ad76ef4f958ef77962d343dd5",
+    "gcb_inception": "12035229b936369b22238bc7eda841ec73b377a1911efa5feddae8bcb74bcfb8",
+    "squeeze_gcb": "892afc7dd82ff40800e8258b45cf6817add1f5a588ae059ad4a36a1b86b5ffce",
+    "squeeze2_gcb": "7f4c85d85407363a73b79bc69c5060a84f37301c0e74bc947c1c380e122fe319",
+    "m": "2e26054c975a2fdcbf084eef1283c1e07332c98c31a456ac5f746a638fef2692",
+}
+
+
 class TestWeightFiles:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_golden_seed0_file(self, tmp_path, name):
+        """Seed-0 weight files are pinned byte for byte: init draw order,
+        array order and the header must not drift."""
+        path = tmp_path / f"{name}.aenw"
+        save_weights(build_network(name, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_AENW_SHA256[name]
+
     def test_roundtrip_bit_identical(self, tmp_path):
         params = build_network("gcb", seed=11)
         path = tmp_path / "w.aenw"
