@@ -19,7 +19,7 @@ from .errors import EmptyInputError, RangeError, UnknownAlgorithmError
 from .evolution import evaluate_candidates
 from .fusion import REGISTRY, FusionCandidate
 from .image import ImagePair
-from .net.arch import BUILTIN_NAMES, POOLED_NAMES, ArchSpec, builtin_spec, count_flops, count_params, count_state
+from .net.arch import BUILTIN_NAMES, POOLED_NAMES, ArchSpec, builtin_spec, count_flops, count_groups, count_state
 from .net.network import build_network, net_forward, weight_file_bytes
 from .niqe import NiqeModel
 from .synth import bench_pair, toy_pairs
@@ -72,19 +72,6 @@ class CostReport:
             "timed_runs": self.timed_runs,
             "assumptions": self.assumptions,
         }
-
-
-def _arch_assumptions(spec: ArchSpec) -> dict:
-    groups = max(
-        [1]
-        + [b.groups for stage in spec.stages for b in stage if hasattr(b, "groups")]
-    )
-    return {
-        "in_channels": spec.in_channels,
-        "groups": groups,
-        "flop_convention": FLOP_CONVENTION,
-        "bn_trainable_included": True,
-    }
 
 
 def _resolve_runner(method: str, seed: int):
@@ -159,17 +146,20 @@ def profile_arch(spec: ArchSpec | str, h: int, w: int, seed: int = 0) -> CostRep
     spec_obj = builtin_spec(spec) if isinstance(spec, str) else spec
     params = build_network(spec_obj, seed=seed)
     trainable, running = count_state(spec_obj)
-    report = CostReport(
+    return CostReport(
         method=spec_obj.name,
-        params=count_params(spec_obj),
+        params=trainable,
         flops=count_flops(spec_obj, h, w),
         bytes=weight_file_bytes(params),
         input_hw=(h, w),
-        assumptions=_arch_assumptions(spec_obj),
+        assumptions={
+            "in_channels": spec_obj.in_channels,
+            "groups": count_groups(spec_obj),
+            "flop_convention": FLOP_CONVENTION,
+            "bn_trainable_included": True,
+            "non_trainable_params": running,
+        },
     )
-    report.assumptions["non_trainable_params"] = running
-    assert report.params == trainable
-    return report
 
 
 CSV_HEADER = ("method", "combined", "latency_ms", "params", "bytes", "flops")

@@ -1,4 +1,11 @@
-"""Declarative micro-architecture descriptions and analytic cost counting.
+"""Block types, the path driver that runs them, architecture specs,
+built-in variants, analytic cost counting and arch files.
+
+Each block type is a frozen dataclass owning its channel rule, seeded init,
+forward/backward, parameter arrays, costs and group count. ``Branch`` runs
+several paths (tuples of blocks) on one input and concatenates their
+outputs, so separable, Fire and Inception modules are macros returning one
+``Branch`` of convolutions.
 
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
@@ -8,98 +15,267 @@ caps the final output to (0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import IoError, SpecError
+import numpy as np
 
-FEATURE_CHANNELS = 64
-DEFAULT_GROUPS = 8
+from ..errors import DimensionError, IoError, SpecError
+from . import layers
+
+
+@dataclass
+class ConvParams:
+    weight: np.ndarray  # (cout, cin/groups, k, k)
+    bias: np.ndarray
+
+
+@dataclass
+class BNParams:
+    scale: np.ndarray
+    shift: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
+
+
+class Block:
+    """Defaults for a shape-preserving block without parameters or MACs.
+    Subclasses define ``forward(p, x, mode) -> (y, cache)`` and
+    ``backward(p, cache, gy) -> (grad_x, grads in arrays() order)``."""
+
+    def out_channels(self, cin: int, outs: list[int]) -> int:
+        """Output channels given the input channels and the earlier outputs
+        of the same path; raises SpecError when the block does not fit."""
+        return cin
+
+    def init(self, rng):
+        return None
+
+    def arrays(self, p, with_running: bool) -> list[np.ndarray]:
+        return []
+
+    def param_counts(self) -> tuple[int, int]:
+        """(trainable, non-trainable running stats)."""
+        return 0, 0
+
+    def costs(self, h: int, w: int) -> tuple[int, int, int]:
+        """(MACs, output h, output w) at input h x w."""
+        return 0, h, w
+
+    def group_count(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
-class ConvBlock:
+class ConvBlock(Block):
+    """k x k grouped cross-correlation, zero-padded by k // 2."""
+
     cin: int
     cout: int
     k: int
     groups: int = 1
     stride: int = 1
 
+    def __post_init__(self):
+        if min(self.cin, self.cout, self.k, self.groups, self.stride) < 1:
+            raise SpecError(f"conv sizes must be >= 1, got {self}")
+        if self.k % 2 == 0:
+            raise SpecError(f"even kernel {self.k}")
+        if self.cin % self.groups or self.cout % self.groups:
+            raise SpecError(
+                f"groups={self.groups} must divide cin={self.cin} and cout={self.cout}"
+            )
+
+    def out_channels(self, cin, outs):
+        if self.cin != cin:
+            raise SpecError(f"conv expects cin={self.cin}, chain gives {cin}")
+        return self.cout
+
+    def init(self, rng):
+        # He-normal (fan-in); kept on the float32 grid so weight files
+        # round-trip bit-exactly
+        cin_g = self.cin // self.groups
+        std = np.sqrt(2.0 / (cin_g * self.k * self.k))
+        weight = rng.normal(0.0, std, size=(self.cout, cin_g, self.k, self.k))
+        return ConvParams(weight.astype(np.float32).astype(np.float64), np.zeros(self.cout))
+
+    def forward(self, p, x, mode):
+        y = layers.conv2d_forward(
+            x, p.weight, p.bias, stride=self.stride, pad=self.k // 2, groups=self.groups
+        )
+        return y, x
+
+    def backward(self, p, x, gy):
+        gx, gw, gb = layers.conv2d_backward(
+            x, p.weight, gy, stride=self.stride, pad=self.k // 2, groups=self.groups
+        )
+        return gx, [gw, gb]
+
+    def arrays(self, p, with_running):
+        return [p.weight, p.bias]
+
+    def param_counts(self):
+        return self.cout * (self.cin // self.groups) * self.k * self.k + self.cout, 0
+
+    def costs(self, h, w):
+        h = (h - 1) // self.stride + 1
+        w = (w - 1) // self.stride + 1
+        return self.cout * (self.cin // self.groups) * self.k * self.k * h * w, h, w
+
+    def group_count(self):
+        # a depthwise conv (one input channel per group) counts as ungrouped
+        return self.groups if self.cin > self.groups else 1
+
 
 @dataclass(frozen=True)
-class ChannelShuffle:
+class ChannelShuffle(Block):
     groups: int
 
+    def __post_init__(self):
+        if self.groups < 1:
+            raise SpecError(f"shuffle groups must be >= 1, got {self.groups}")
+
+    def out_channels(self, cin, outs):
+        if cin % self.groups:
+            raise SpecError(f"shuffle groups={self.groups} must divide {cin}")
+        return cin
+
+    def forward(self, p, x, mode):
+        return layers.channel_shuffle(x, self.groups), None
+
+    def backward(self, p, cache, gy):
+        return layers.channel_shuffle_backward(gy, self.groups), []
+
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(Block):
     channels: int
 
+    def out_channels(self, cin, outs):
+        if self.channels != cin:
+            raise SpecError(f"BN sized {self.channels}, chain gives {cin}")
+        return cin
 
-@dataclass(frozen=True)
-class ReLU:
-    pass
+    def init(self, rng):
+        c = self.channels
+        return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
+    def forward(self, p, x, mode):
+        return layers.batchnorm_forward(
+            x, p.scale, p.shift, p.running_mean, p.running_var, mode
+        )
 
-@dataclass(frozen=True)
-class SeparableConv:
-    """Depthwise k x k followed by pointwise 1x1."""
+    def backward(self, p, cache, gy):
+        gx, gscale, gshift = layers.batchnorm_backward(gy, p.scale, cache)
+        return gx, [gscale, gshift]
 
-    cin: int
-    cout: int
-    k: int
+    def arrays(self, p, with_running):
+        if with_running:
+            return [p.scale, p.shift, p.running_mean, p.running_var]
+        return [p.scale, p.shift]
 
-
-@dataclass(frozen=True)
-class Fire:
-    """1x1 squeeze then parallel 1x1/3x3 expands, concatenated."""
-
-    cin: int
-    squeeze: int
-    expand1: int
-    expand3: int
-
-
-@dataclass(frozen=True)
-class Inception:
-    """Parallel 1x1/3x3/5x5 branches, concatenated; branches may be grouped."""
-
-    cin: int
-    b1: int
-    b3: int
-    b5: int
-    groups: int = 1
+    def param_counts(self):
+        return 2 * self.channels, 2 * self.channels
 
 
 @dataclass(frozen=True)
-class MaxPool2:
-    pass
+class ReLU(Block):
+    def forward(self, p, x, mode):
+        return layers.relu(x), x
+
+    def backward(self, p, x, gy):
+        return layers.relu_backward(gy, x), []
 
 
 @dataclass(frozen=True)
-class UpsampleNearest2:
-    pass
+class MaxPool2(Block):
+    def forward(self, p, x, mode):
+        y, idx = layers.maxpool2_forward(x)
+        return y, (idx, x.shape)
+
+    def backward(self, p, cache, gy):
+        idx, in_shape = cache
+        return layers.maxpool2_backward(gy, idx, in_shape), []
+
+    def costs(self, h, w):
+        return 0, h // 2, w // 2
 
 
 @dataclass(frozen=True)
-class SkipConcat:
-    """Concatenate the output of an earlier block in the same stage."""
+class UpsampleNearest2(Block):
+    def forward(self, p, x, mode):
+        return layers.upsample_nearest(x), None
+
+    def backward(self, p, cache, gy):
+        return layers.upsample_nearest_backward(gy), []
+
+    def costs(self, h, w):
+        return 0, 2 * h, 2 * w
+
+
+@dataclass(frozen=True)
+class SkipConcat(Block):
+    """Concat the output of an earlier block of the same path (the driver does it)."""
 
     source: int
 
+    def out_channels(self, cin, outs):
+        if not 0 <= self.source < len(outs):
+            raise SpecError(f"skip source {self.source} out of range")
+        return cin + outs[self.source]
 
-Block = (
-    ConvBlock
-    | ChannelShuffle
-    | BatchNorm
-    | ReLU
-    | SeparableConv
-    | Fire
-    | Inception
-    | MaxPool2
-    | UpsampleNearest2
-    | SkipConcat
-)
+
+@dataclass(frozen=True)
+class Branch(Block):
+    """Run each path (a tuple of blocks) on the same input and concatenate
+    the outputs on channels; a single path is a plain sequence."""
+
+    paths: tuple
+
+    def out_channels(self, cin, outs):
+        return sum(_path_channels(path, cin) for path in self.paths)
+
+    def init(self, rng):
+        return [[blk.init(rng) for blk in path] for path in self.paths]
+
+    def forward(self, p, x, mode):
+        runs = [_path_forward(path, pp, x, mode) for path, pp in zip(self.paths, p)]
+        ys = [y for y, _ in runs]
+        y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
+        return y, ([part.shape[1] for part in ys], [caches for _, caches in runs])
+
+    def backward(self, p, cache, gy):
+        widths, path_caches = cache
+        gx, grads, start = None, [], 0
+        for path, pp, caches, width in zip(self.paths, p, path_caches, widths):
+            g, path_grads = _path_backward(path, pp, caches, gy[:, start : start + width])
+            gx = g if gx is None else gx + g
+            grads += path_grads
+            start += width
+        return gx, grads
+
+    def arrays(self, p, with_running):
+        return [a for path, pp in zip(self.paths, p) for a in _path_arrays(path, pp, with_running)]
+
+    def param_counts(self):
+        counts = [blk.param_counts() for path in self.paths for blk in path]
+        return sum(t for t, _ in counts), sum(r for _, r in counts)
+
+    def costs(self, h, w):
+        macs = 0
+        for path in self.paths:  # every path ends at the same spatial size
+            out_h, out_w = h, w
+            for blk in path:
+                blk_macs, out_h, out_w = blk.costs(out_h, out_w)
+                macs += blk_macs
+        return macs, out_h, out_w
+
+    def group_count(self):
+        return max([1] + [blk.group_count() for path in self.paths for blk in path])
+
+
+FEATURE_CHANNELS = 64
+DEFAULT_GROUPS = 8
 
 
 @dataclass(frozen=True)
@@ -113,77 +289,124 @@ class ArchSpec:
     residual: bool = True
 
     def __post_init__(self):
-        validate_spec(self)
+        """Channel arithmetic must chain across all three stages."""
+        if min(self.in_channels, self.out_channels) < 1:
+            raise SpecError(
+                f"in/out channels must be >= 1, got {self.in_channels}/{self.out_channels}"
+            )
+        c = _path_channels(self.alpha, self.in_channels)
+        beta_out = _path_channels(self.beta, c)
+        if self.residual and beta_out != c:
+            raise SpecError(
+                f"residual spec needs beta out ({beta_out}) == alpha out ({c})"
+            )
+        final = _path_channels(self.gamma, beta_out if not self.residual else c)
+        if final != self.out_channels:
+            raise SpecError(f"gamma produces {final} channels, spec says {self.out_channels}")
 
     @property
     def stages(self) -> tuple[tuple, tuple, tuple]:
         return (self.alpha, self.beta, self.gamma)
 
-
-def _block_out_channels(blk, cin: int, outs: list[int], index: int) -> int:
-    if isinstance(blk, ConvBlock):
-        if blk.cin != cin:
-            raise SpecError(f"block {index}: conv expects cin={blk.cin}, chain gives {cin}")
-        if blk.cin % blk.groups or blk.cout % blk.groups:
-            raise SpecError(
-                f"block {index}: groups={blk.groups} must divide cin={blk.cin} and cout={blk.cout}"
-            )
-        if blk.k % 2 == 0:
-            raise SpecError(f"block {index}: even kernel {blk.k}")
-        return blk.cout
-    if isinstance(blk, SeparableConv):
-        if blk.cin != cin:
-            raise SpecError(f"block {index}: separable expects cin={blk.cin}, chain gives {cin}")
-        return blk.cout
-    if isinstance(blk, Fire):
-        if blk.cin != cin:
-            raise SpecError(f"block {index}: fire expects cin={blk.cin}, chain gives {cin}")
-        if blk.squeeze >= blk.expand1 + blk.expand3:
-            raise SpecError(f"block {index}: squeeze must be < expand total")
-        return blk.expand1 + blk.expand3
-    if isinstance(blk, Inception):
-        if blk.cin != cin:
-            raise SpecError(f"block {index}: inception expects cin={blk.cin}, chain gives {cin}")
-        for width in (blk.b1, blk.b3, blk.b5):
-            if blk.cin % blk.groups or width % blk.groups:
-                raise SpecError(f"block {index}: groups={blk.groups} must divide branch widths")
-        return blk.b1 + blk.b3 + blk.b5
-    if isinstance(blk, ChannelShuffle):
-        if cin % blk.groups:
-            raise SpecError(f"block {index}: shuffle groups={blk.groups} must divide {cin}")
-        return cin
-    if isinstance(blk, BatchNorm):
-        if blk.channels != cin:
-            raise SpecError(f"block {index}: BN sized {blk.channels}, chain gives {cin}")
-        return cin
-    if isinstance(blk, SkipConcat):
-        if not 0 <= blk.source < index:
-            raise SpecError(f"block {index}: skip source {blk.source} out of range")
-        return cin + outs[blk.source]
-    if isinstance(blk, (ReLU, MaxPool2, UpsampleNearest2)):
-        return cin
-    raise SpecError(f"unknown block type {type(blk).__name__}")
+    @property
+    def sequence(self) -> Branch:
+        """Every block in execution order, as one single-path Branch."""
+        return Branch((self.alpha + self.beta + self.gamma,))
 
 
-def _stage_channels(blocks, cin: int) -> tuple[int, list[int]]:
+# ---------------------------------------------------------------------------
+# The path driver: stages and Branch paths share it
+# ---------------------------------------------------------------------------
+
+
+def _path_channels(blocks, cin: int) -> int:
+    """Output channels of a path; raises SpecError naming the block."""
     outs: list[int] = []
     for i, blk in enumerate(blocks):
-        cin = _block_out_channels(blk, cin, outs, i)
+        try:
+            cin = blk.out_channels(cin, outs)
+        except SpecError as exc:
+            raise SpecError(f"block {i}: {exc}") from None
         outs.append(cin)
-    return cin, outs
+    return cin
 
 
-def validate_spec(spec: ArchSpec) -> None:
-    """Channel arithmetic must chain across all three stages."""
-    c, _ = _stage_channels(spec.alpha, spec.in_channels)
-    beta_out, _ = _stage_channels(spec.beta, c)
-    if spec.residual and beta_out != c:
-        raise SpecError(
-            f"residual spec needs beta out ({beta_out}) == alpha out ({c})"
-        )
-    final, _ = _stage_channels(spec.gamma, beta_out if not spec.residual else c)
-    if final != spec.out_channels:
-        raise SpecError(f"gamma produces {final} channels, spec says {spec.out_channels}")
+def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
+    """Parameter tensors in fixed traversal order."""
+    return [a for blk, p in zip(blocks, plist) for a in blk.arrays(p, with_running)]
+
+
+def _path_forward(blocks, plist, x, mode):
+    """Returns (out, caches); caches hold whatever backward needs. Block
+    outputs are kept for skip sources only while the path runs."""
+    outs = []
+    caches = []
+    for blk, p in zip(blocks, plist):
+        if isinstance(blk, SkipConcat):
+            src = outs[blk.source]
+            if src.shape[2:] != x.shape[2:]:
+                raise DimensionError(
+                    f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}"
+                )
+            caches.append(x.shape[1])
+            x = np.concatenate([x, src], axis=1)
+        else:
+            x, cache = blk.forward(p, x, mode)
+            caches.append(cache)
+        outs.append(x)
+    return x, caches
+
+
+def _path_backward(blocks, plist, caches, grad_y):
+    """Walk blocks in reverse, routing skip-concat gradients to their sources.
+
+    Returns (grad wrt path input, per-block grads flattened in forward order).
+    """
+    g = grad_y
+    routed = {}  # block index -> grad that later skips sent to its output
+    grads = []
+    for i in range(len(blocks) - 1, -1, -1):
+        if i in routed:
+            g = g + routed.pop(i)
+        blk = blocks[i]
+        if isinstance(blk, SkipConcat):
+            split = caches[i]
+            src_grad = g[:, split:]
+            if blk.source in routed:
+                src_grad = routed[blk.source] + src_grad
+            routed[blk.source] = src_grad
+            g = g[:, :split]
+        else:
+            g, block_grads = blk.backward(plist[i], caches[i], g)
+            grads[:0] = block_grads
+    return g, grads
+
+
+# ---------------------------------------------------------------------------
+# Composite modules: one Branch each
+# ---------------------------------------------------------------------------
+
+
+def separable(cin: int, cout: int, k: int) -> Branch:
+    """Depthwise k x k conv followed by a pointwise 1x1 conv."""
+    return Branch(((ConvBlock(cin, cin, k, groups=cin), ConvBlock(cin, cout, 1)),))
+
+
+def fire(cin: int, squeeze: int, expand1: int, expand3: int) -> Branch:
+    """SqueezeNet Fire module: 1x1 squeeze + ReLU, parallel 1x1/3x3
+    expands concatenated on channels, ReLU."""
+    if squeeze >= expand1 + expand3:
+        raise SpecError(f"fire squeeze {squeeze} must be < expand total {expand1 + expand3}")
+    expand = Branch(((ConvBlock(squeeze, expand1, 1),), (ConvBlock(squeeze, expand3, 3),)))
+    return Branch(((ConvBlock(cin, squeeze, 1), ReLU(), expand, ReLU()),))
+
+
+def inception(cin: int, b1: int, b3: int, b5: int, groups: int = 1) -> Branch:
+    """Parallel 1x1/3x3/5x5 convs over one input, concatenated; the
+    branches may be grouped."""
+    return Branch(
+        tuple((ConvBlock(cin, width, k, groups),) for width, k in ((b1, 1), (b3, 3), (b5, 5)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,47 +432,30 @@ def builtin_spec(name: str, in_channels: int = 2, groups: int = DEFAULT_GROUPS) 
     """Named architecture variants; all share the conv-BN-relu head and a
     single-conv tail, differing only in the replaceable middle module."""
     c = FEATURE_CHANNELS
-    alpha = (ConvBlock(in_channels, c, 3), BatchNorm(c), ReLU())
+    bn_relu = (BatchNorm(c), ReLU())
+    alpha = (ConvBlock(in_channels, c, 3), *bn_relu)
     gamma = (ConvBlock(c, 1, 3),)
-    gc = (ConvBlock(c, c, 3, groups=groups), ChannelShuffle(groups), BatchNorm(c), ReLU())
-    fire = (Fire(c, 16, 32, 32), BatchNorm(c), ReLU())
+    regular = (ConvBlock(c, c, 3), *bn_relu)
+    gc = (ConvBlock(c, c, 3, groups=groups), ChannelShuffle(groups), *bn_relu)
+    squeeze = (fire(c, 16, 32, 32), *bn_relu)
+    encoder = regular + (MaxPool2(),)
+
+    def decoder(source):
+        return (UpsampleNearest2(), SkipConcat(source), ConvBlock(2 * c, c, 3), *bn_relu)
+
     middles = {
-        "regular": (ConvBlock(c, c, 3), BatchNorm(c), ReLU()),
+        "regular": regular,
         "gcb": gc,
-        "separable": (SeparableConv(c, c, 3), BatchNorm(c), ReLU()),
-        "squeeze": fire,
-        "inception": (Inception(c, 16, 32, 16), BatchNorm(c), ReLU()),
-        "gcb_inception": (
-            Inception(c, 16, 32, 16, groups=groups),
-            ChannelShuffle(groups),
-            BatchNorm(c),
-            ReLU(),
-        ),
-        "squeeze_gcb": fire + gc,
-        "squeeze2_gcb": fire + fire + gc,
-        "m": (
-            ConvBlock(c, c, 3),          # 0 encoder 1
-            BatchNorm(c),                # 1
-            ReLU(),                      # 2
-            MaxPool2(),                  # 3  -> 1/2
-            ConvBlock(c, c, 3),          # 4 encoder 2
-            BatchNorm(c),                # 5
-            ReLU(),                      # 6
-            MaxPool2(),                  # 7  -> 1/4
-            Fire(c, 16, 32, 32),         # 8 bottleneck
-            BatchNorm(c),                # 9
-            ReLU(),                      # 10
-            UpsampleNearest2(),          # 11 -> 1/2
-            SkipConcat(6),               # 12 cat encoder 2
-            ConvBlock(2 * c, c, 3),      # 13
-            BatchNorm(c),                # 14
-            ReLU(),                      # 15
-            UpsampleNearest2(),          # 16 -> 1/1
-            SkipConcat(2),               # 17 cat encoder 1
-            ConvBlock(2 * c, c, 3),      # 18
-            BatchNorm(c),                # 19
-            ReLU(),                      # 20
-        ),
+        "separable": (separable(c, c, 3), *bn_relu),
+        "squeeze": squeeze,
+        "inception": (inception(c, 16, 32, 16), *bn_relu),
+        "gcb_inception": (inception(c, 16, 32, 16, groups=groups), *gc[1:]),
+        "squeeze_gcb": squeeze + gc,
+        "squeeze2_gcb": squeeze + squeeze + gc,
+        # pooled U-shape: two encoders down to 1/4 (their ReLU outputs are
+        # blocks 2 and 6), a fire bottleneck, then two decoders back up, each
+        # concatenating the matching encoder output
+        "m": encoder + encoder + squeeze + decoder(6) + decoder(2),
     }
     if name not in middles:
         raise SpecError(f"unknown built-in spec {name!r}; options: {BUILTIN_NAMES}")
@@ -257,97 +463,55 @@ def builtin_spec(name: str, in_channels: int = 2, groups: int = DEFAULT_GROUPS) 
 
 
 # ---------------------------------------------------------------------------
-# Analytic parameter and FLOP counting
+# Analytic parameter, FLOP and group counting
 # ---------------------------------------------------------------------------
 
 
-def _block_param_counts(blk) -> tuple[int, int]:
-    """(trainable, non-trainable running stats) for one block."""
-    if isinstance(blk, ConvBlock):
-        return blk.cout * (blk.cin // blk.groups) * blk.k * blk.k + blk.cout, 0
-    if isinstance(blk, SeparableConv):
-        dw = blk.cin * blk.k * blk.k + blk.cin
-        pw = blk.cin * blk.cout + blk.cout
-        return dw + pw, 0
-    if isinstance(blk, Fire):
-        sq = blk.cin * blk.squeeze + blk.squeeze
-        e1 = blk.squeeze * blk.expand1 + blk.expand1
-        e3 = blk.squeeze * blk.expand3 * 9 + blk.expand3
-        return sq + e1 + e3, 0
-    if isinstance(blk, Inception):
-        b1 = blk.cin * blk.b1 // blk.groups + blk.b1
-        b3 = blk.cin * blk.b3 * 9 // blk.groups + blk.b3
-        b5 = blk.cin * blk.b5 * 25 // blk.groups + blk.b5
-        return b1 + b3 + b5, 0
-    if isinstance(blk, BatchNorm):
-        return 2 * blk.channels, 2 * blk.channels
-    return 0, 0
+def count_state(spec: ArchSpec) -> tuple[int, int]:
+    """(trainable, non-trainable) parameter counts; trainable covers conv
+    weights/biases and BN scale/shift, non-trainable the BN running stats."""
+    return spec.sequence.param_counts()
 
 
 def count_params(spec: ArchSpec) -> int:
     """Trainable parameter count (conv weights/biases + BN scale/shift)."""
-    return sum(_block_param_counts(b)[0] for stage in spec.stages for b in stage)
-
-
-def count_state(spec: ArchSpec) -> tuple[int, int]:
-    """(trainable, non-trainable) parameter counts."""
-    trainable = 0
-    running = 0
-    for stage in spec.stages:
-        for blk in stage:
-            t, r = _block_param_counts(blk)
-            trainable += t
-            running += r
-    return trainable, running
-
-
-def _conv_macs(cout, cin, k, groups, h, w) -> int:
-    return cout * (cin // groups) * k * k * h * w
+    return count_state(spec)[0]
 
 
 def count_flops(spec: ArchSpec, h: int, w: int) -> int:
     """FLOPs at input h x w with the 1 MAC = 2 FLOPs convention.
 
-    Pooling, shuffling, ReLU and BN count as zero MACs.
+    Pooling, shuffling, ReLU, BN, concats and the residual add count as
+    zero MACs.
     """
-    macs = 0
-    cin = spec.in_channels
-    for si, stage in enumerate(spec.stages):
-        outs: list[int] = []
-        spatial: list[tuple[int, int]] = []
-        for i, blk in enumerate(stage):
-            if isinstance(blk, ConvBlock):
-                h = (h - 1) // blk.stride + 1
-                w = (w - 1) // blk.stride + 1
-                macs += _conv_macs(blk.cout, blk.cin, blk.k, blk.groups, h, w)
-            elif isinstance(blk, SeparableConv):
-                macs += _conv_macs(blk.cin, 1, blk.k, 1, h, w)  # depthwise
-                macs += _conv_macs(blk.cout, blk.cin, 1, 1, h, w)  # pointwise
-            elif isinstance(blk, Fire):
-                macs += _conv_macs(blk.squeeze, blk.cin, 1, 1, h, w)
-                macs += _conv_macs(blk.expand1, blk.squeeze, 1, 1, h, w)
-                macs += _conv_macs(blk.expand3, blk.squeeze, 3, 1, h, w)
-            elif isinstance(blk, Inception):
-                macs += _conv_macs(blk.b1, blk.cin, 1, blk.groups, h, w)
-                macs += _conv_macs(blk.b3, blk.cin, 3, blk.groups, h, w)
-                macs += _conv_macs(blk.b5, blk.cin, 5, blk.groups, h, w)
-            elif isinstance(blk, MaxPool2):
-                h //= 2
-                w //= 2
-            elif isinstance(blk, UpsampleNearest2):
-                h *= 2
-                w *= 2
-            cin = _block_out_channels(blk, cin, outs, i)
-            outs.append(cin)
-            spatial.append((h, w))
-        if si == 1 and spec.residual:
-            pass  # the residual add contributes no MACs
-    return 2 * macs
+    return 2 * spec.sequence.costs(h, w)[0]
+
+
+def count_groups(spec: ArchSpec) -> int:
+    """Largest conv group count; a depthwise conv counts as ungrouped."""
+    return spec.sequence.group_count()
 
 
 # ---------------------------------------------------------------------------
 # Line-oriented spec files: one block per line, three `stage` sections.
 # ---------------------------------------------------------------------------
+
+
+# block directive -> (constructor, min args, max args); every argument is an int
+_BLOCK_DIRECTIVES = {
+    "conv": (ConvBlock, 3, 5),
+    "sep": (separable, 3, 3),
+    "fire": (fire, 4, 4),
+    "incep": (inception, 4, 5),
+    "shuffle": (ChannelShuffle, 1, 1),
+    "bn": (BatchNorm, 1, 1),
+    "relu": (ReLU, 0, 0),
+    "pool": (MaxPool2, 0, 0),
+    "up": (UpsampleNearest2, 0, 0),
+    "cat": (SkipConcat, 1, 1),
+}
+# header directive -> converter of its one argument
+_HEADER_DIRECTIVES = {"name": str, "in_channels": int, "out_channels": int, "residual": int}
 
 
 def parse_arch_file(path) -> ArchSpec:
@@ -359,13 +523,15 @@ def parse_arch_file(path) -> ArchSpec:
         fire <cin> <squeeze> <e1> <e3>               incep <cin> <b1> <b3> <b5> [groups]
         shuffle <g>           bn <c>      relu       pool        up
         cat <source-index>
+
+    ``sep``, ``fire`` and ``incep`` each expand to one Branch block, so
+    every block line is one index for ``cat``.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    name = Path(path).stem
-    in_channels, out_channels, residual = 2, 1, True
+    header = {"name": Path(path).stem, "in_channels": 2, "out_channels": 1, "residual": 1}
     stages: dict[str, list] = {"alpha": [], "beta": [], "gamma": []}
     current: list | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -373,50 +539,30 @@ def parse_arch_file(path) -> ArchSpec:
         if not line:
             continue
         op, *args = line.split()
+        make, lo, hi = _BLOCK_DIRECTIVES.get(op, (None, 1, 1))
+        if make is None and op not in _HEADER_DIRECTIVES and op != "stage":
+            raise SpecError(f"line {lineno}: unknown directive {op!r}")
+        if make is not None and current is None:
+            raise SpecError(f"line {lineno}: block before any stage directive")
+        if not lo <= len(args) <= hi:
+            raise SpecError(
+                f"line {lineno}: {op!r} takes {lo} to {hi} arguments, got {len(args)}"
+            )
         try:
-            if op == "name":
-                name = args[0]
-            elif op == "in_channels":
-                in_channels = int(args[0])
-            elif op == "out_channels":
-                out_channels = int(args[0])
-            elif op == "residual":
-                residual = bool(int(args[0]))
+            if make is not None:
+                current.append(make(*(int(a) for a in args)))
             elif op == "stage":
                 current = stages[args[0]]
-            elif current is None:
-                raise SpecError(f"line {lineno}: block before any stage directive")
-            elif op == "conv":
-                vals = [int(a) for a in args]
-                current.append(ConvBlock(*vals))
-            elif op == "sep":
-                current.append(SeparableConv(*(int(a) for a in args)))
-            elif op == "fire":
-                current.append(Fire(*(int(a) for a in args)))
-            elif op == "incep":
-                current.append(Inception(*(int(a) for a in args)))
-            elif op == "shuffle":
-                current.append(ChannelShuffle(int(args[0])))
-            elif op == "bn":
-                current.append(BatchNorm(int(args[0])))
-            elif op == "relu":
-                current.append(ReLU())
-            elif op == "pool":
-                current.append(MaxPool2())
-            elif op == "up":
-                current.append(UpsampleNearest2())
-            elif op == "cat":
-                current.append(SkipConcat(int(args[0])))
             else:
-                raise SpecError(f"line {lineno}: unknown directive {op!r}")
-        except (IndexError, ValueError, KeyError) as exc:
+                header[op] = _HEADER_DIRECTIVES[op](args[0])
+        except (ValueError, KeyError, SpecError) as exc:
             raise SpecError(f"line {lineno}: bad arguments for {op!r}: {exc}") from exc
     return ArchSpec(
-        name,
-        in_channels,
-        out_channels,
+        header["name"],
+        header["in_channels"],
+        header["out_channels"],
         tuple(stages["alpha"]),
         tuple(stages["beta"]),
         tuple(stages["gamma"]),
-        residual,
+        bool(header["residual"]),
     )

@@ -253,41 +253,3 @@ def upsample_nearest(x):
 def upsample_nearest_backward(grad_out):
     n, c, h, w = grad_out.shape
     return grad_out.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-
-
-def fire_forward(x, squeeze, expand1, expand3):
-    """Squeeze-expand module: 1x1 squeeze + ReLU, parallel 1x1/3x3 expands,
-    channel concat, ReLU. Each argument is a (weight, bias) tuple.
-
-    Returns (out, cache) for fire_backward.
-    """
-    sq_w, sq_b = squeeze
-    e1_w, e1_b = expand1
-    e3_w, e3_b = expand3
-    if sq_w.shape[0] >= e1_w.shape[0] + e3_w.shape[0]:
-        raise SpecError(
-            f"squeeze channels {sq_w.shape[0]} must be < expand total "
-            f"{e1_w.shape[0] + e3_w.shape[0]}"
-        )
-    s_pre = conv2d_forward(x, sq_w, sq_b, pad=0)
-    s = relu(s_pre)
-    o1 = conv2d_forward(s, e1_w, e1_b, pad=0)
-    o3 = conv2d_forward(s, e3_w, e3_b, pad=1)
-    pre = np.concatenate([o1, o3], axis=1)
-    out = relu(pre)
-    return out, (s_pre, s, pre, e1_w.shape[0])
-
-
-def fire_backward(x, squeeze, expand1, expand3, grad_out, cache):
-    """Gradients of fire_forward: (grad_x, (gsq_w, gsq_b), (ge1_w, ge1_b), (ge3_w, ge3_b))."""
-    sq_w, _ = squeeze
-    e1_w, _ = expand1
-    e3_w, _ = expand3
-    s_pre, s, pre, c1 = cache
-    gpre = relu_backward(grad_out, pre)
-    g1, g3 = gpre[:, :c1], gpre[:, c1:]
-    gs1, ge1_w, ge1_b = conv2d_backward(s, e1_w, g1, pad=0)
-    gs3, ge3_w, ge3_b = conv2d_backward(s, e3_w, g3, pad=1)
-    gs = relu_backward(gs1 + gs3, s_pre)
-    gx, gsq_w, gsq_b = conv2d_backward(x, sq_w, gs, pad=0)
-    return gx, (gsq_w, gsq_b), (ge1_w, ge1_b), (ge3_w, ge3_b)

@@ -16,159 +16,27 @@ import numpy as np
 from ..errors import DimensionError, FormatError, IoError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
-from .arch import (
-    ArchSpec,
-    BatchNorm,
-    ChannelShuffle,
-    ConvBlock,
-    Fire,
-    Inception,
-    MaxPool2,
-    ReLU,
-    SeparableConv,
-    SkipConcat,
-    UpsampleNearest2,
-    builtin_spec,
-)
-
-
-@dataclass
-class ConvParams:
-    weight: np.ndarray  # (cout, cin/groups, k, k)
-    bias: np.ndarray
-
-
-@dataclass
-class BNParams:
-    scale: np.ndarray
-    shift: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-
-@dataclass
-class SepParams:
-    dw: ConvParams
-    pw: ConvParams
-
-
-@dataclass
-class FireParams:
-    squeeze: ConvParams
-    expand1: ConvParams
-    expand3: ConvParams
-
-
-@dataclass
-class InceptionParams:
-    b1: ConvParams
-    b3: ConvParams
-    b5: ConvParams
+from .arch import ArchSpec, _path_backward, _path_forward, builtin_spec, count_groups
 
 
 @dataclass
 class NetParams:
+    """Per-stage lists with one params entry per block (see ``Block.init``)."""
+
     spec: ArchSpec
     alpha: list
     beta: list
     gamma: list
 
-    @property
-    def stages(self):
-        return (self.alpha, self.beta, self.gamma)
-
-
-def _param_arrays(p, with_running: bool):
-    if p is None:
-        return []
-    if isinstance(p, ConvParams):
-        return [p.weight, p.bias]
-    if isinstance(p, BNParams):
-        arrs = [p.scale, p.shift]
-        if with_running:
-            arrs += [p.running_mean, p.running_var]
-        return arrs
-    if isinstance(p, SepParams):
-        return _param_arrays(p.dw, with_running) + _param_arrays(p.pw, with_running)
-    if isinstance(p, FireParams):
-        return (
-            _param_arrays(p.squeeze, with_running)
-            + _param_arrays(p.expand1, with_running)
-            + _param_arrays(p.expand3, with_running)
-        )
-    if isinstance(p, InceptionParams):
-        return (
-            _param_arrays(p.b1, with_running)
-            + _param_arrays(p.b3, with_running)
-            + _param_arrays(p.b5, with_running)
-        )
-    raise SpecError(f"unknown param container {type(p).__name__}")
-
 
 def trainable_arrays(params: NetParams) -> list[np.ndarray]:
     """All trainable tensors in fixed traversal order (BN running stats excluded)."""
-    out = []
-    for stage in params.stages:
-        for p in stage:
-            out.extend(_param_arrays(p, with_running=False))
-    return out
+    return params.spec.sequence.arrays([params.alpha + params.beta + params.gamma], False)
 
 
 def state_arrays(params: NetParams) -> list[np.ndarray]:
     """All state tensors including BN running stats, in fixed order."""
-    out = []
-    for stage in params.stages:
-        for p in stage:
-            out.extend(_param_arrays(p, with_running=True))
-    return out
-
-
-def clone_params(params: NetParams) -> NetParams:
-    import copy
-
-    return copy.deepcopy(params)
-
-
-# ---------------------------------------------------------------------------
-# Initialization
-# ---------------------------------------------------------------------------
-
-
-def _f32(a: np.ndarray) -> np.ndarray:
-    # keep init on the float32 grid so serialization round-trips bit-exactly
-    return a.astype(np.float32).astype(np.float64)
-
-
-def _he_conv(rng, cout, cin_g, k) -> ConvParams:
-    std = np.sqrt(2.0 / (cin_g * k * k))
-    weight = _f32(rng.normal(0.0, std, size=(cout, cin_g, k, k)))
-    return ConvParams(weight=weight, bias=np.zeros(cout))
-
-
-def _init_block(blk, rng):
-    if isinstance(blk, ConvBlock):
-        return _he_conv(rng, blk.cout, blk.cin // blk.groups, blk.k)
-    if isinstance(blk, SeparableConv):
-        return SepParams(
-            dw=_he_conv(rng, blk.cin, 1, blk.k),
-            pw=_he_conv(rng, blk.cout, blk.cin, 1),
-        )
-    if isinstance(blk, Fire):
-        return FireParams(
-            squeeze=_he_conv(rng, blk.squeeze, blk.cin, 1),
-            expand1=_he_conv(rng, blk.expand1, blk.squeeze, 1),
-            expand3=_he_conv(rng, blk.expand3, blk.squeeze, 3),
-        )
-    if isinstance(blk, Inception):
-        return InceptionParams(
-            b1=_he_conv(rng, blk.b1, blk.cin // blk.groups, 1),
-            b3=_he_conv(rng, blk.b3, blk.cin // blk.groups, 3),
-            b5=_he_conv(rng, blk.b5, blk.cin // blk.groups, 5),
-        )
-    if isinstance(blk, BatchNorm):
-        c = blk.channels
-        return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
-    return None
+    return params.spec.sequence.arrays([params.alpha + params.beta + params.gamma], True)
 
 
 def build_network(spec: ArchSpec | str, seed: int = 0, in_channels: int = 2) -> NetParams:
@@ -176,7 +44,7 @@ def build_network(spec: ArchSpec | str, seed: int = 0, in_channels: int = 2) -> 
     if isinstance(spec, str):
         spec = builtin_spec(spec, in_channels=in_channels)
     rng = np.random.default_rng(seed)
-    stages = [[_init_block(b, rng) for b in stage] for stage in spec.stages]
+    stages = [[blk.init(rng) for blk in stage] for stage in spec.stages]
     return NetParams(spec, *stages)
 
 
@@ -185,155 +53,18 @@ def build_network(spec: ArchSpec | str, seed: int = 0, in_channels: int = 2) -> 
 # ---------------------------------------------------------------------------
 
 
-def _block_forward(blk, p, x, mode):
-    """Returns (out, cache); caches hold whatever backward needs."""
-    if isinstance(blk, ConvBlock):
-        y = layers.conv2d_forward(
-            x, p.weight, p.bias, stride=blk.stride, pad=blk.k // 2, groups=blk.groups
-        )
-        return y, x
-    if isinstance(blk, SeparableConv):
-        mid = layers.conv2d_forward(x, p.dw.weight, p.dw.bias, pad=blk.k // 2, groups=blk.cin)
-        y = layers.conv2d_forward(mid, p.pw.weight, p.pw.bias, pad=0)
-        return y, (x, mid)
-    if isinstance(blk, Fire):
-        y, cache = layers.fire_forward(
-            x,
-            (p.squeeze.weight, p.squeeze.bias),
-            (p.expand1.weight, p.expand1.bias),
-            (p.expand3.weight, p.expand3.bias),
-        )
-        return y, (x, cache)
-    if isinstance(blk, Inception):
-        g = blk.groups
-        y1 = layers.conv2d_forward(x, p.b1.weight, p.b1.bias, pad=0, groups=g)
-        y3 = layers.conv2d_forward(x, p.b3.weight, p.b3.bias, pad=1, groups=g)
-        y5 = layers.conv2d_forward(x, p.b5.weight, p.b5.bias, pad=2, groups=g)
-        return np.concatenate([y1, y3, y5], axis=1), x
-    if isinstance(blk, ChannelShuffle):
-        return layers.channel_shuffle(x, blk.groups), None
-    if isinstance(blk, BatchNorm):
-        y, cache = layers.batchnorm_forward(
-            x, p.scale, p.shift, p.running_mean, p.running_var, mode
-        )
-        return y, cache
-    if isinstance(blk, ReLU):
-        return layers.relu(x), x
-    if isinstance(blk, MaxPool2):
-        y, idx = layers.maxpool2_forward(x)
-        return y, (idx, x.shape)
-    if isinstance(blk, UpsampleNearest2):
-        return layers.upsample_nearest(x), None
-    if isinstance(blk, SkipConcat):
-        return x, x.shape[1]  # concat happens in the stage driver
-    raise SpecError(f"unknown block type {type(blk).__name__}")
-
-
-def _stage_forward(blocks, plist, x, mode):
-    outs = []
-    caches = []
-    for blk, p in zip(blocks, plist):
-        if isinstance(blk, SkipConcat):
-            src = outs[blk.source]
-            if src.shape[2:] != x.shape[2:]:
-                raise DimensionError(
-                    f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}"
-                )
-            caches.append(x.shape[1])
-            x = np.concatenate([x, src], axis=1)
-        else:
-            x, cache = _block_forward(blk, p, x, mode)
-            caches.append(cache)
-        outs.append(x)
-    return x, outs, caches
-
-
-def _block_backward(blk, p, cache, gy):
-    """Returns (grad_input, grads-in-trainable-order)."""
-    if isinstance(blk, ConvBlock):
-        gx, gw, gb = layers.conv2d_backward(
-            cache, p.weight, gy, stride=blk.stride, pad=blk.k // 2, groups=blk.groups
-        )
-        return gx, [gw, gb]
-    if isinstance(blk, SeparableConv):
-        x, mid = cache
-        gmid, gpw_w, gpw_b = layers.conv2d_backward(mid, p.pw.weight, gy, pad=0)
-        gx, gdw_w, gdw_b = layers.conv2d_backward(
-            x, p.dw.weight, gmid, pad=blk.k // 2, groups=blk.cin
-        )
-        return gx, [gdw_w, gdw_b, gpw_w, gpw_b]
-    if isinstance(blk, Fire):
-        x, fire_cache = cache
-        gx, gsq, ge1, ge3 = layers.fire_backward(
-            x,
-            (p.squeeze.weight, p.squeeze.bias),
-            (p.expand1.weight, p.expand1.bias),
-            (p.expand3.weight, p.expand3.bias),
-            gy,
-            fire_cache,
-        )
-        return gx, [*gsq, *ge1, *ge3]
-    if isinstance(blk, Inception):
-        x = cache
-        g = blk.groups
-        g1 = gy[:, : blk.b1]
-        g3 = gy[:, blk.b1 : blk.b1 + blk.b3]
-        g5 = gy[:, blk.b1 + blk.b3 :]
-        gx1, gw1, gb1 = layers.conv2d_backward(x, p.b1.weight, g1, pad=0, groups=g)
-        gx3, gw3, gb3 = layers.conv2d_backward(x, p.b3.weight, g3, pad=1, groups=g)
-        gx5, gw5, gb5 = layers.conv2d_backward(x, p.b5.weight, g5, pad=2, groups=g)
-        return gx1 + gx3 + gx5, [gw1, gb1, gw3, gb3, gw5, gb5]
-    if isinstance(blk, ChannelShuffle):
-        return layers.channel_shuffle_backward(gy, blk.groups), []
-    if isinstance(blk, BatchNorm):
-        gx, gscale, gshift = layers.batchnorm_backward(gy, p.scale, cache)
-        return gx, [gscale, gshift]
-    if isinstance(blk, ReLU):
-        return layers.relu_backward(gy, cache), []
-    if isinstance(blk, MaxPool2):
-        idx, in_shape = cache
-        return layers.maxpool2_backward(gy, idx, in_shape), []
-    if isinstance(blk, UpsampleNearest2):
-        return layers.upsample_nearest_backward(gy), []
-    raise SpecError(f"unknown block type {type(blk).__name__}")
-
-
-def _stage_backward(blocks, plist, caches, grad_y):
-    """Walk blocks in reverse, routing skip-concat gradients to their sources.
-
-    Returns (grad_stage_input, per-block grads flattened in forward order).
-    """
-    n = len(blocks)
-    pending = [None] * (n + 1)  # pending[i+1] = grad wrt output of block i
-    pending[n] = grad_y
-    grads_per_block = [None] * n
-    for i in range(n - 1, -1, -1):
-        g = pending[i + 1]
-        blk = blocks[i]
-        if isinstance(blk, SkipConcat):
-            split = caches[i]
-            g_in, g_src = g[:, :split], g[:, split:]
-            if pending[blk.source + 1] is None:
-                pending[blk.source + 1] = g_src.copy()
-            else:
-                pending[blk.source + 1] = pending[blk.source + 1] + g_src
-            grads_per_block[i] = []
-        else:
-            g_in, block_grads = _block_backward(blk, plist[i], caches[i], g)
-            grads_per_block[i] = block_grads
-        if pending[i] is None:
-            pending[i] = g_in
-        else:
-            pending[i] = pending[i] + g_in
-    flat = []
-    for bg in grads_per_block:
-        flat.extend(bg)
-    return pending[0], flat
-
-
 def pair_tensor(pair: ImagePair) -> np.ndarray:
     """Channel-concatenated (1, 2, h, w) tensor from an aligned pair."""
     return np.stack([pair.a.data, pair.b.data])[None]
+
+
+def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval"):
+    """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule,
+    with the (alpha, beta) caches for net_backward."""
+    spec = params.spec
+    h1, a_caches = _path_forward(spec.alpha, params.alpha, x, mode)
+    m, b_caches = _path_forward(spec.beta, params.beta, h1, mode)
+    return (h1 + m if spec.residual else m), (a_caches, b_caches)
 
 
 def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):
@@ -343,10 +74,8 @@ def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):
         raise DimensionError(
             f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
         )
-    h1, _, a_caches = _stage_forward(spec.alpha, params.alpha, x, mode)
-    m, _, b_caches = _stage_forward(spec.beta, params.beta, h1, mode)
-    z = h1 + m if spec.residual else m
-    y, _, g_caches = _stage_forward(spec.gamma, params.gamma, z, mode)
+    z, (a_caches, b_caches) = trunk_forward(params, x, mode)
+    y, g_caches = _path_forward(spec.gamma, params.gamma, z, mode)
     out = layers.sigmoid(y)
     return out, (a_caches, b_caches, g_caches, out)
 
@@ -367,26 +96,17 @@ def net_backward(params: NetParams, cache, grad_out: np.ndarray):
     spec = params.spec
     a_caches, b_caches, g_caches, out = cache
     gy = layers.sigmoid_backward(grad_out, out)
-    gz, g_grads = _stage_backward(spec.gamma, params.gamma, g_caches, gy)
-    gm = gz
-    gh1, b_grads = _stage_backward(spec.beta, params.beta, b_caches, gm)
+    gz, g_grads = _path_backward(spec.gamma, params.gamma, g_caches, gy)
+    gh1, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz)
     if spec.residual:
         gh1 = gh1 + gz
-    gx, a_grads = _stage_backward(spec.alpha, params.alpha, a_caches, gh1)
+    gx, a_grads = _path_backward(spec.alpha, params.alpha, a_caches, gh1)
     return a_grads + b_grads + g_grads, gx
 
 
 def net_output_image(params: NetParams, pair: ImagePair) -> ImageGray:
     out = net_forward(params, pair, mode="eval")
     return ImageGray(np.clip(out[0, 0], 0.0, 1.0))
-
-
-def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Pre-gamma feature map: alpha(x) + beta(alpha(x)) under the residual rule."""
-    spec = params.spec
-    h1, _, _ = _stage_forward(spec.alpha, params.alpha, x, mode)
-    m, _, _ = _stage_forward(spec.beta, params.beta, h1, mode)
-    return h1 + m if spec.residual else m
 
 
 # ---------------------------------------------------------------------------
@@ -397,33 +117,14 @@ _MAGIC = b"AENW"
 _VERSION = 1
 
 
-def _spec_groups(spec: ArchSpec) -> int:
-    groups = [1]
-    for stage in spec.stages:
-        for blk in stage:
-            if isinstance(blk, (ConvBlock, Inception)):
-                groups.append(blk.groups)
-    return max(groups)
-
-
-def weight_file_bytes(params: NetParams) -> int:
-    """Exact serialized size: header plus 4 bytes per stored float."""
-    name = params.spec.name.encode("utf-8")
-    size = 4 + 4 + 2 + len(name) + 2 + 2 + 4
-    for arr in state_arrays(params):
-        size += 1 + 4 * arr.ndim + 4 * arr.size
-    return size
-
-
-def save_weights(params: NetParams, path) -> None:
+def _weight_blob(params: NetParams) -> bytes:
     name = params.spec.name.encode("utf-8")
     chunks = [
         _MAGIC,
         struct.pack("<I", _VERSION),
         struct.pack("<H", len(name)),
         name,
-        struct.pack("<H", params.spec.in_channels),
-        struct.pack("<H", _spec_groups(params.spec)),
+        struct.pack("<HH", params.spec.in_channels, count_groups(params.spec)),
     ]
     arrays = state_arrays(params)
     chunks.append(struct.pack("<I", len(arrays)))
@@ -431,28 +132,19 @@ def save_weights(params: NetParams, path) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return b"".join(chunks)
+
+
+def weight_file_bytes(params: NetParams) -> int:
+    """Exact serialized size: header plus 4 bytes per stored float."""
+    return len(_weight_blob(params))
+
+
+def save_weights(params: NetParams, path) -> None:
     try:
-        Path(path).write_bytes(b"".join(chunks))
+        Path(path).write_bytes(_weight_blob(params))
     except OSError as exc:
         raise IoError(str(exc)) from exc
-
-
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n):
-        if self.pos + n > len(self.blob):
-            raise TruncationError(
-                f"weight file ends at byte {len(self.blob)}, needed {self.pos + n}"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_weights(path, spec: ArchSpec | None = None) -> NetParams:
@@ -465,32 +157,47 @@ def load_weights(path, spec: ArchSpec | None = None) -> NetParams:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    rd = _Reader(blob)
-    if rd.take(4) != _MAGIC:
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(blob):
+            raise TruncationError(f"weight file ends at byte {len(blob)}, needed {pos + n}")
+        pos += n
+        return blob[pos - n : pos]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != _MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {_MAGIC!r}")
-    (version,) = rd.unpack("<I")
+    (version,) = unpack("<I")
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")
-    (name_len,) = rd.unpack("<H")
-    name = rd.take(name_len).decode("utf-8")
-    (in_channels,) = rd.unpack("<H")
-    (groups,) = rd.unpack("<H")
+    (name_len,) = unpack("<H")
+    try:
+        name = take(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"spec name is not UTF-8: {exc}") from exc
+    in_channels, groups = unpack("<HH")
     if spec is None:
-        spec = builtin_spec(name, in_channels=in_channels, groups=groups)
-    (n_arrays,) = rd.unpack("<I")
-    arrays = []
-    for _ in range(n_arrays):
-        (ndim,) = rd.unpack("<B")
-        shape = rd.unpack(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(rd.take(4 * count), dtype="<f4").astype(np.float64)
-        arrays.append(data.reshape(shape))
+        try:
+            spec = builtin_spec(name, in_channels=in_channels, groups=groups)
+        except SpecError as exc:
+            raise FormatError(f"header describes no valid built-in: {exc}") from exc
     params = build_network(spec, seed=0)
     targets = state_arrays(params)
-    if len(targets) != len(arrays):
-        raise FormatError(f"file holds {len(arrays)} arrays, spec needs {len(targets)}")
-    for tgt, src in zip(targets, arrays):
-        if tgt.shape != src.shape:
-            raise FormatError(f"array shape {src.shape} != spec shape {tgt.shape}")
-        tgt[...] = src
+    (n_arrays,) = unpack("<I")
+    if n_arrays != len(targets):
+        raise FormatError(f"file holds {n_arrays} arrays, spec needs {len(targets)}")
+    for i, tgt in enumerate(targets):
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        if shape != tgt.shape:
+            raise FormatError(f"array {i}: shape {shape} != spec shape {tgt.shape}")
+        # the shape matches the spec, so the payload size is bounded before reading
+        data = np.frombuffer(take(4 * tgt.size), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise FormatError(f"array {i} holds non-finite values")
+        tgt[...] = data.reshape(shape)
     return params

@@ -9,6 +9,7 @@ including the reflect-padding adjoint.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,14 +22,10 @@ from .errors import BankMissError, DimensionError, RangeError, TaskMixError
 from .evolution import SolutionBank, init_bank, update_bank
 from .fusion import FusionCandidate
 from .image import ImageGray, ImagePair, gaussian_kernel, tile_grid
-from .net.arch import ArchSpec, builtin_spec
+from .net.arch import ArchSpec, _path_arrays, _path_backward, _path_forward, builtin_spec
 from .net.network import (
     NetParams,
-    _init_block,
-    _stage_backward,
-    _stage_forward,
     build_network,
-    clone_params,
     net_backward,
     net_forward_cached,
     net_output_image,
@@ -364,9 +361,9 @@ def train_common(spec: ArchSpec | str, mixed_dataset, bank, cfg: TrainConfig) ->
 
 
 def make_task_weights(
-    common: NetParams, beta_mix: float, unique_init: str = "common", seed: int = 0
+    common: NetParams, task: str, beta_mix: float, unique_init: str = "common", seed: int = 0
 ) -> TaskWeights:
-    """Task head before any adaptation step.
+    """Task head, keyed by ``task``, before any adaptation step.
 
     With beta_mix=1 and the head copied from the common output stage, the
     composite is exactly the common network.
@@ -374,25 +371,25 @@ def make_task_weights(
     if not 0.0 <= beta_mix <= 1.0:
         raise RangeError(f"beta_mix must be in [0, 1], got {beta_mix}")
     if unique_init == "common":
-        gamma = clone_params(common).gamma
+        gamma = copy.deepcopy(common.gamma)
     elif unique_init == "fresh":
         rng = np.random.default_rng(seed)
-        gamma = [_init_block(b, rng) for b in common.spec.gamma]
+        gamma = [blk.init(rng) for blk in common.spec.gamma]
     else:
         raise RangeError(f"unknown unique_init {unique_init!r}")
-    return TaskWeights(common=common, unique={"_pending": gamma}, beta_mix=beta_mix)
+    return TaskWeights(common=common, unique={task: gamma}, beta_mix=beta_mix)
 
 
 def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray:
     """Common trunk scaled by beta_mix feeding the task-specific output stage."""
     x = pair_tensor(inputs) if isinstance(inputs, ImagePair) else np.asarray(inputs, dtype=np.float64)
-    z = tw.beta_mix * trunk_forward(tw.common, x, mode="eval")
+    z = tw.beta_mix * trunk_forward(tw.common, x, mode="eval")[0]
     if task is None:
         if len(tw.unique) != 1:
             raise RangeError("task must be named when several heads are stored")
         task = next(iter(tw.unique))
     gamma = tw.unique[task]
-    y, _, _ = _stage_forward(tw.common.spec.gamma, gamma, z, "eval")
+    y, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval")
     return layers.sigmoid(y)
 
 
@@ -409,24 +406,19 @@ def adapt_task(
     Trunk features are computed once per sample in eval mode and scaled by
     beta_mix before the head, so only head parameters receive updates.
     """
-    tw = make_task_weights(common, beta_mix, unique_init, seed=cfg.seed)
     task = task_dataset[0].task.value
-    gamma = tw.unique.pop("_pending")
-    tw.unique[task] = gamma
+    tw = make_task_weights(common, task, beta_mix, unique_init, seed=cfg.seed)
+    gamma = tw.unique[task]
 
     inputs, targets = _collect_samples(task_dataset, bank, cfg)
     feats = []
     for start in range(0, inputs.shape[0], cfg.batch_size):
         xb = inputs[start : start + cfg.batch_size]
-        feats.append(beta_mix * trunk_forward(common, xb, mode="eval"))
+        feats.append(beta_mix * trunk_forward(common, xb, mode="eval")[0])
     feats = np.concatenate(feats)
 
     gamma_blocks = common.spec.gamma
-    arrays = []
-    for p in gamma:
-        from .net.network import _param_arrays
-
-        arrays.extend(_param_arrays(p, with_running=False))
+    arrays = _path_arrays(gamma_blocks, gamma, with_running=False)
     state = init_adam(arrays)
     rng = np.random.default_rng(cfg.seed)
     n = inputs.shape[0]
@@ -436,10 +428,10 @@ def adapt_task(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 zb = feats[idx]
-                y, _, caches = _stage_forward(gamma_blocks, gamma, zb, "train")
+                y, caches = _path_forward(gamma_blocks, gamma, zb, "train")
                 out = layers.sigmoid(y)
                 _, grad_out = _batch_loss(out, inputs[idx], None if targets is None else targets[idx], cfg)
                 gy = layers.sigmoid_backward(grad_out, out)
-                _, grads = _stage_backward(gamma_blocks, gamma, caches, gy)
+                _, grads = _path_backward(gamma_blocks, gamma, caches, gy)
                 adam_step(arrays, grads, state, lr)
     return tw

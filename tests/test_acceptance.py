@@ -27,7 +27,7 @@ from evofuse.metrics import (
     viff,
 )
 from evofuse.net import layers
-from evofuse.net.arch import BUILTIN_NAMES, POOLED_NAMES, builtin_spec, count_params
+from evofuse.net.arch import BUILTIN_NAMES, POOLED_NAMES, ConvParams, builtin_spec, count_params, fire
 from evofuse.net.network import (
     build_network,
     net_forward,
@@ -154,34 +154,41 @@ def _draw_fire(rng):
     """Draw fire parameters whose ReLU pre-activations clear the FD step."""
     for _ in range(50):
         cin, squeeze, expand = 3, 2, 3
-        mk = lambda cout, cin_, k: (
+        mk = lambda cout, cin_, k: ConvParams(
             0.5 * rng.standard_normal((cout, cin_, k, k)),
             0.3 * rng.standard_normal(cout),
         )
         sq, e1, e3 = mk(squeeze, cin, 1), mk(expand, squeeze, 1), mk(expand, squeeze, 3)
         spatial = int(rng.integers(3, 6))
         x = rng.standard_normal((1, cin, spatial, spatial))
-        out, cache = layers.fire_forward(x, sq, e1, e3)
-        s_pre, _, pre, _ = cache
+        s_pre = layers.conv2d_forward(x, sq.weight, sq.bias)
+        s = layers.relu(s_pre)
+        pre = np.concatenate(
+            [
+                layers.conv2d_forward(s, e1.weight, e1.bias),
+                layers.conv2d_forward(s, e3.weight, e3.bias, pad=1),
+            ],
+            axis=1,
+        )
         if min(np.abs(s_pre).min(), np.abs(pre).min()) > 8 * FD_H:
-            return x, sq, e1, e3
+            block = fire(cin, squeeze, expand, expand)
+            return x, block, [[sq, None, [[e1], [e3]], None]]
     raise AssertionError("no kink-safe fire draw found")
 
 
 def _check_fire(rng):
-    x, sq, e1, e3 = _draw_fire(rng)
-    out, cache = layers.fire_forward(x, sq, e1, e3)
+    x, block, p = _draw_fire(rng)
+    out, cache = block.forward(p, x, "eval")
     t = rng.standard_normal(out.shape)
 
     def loss():
-        o, _ = layers.fire_forward(x, sq, e1, e3)
+        o, _ = block.forward(p, x, "eval")
         return float((o * t).sum())
 
-    gx, gsq, ge1, ge3 = layers.fire_backward(x, sq, e1, e3, t, cache)
+    gx, grads = block.backward(p, cache, t)
     worst = rel_err(finite_diff_grad(loss, x, FD_H), gx)
-    for (gw, gb), (w, b) in zip((gsq, ge1, ge3), (sq, e1, e3)):
+    for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
         worst = max(worst, rel_err(finite_diff_grad(loss, w, FD_H), gw))
-        worst = max(worst, rel_err(finite_diff_grad(loss, b, FD_H), gb))
     return worst
 
 
@@ -475,12 +482,10 @@ def test_c09_commonness_identities():
         ImageGray(rng.random((32, 32))), ImageGray(rng.random((32, 32))), "c9", Task.CVS
     )
 
-    tw = make_task_weights(common, beta_mix=1.0, unique_init="common")
-    tw.unique["t"] = tw.unique.pop("_pending")
+    tw = make_task_weights(common, "t", beta_mix=1.0, unique_init="common")
     identical = np.array_equal(task_forward(tw, pair, "t"), net_forward(common, pair, "eval"))
 
-    tw0 = make_task_weights(common, beta_mix=0.0, unique_init="common")
-    tw0.unique["t"] = tw0.unique.pop("_pending")
+    tw0 = make_task_weights(common, "t", beta_mix=0.0, unique_init="common")
     other = ImagePair(
         ImageGray(rng.random((32, 32))), ImageGray(rng.random((32, 32))), "c9b", Task.CVS
     )

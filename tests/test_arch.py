@@ -1,5 +1,6 @@
 import pytest
 
+from evofuse.cli import main
 from evofuse.errors import SpecError
 from evofuse.net.arch import (
     ArchSpec,
@@ -176,6 +177,26 @@ conv 64 1 3
         assert spec.name == "filegcb"
         assert count_params(spec) == count_params(builtin_spec("gcb"))
         assert count_flops(spec, 64, 64) == count_flops(builtin_spec("gcb"), 64, 64)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "conv 64 64 3 0",  # groups 0
+            "conv 64 64 3 1 0",  # stride 0
+            "conv 64 64 3 1 1 1",  # one argument too many
+            "conv 64 64",  # too few
+            "incep 64 16 32 16 0",  # groups 0
+            "sep 64 64 2",  # even kernel
+            "shuffle 0",
+            "relu 1",
+        ],
+    )
+    def test_invalid_block_line_is_spec_error(self, tmp_path, line):
+        path = tmp_path / "bad.arch"
+        path.write_text(f"stage alpha\nconv 2 64 3\nstage beta\n{line}\nstage gamma\nconv 64 1 3\n")
+        with pytest.raises(SpecError, match="line 4"):
+            parse_arch_file(path)
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
 
     def test_bad_directive(self, tmp_path):
         path = tmp_path / "bad.arch"

@@ -3,6 +3,7 @@ import pytest
 
 from evofuse.errors import DimensionError, SpecError
 from evofuse.net import layers
+from evofuse.net.arch import ConvParams, fire, inception, separable
 
 from oracles import conv2d_oracle, finite_diff_grad, relative_err
 
@@ -228,6 +229,12 @@ class TestPoolAndUpsample:
         assert abs(lhs - rhs) < 1e-12
 
 
+def fire_params(sq, e1, e3):
+    """Params of a ``fire`` block from (weight, bias) tuples: one path of
+    squeeze conv, ReLU, Branch(1x1 expand, 3x3 expand), ReLU."""
+    return [[ConvParams(*sq), None, [[ConvParams(*e1)], [ConvParams(*e3)]], None]]
+
+
 class TestFire:
     def params(self, rng, cin=4, squeeze=2, e1=3, e3=3):
         mk = lambda cout, cin_, k: (
@@ -239,29 +246,28 @@ class TestFire:
     def test_zero_weights_zero_output(self, rng):
         x = rng.random((1, 4, 5, 5))
         zeros = lambda cout, cin_, k: (np.zeros((cout, cin_, k, k)), np.zeros(cout))
-        out, _ = layers.fire_forward(x, zeros(2, 4, 1), zeros(3, 2, 1), zeros(3, 2, 3))
+        p = fire_params(zeros(2, 4, 1), zeros(3, 2, 1), zeros(3, 2, 3))
+        out, _ = fire(4, 2, 3, 3).forward(p, x, "eval")
         assert not out.any()
 
     def test_output_channels_concat(self, rng):
-        sq, e1, e3 = self.params(rng)
-        out, _ = layers.fire_forward(rng.random((1, 4, 5, 5)), sq, e1, e3)
+        p = fire_params(*self.params(rng))
+        out, _ = fire(4, 2, 3, 3).forward(p, rng.random((1, 4, 5, 5)), "eval")
         assert out.shape == (1, 6, 5, 5)
 
     def test_equals_primitive_composition(self, rng):
         sq, e1, e3 = self.params(rng)
         x = rng.standard_normal((2, 4, 6, 6))
-        out, _ = layers.fire_forward(x, sq, e1, e3)
+        out, _ = fire(4, 2, 3, 3).forward(fire_params(sq, e1, e3), x, "eval")
         s = layers.relu(layers.conv2d_forward(x, sq[0], sq[1], pad=0))
         o1 = layers.conv2d_forward(s, e1[0], e1[1], pad=0)
         o3 = layers.conv2d_forward(s, e3[0], e3[1], pad=1)
         expected = layers.relu(np.concatenate([o1, o3], axis=1))
         assert np.max(np.abs(out - expected)) < 1e-6
 
-    def test_squeeze_wider_than_expand_rejected(self, rng):
-        sq, e1, e3 = self.params(rng, squeeze=2)
-        wide_sq = (np.zeros((7, 4, 1, 1)), np.zeros(7))
+    def test_squeeze_wider_than_expand_rejected(self):
         with pytest.raises(SpecError):
-            layers.fire_forward(rng.random((1, 4, 5, 5)), wide_sq, e1, e3)
+            fire(4, 7, 3, 3)
 
     def test_backward_finite_differences(self):
         # seed chosen so every internal pre-activation clears the ReLU kink
@@ -272,17 +278,36 @@ class TestFire:
         s_pre = layers.conv2d_forward(x, sq[0], sq[1], pad=0)
         assert np.abs(s_pre).min() > 10 * FD_H
         target = rng.standard_normal((1, 6, 5, 5))
+        block, p = fire(4, 2, 3, 3), fire_params(sq, e1, e3)
 
         def loss():
-            out, _ = layers.fire_forward(x, sq, e1, e3)
+            out, _ = block.forward(p, x, "eval")
             return float((out * target).sum())
 
-        out, cache = layers.fire_forward(x, sq, e1, e3)
-        gx, gsq, ge1, ge3 = layers.fire_backward(x, sq, e1, e3, target, cache)
+        out, cache = block.forward(p, x, "eval")
+        gx, grads = block.backward(p, cache, target)
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
-        for (gw, gb), (w, b) in zip((gsq, ge1, ge3), (sq, e1, e3)):
+        for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
             assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL
-            assert relative_err(finite_diff_grad(loss, b, FD_H), gb) < GRAD_TOL
+
+
+@pytest.mark.parametrize("block", [separable(4, 6, 3), inception(4, 2, 4, 2, groups=2)])
+def test_composite_backward_finite_differences(rng, block):
+    """Separable and Inception blocks: gradients of every array and of the input."""
+    p = block.init(rng)
+    for w in block.arrays(p, with_running=False):
+        w[...] = 0.4 * rng.standard_normal(w.shape)
+    x = rng.standard_normal((2, 4, 5, 5))
+    target = rng.standard_normal(block.forward(p, x, "eval")[0].shape)
+
+    def loss():
+        return float((block.forward(p, x, "eval")[0] * target).sum())
+
+    _, cache = block.forward(p, x, "eval")
+    gx, grads = block.backward(p, cache, target)
+    assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
+    for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
+        assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL
 
 
 def test_finite_check_flag(rng):

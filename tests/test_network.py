@@ -1,11 +1,19 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from evofuse.errors import FormatError, TruncationError
 from evofuse.net import layers
-from evofuse.net.arch import BUILTIN_NAMES, POOLED_NAMES, builtin_spec, count_params
+from evofuse.net.arch import (
+    BUILTIN_NAMES,
+    POOLED_NAMES,
+    _path_forward,
+    builtin_spec,
+    count_params,
+    inception,
+)
 from evofuse.net.network import (
     build_network,
     load_weights,
@@ -90,18 +98,17 @@ class TestForward:
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_inception_block_equals_primitive_composition(self, rng):
-        from evofuse.net.network import _block_forward, _stage_forward
-
         params = build_network("inception", seed=8)
         x = pair_tensor(random_pair(rng, 16, 16))
-        h1, _, _ = _stage_forward(params.spec.alpha, params.alpha, x, "eval")
+        h1, _ = _path_forward(params.spec.alpha, params.alpha, x, "eval")
         blk = params.spec.beta[0]
-        p = params.beta[0]
-        y1 = layers.conv2d_forward(h1, p.b1.weight, p.b1.bias, pad=0)
-        y3 = layers.conv2d_forward(h1, p.b3.weight, p.b3.bias, pad=1)
-        y5 = layers.conv2d_forward(h1, p.b5.weight, p.b5.bias, pad=2)
+        assert blk == inception(64, 16, 32, 16)
+        (b1,), (b3,), (b5,) = params.beta[0]
+        y1 = layers.conv2d_forward(h1, b1.weight, b1.bias, pad=0)
+        y3 = layers.conv2d_forward(h1, b3.weight, b3.bias, pad=1)
+        y5 = layers.conv2d_forward(h1, b5.weight, b5.bias, pad=2)
         expected = np.concatenate([y1, y3, y5], axis=1)
-        got, _ = _block_forward(blk, p, h1, "eval")
+        got, _ = blk.forward(params.beta[0], h1, "eval")
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_eval_batch_independent(self, rng):
@@ -196,6 +203,28 @@ class TestWeightFiles:
         save_weights(params, path)
         path.write_bytes(path.read_bytes()[:-17])
         with pytest.raises(TruncationError):
+            load_weights(path)
+
+    # byte offsets in a seed-0 gcb file: name at 10, in_channels at 13,
+    # groups at 15, first array's ndim at 21, shape at 22, payload at 38
+    @pytest.mark.parametrize(
+        "offset,patch,match",
+        [
+            (10, b"\xff\xfe\xfd", "not UTF-8"),
+            (13, struct.pack("<H", 0), "no valid built-in"),
+            (15, struct.pack("<H", 0), "no valid built-in"),
+            (22, struct.pack("<I", 2**31), "array 0: shape"),
+            (38, struct.pack("<f", float("nan")), "array 0 holds non-finite"),
+        ],
+        ids=["utf8-name", "in-channels-0", "groups-0", "shape-beyond-payload", "nan-payload"],
+    )
+    def test_corrupt_header_or_payload(self, tmp_path, offset, patch, match):
+        path = tmp_path / "w.aenw"
+        save_weights(build_network("gcb", seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        with pytest.raises((FormatError, TruncationError), match=match):
             load_weights(path)
 
     def test_in_channels_preserved(self, tmp_path):

@@ -230,8 +230,7 @@ class TestTrainCommon:
 class TestAdaptTask:
     def test_beta_one_common_head_is_identity(self, rng):
         common = build_network("gcb", seed=5)
-        tw = make_task_weights(common, 1.0, unique_init="common")
-        tw.unique["task"] = tw.unique.pop("_pending")
+        tw = make_task_weights(common, "task", 1.0, unique_init="common")
         pair = random_pair(rng, 32, 32)
         np.testing.assert_array_equal(
             task_forward(tw, pair, "task"), net_forward(common, pair, mode="eval")
@@ -239,8 +238,7 @@ class TestAdaptTask:
 
     def test_beta_zero_ignores_input(self, rng):
         common = build_network("gcb", seed=5)
-        tw = make_task_weights(common, 0.0, unique_init="common")
-        tw.unique["task"] = tw.unique.pop("_pending")
+        tw = make_task_weights(common, "task", 0.0, unique_init="common")
         out1 = task_forward(tw, random_pair(rng, 16, 16), "task")
         out2 = task_forward(tw, random_pair(rng, 16, 16), "task")
         np.testing.assert_array_equal(out1, out2)
@@ -248,7 +246,7 @@ class TestAdaptTask:
     def test_beta_out_of_range(self):
         common = build_network("gcb", seed=5)
         with pytest.raises(RangeError):
-            make_task_weights(common, 1.5)
+            make_task_weights(common, "task", 1.5)
 
     def test_adaptation_does_not_hurt_task_loss(self, rng):
         mixed = small_dataset(rng, 1, task=Task.MEDICAL) + small_dataset(rng, 1, task=Task.CVS)
