@@ -179,7 +179,7 @@ def save_bank(bank: SolutionBank, directory) -> Path:
         lines.append(f"{pair_id}\t{entry.algo_id}\t{combined:.6f}\t{rel}\n")
     fd, tmp = tempfile.mkstemp(dir=root, prefix=".manifest-")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, root / MANIFEST_NAME)
     except OSError as exc:
@@ -194,8 +194,12 @@ def load_bank(directory) -> SolutionBank:
     manifest = root / MANIFEST_NAME
     if not manifest.exists():
         raise IoError(f"no manifest at {manifest}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{manifest}: not UTF-8: {exc}") from exc
     bank = SolutionBank()
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -7,7 +7,6 @@ All spatial filters use symmetric (reflect) border handling.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -286,11 +285,46 @@ def filter2_same(img, kernel) -> np.ndarray:
     return ndimage.correlate(arr, k, mode="reflect")
 
 
-def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian window with odd side length."""
+def gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian taps with odd length."""
     if size % 2 == 0:
         raise DimensionError(f"window size must be odd, got {size}")
     r = size // 2
     g = np.exp(-0.5 * (np.arange(-r, r + 1, dtype=np.float64) / sigma) ** 2)
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Normalized 2-D Gaussian window: the outer product of ``gaussian_taps``."""
+    g = gaussian_taps(size, sigma)
+    return np.outer(g, g)
+
+
+def separable_filter(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Correlate the last two axes with ``taps`` each, reflect borders.
+
+    On a 2-D grid this equals ``filter2_same(a, np.outer(taps, taps))``;
+    leading axes are independent images.
+    """
+    out = ndimage.correlate1d(a, taps, axis=-1, mode="reflect")
+    return ndimage.correlate1d(out, taps, axis=-2, mode="reflect")
+
+
+def _reflect_fold(g: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    # transpose of (reflect-pad by r, then valid correlation) along one axis:
+    # full correlation with the flipped taps, then each padded border sample
+    # is added back onto the pixel it mirrored
+    r = taps.size // 2
+    g = np.moveaxis(g, axis, -1)
+    n = g.shape[-1]
+    padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(r, r)])
+    full = ndimage.correlate1d(padded, taps[::-1], axis=-1, mode="constant")
+    out = full[..., r : r + n].copy()
+    out[..., :r] += full[..., :r][..., ::-1]
+    out[..., n - r :] += full[..., n + r :][..., ::-1]
+    return np.moveaxis(out, -1, axis)
+
+
+def separable_filter_adjoint(g: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Exact adjoint of ``separable_filter``; needs both sides >= taps.size // 2."""
+    return _reflect_fold(_reflect_fold(g, taps, -2), taps, -1)

@@ -3,7 +3,7 @@
 Every metric here is deterministic. Histogram-based metrics (entropy,
 mutual information) quantize intensities to 8-bit levels first; PSNR is
 computed on the 255-scaled range, and SSIM/VIFF work directly on [0, 1]
-rasters through the shared reflect-border filter.
+rasters through the shared separable Gaussian filter.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyInputError, NotEvaluatedError
-from .image import ImageGray, filter2_same, gaussian_kernel, quantize8
+from .image import ImageGray, gaussian_taps, quantize8, separable_filter, separable_filter_adjoint
 
 PSNR_CAP_DB = 100.0
 
-_SSIM_WINDOW = gaussian_kernel(11, 1.5)
+_SSIM_TAPS = gaussian_taps(11, 1.5)
 _SSIM_C1 = 0.01**2
 _SSIM_C2 = 0.03**2
 
 # Scalar-GSM local statistics of the fidelity metric use 3x3 neighborhoods;
 # sigma follows the window-size/5 convention. Noise variance is on the
 # 255-scaled range.
-_VIF_WINDOW = gaussian_kernel(3, 3.0 / 5.0)
+_VIF_TAPS = gaussian_taps(3, 3.0 / 5.0)
 _VIF_SCALES = 4
 _VIF_NOISE_VAR = 2.0
 _VIF_EPS = 1e-10
@@ -89,20 +89,47 @@ def brenner(img: ImageGray) -> float:
     return float((d * d).sum() / (h * w))
 
 
+def _moments(a: np.ndarray, b: np.ndarray, taps: np.ndarray):
+    """Local means, variances and covariance (mu1, mu2, s1, s2, s12) of a and b."""
+    mu1 = separable_filter(a, taps)
+    mu2 = separable_filter(b, taps)
+    s1 = separable_filter(a * a, taps) - mu1 * mu1
+    s2 = separable_filter(b * b, taps) - mu2 * mu2
+    s12 = separable_filter(a * b, taps) - mu1 * mu2
+    return mu1, mu2, s1, s2, s12
+
+
+def _ssim(x: np.ndarray, y: np.ndarray, grad: bool = False):
+    """Mean SSIM over the last two axes of (..., h, w) arrays; leading axes
+    are independent images. With ``grad`` also returns d(mean SSIM)/dx."""
+    h, w = x.shape[-2:]
+    if min(h, w) < _SSIM_TAPS.size:
+        raise DimensionError(f"ssim needs dims >= {_SSIM_TAPS.size}, got {h}x{w}")
+    mu1, mu2, s1, s2, s12 = _moments(x, y, _SSIM_TAPS)
+    a1 = 2.0 * mu1 * mu2 + _SSIM_C1
+    a2 = 2.0 * s12 + _SSIM_C2
+    b1 = mu1 * mu1 + mu2 * mu2 + _SSIM_C1
+    b2 = s1 + s2 + _SSIM_C2
+    smap = (a1 * a2) / (b1 * b2)
+    value = smap.mean(axis=(-2, -1))
+    if not grad:
+        return value
+    # chain rule through the local statistics; x enters mu1, s1 and s12
+    g = 1.0 / (h * w)
+    da1 = g * a2 / (b1 * b2)
+    da2 = g * a1 / (b1 * b2)
+    db1 = -g * smap / b1
+    db2 = -g * smap / b2
+    dmu1 = 2.0 * mu2 * da1 + 2.0 * mu1 * db1 - 2.0 * mu2 * da2 - 2.0 * mu1 * db2
+    adj = separable_filter_adjoint
+    dx = adj(dmu1, _SSIM_TAPS) + 2.0 * x * adj(db2, _SSIM_TAPS) + y * adj(2.0 * da2, _SSIM_TAPS)
+    return value, dx
+
+
 def ssim(x: ImageGray, y: ImageGray) -> float:
     """Mean structural similarity, 11x11 Gaussian window sigma=1.5 on [0, 1]."""
     _require_same_dims(x, y)
-    if min(x.shape) < 11:
-        raise DimensionError(f"ssim needs dims >= 11, got {x.shape}")
-    a, b = x.data, y.data
-    mu1 = filter2_same(a, _SSIM_WINDOW)
-    mu2 = filter2_same(b, _SSIM_WINDOW)
-    s1 = filter2_same(a * a, _SSIM_WINDOW) - mu1 * mu1
-    s2 = filter2_same(b * b, _SSIM_WINDOW) - mu2 * mu2
-    s12 = filter2_same(a * b, _SSIM_WINDOW) - mu1 * mu2
-    num = (2.0 * mu1 * mu2 + _SSIM_C1) * (2.0 * s12 + _SSIM_C2)
-    den = (mu1 * mu1 + mu2 * mu2 + _SSIM_C1) * (s1 + s2 + _SSIM_C2)
-    return float((num / den).mean())
+    return float(_ssim(x.data, y.data))
 
 
 def psnr(x: ImageGray, y: ImageGray) -> float:
@@ -126,10 +153,6 @@ def mutual_information(x: ImageGray, y: ImageGray) -> float:
     return max(hx + hy - hxy, 0.0)
 
 
-def _vif_halve(a: np.ndarray) -> np.ndarray:
-    return filter2_same(a, _VIF_WINDOW)[::2, ::2]
-
-
 def viff(ref: ImageGray, fused: ImageGray) -> float:
     """Pixel-domain visual information fidelity of ``fused`` given ``ref``.
 
@@ -145,15 +168,10 @@ def viff(ref: ImageGray, fused: ImageGray) -> float:
     d = fused.data * 255.0
     num = 0.0
     den = 0.0
-    for scale in range(_VIF_SCALES):
-        if scale > 0:
-            r = _vif_halve(r)
-            d = _vif_halve(d)
-        mu1 = filter2_same(r, _VIF_WINDOW)
-        mu2 = filter2_same(d, _VIF_WINDOW)
-        s1 = np.clip(filter2_same(r * r, _VIF_WINDOW) - mu1 * mu1, 0.0, None)
-        s2 = np.clip(filter2_same(d * d, _VIF_WINDOW) - mu2 * mu2, 0.0, None)
-        s12 = filter2_same(r * d, _VIF_WINDOW) - mu1 * mu2
+    for _ in range(_VIF_SCALES):
+        mu1, mu2, s1, s2, s12 = _moments(r, d, _VIF_TAPS)
+        s1 = np.clip(s1, 0.0, None)
+        s2 = np.clip(s2, 0.0, None)
 
         g = s12 / (s1 + _VIF_EPS)
         sv = s2 - g * s12
@@ -168,6 +186,8 @@ def viff(ref: ImageGray, fused: ImageGray) -> float:
 
         num += float(np.log10(1.0 + g * g * s1 / (sv + _VIF_NOISE_VAR)).sum())
         den += float(np.log10(1.0 + s1 / _VIF_NOISE_VAR).sum())
+        # the next scale is this scale's local mean, decimated by 2
+        r, d = mu1[::2, ::2], mu2[::2, ::2]
     if den == 0.0:
         # constant reference carries no information; fidelity is trivially full
         return 1.0

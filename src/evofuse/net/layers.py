@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 from ..errors import DimensionError, SpecError
 
@@ -214,7 +215,7 @@ def relu_backward(grad_out, x):
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    return expit(x)
 
 
 def sigmoid_backward(grad_out, y):

@@ -200,4 +200,6 @@ def load_weights(path, spec: ArchSpec | None = None) -> NetParams:
         if not np.isfinite(data).all():
             raise FormatError(f"array {i} holds non-finite values")
         tgt[...] = data.reshape(shape)
+    if pos != len(blob):
+        raise FormatError(f"{len(blob) - pos} trailing bytes after the last array")
     return params

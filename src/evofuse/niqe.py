@@ -9,7 +9,7 @@ distance between their feature statistics and the pristine model.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,12 +23,12 @@ from .errors import (
     IoError,
     TruncationError,
 )
-from .image import ImageGray, filter2_same, gaussian_kernel, tile_grid
+from .image import ImageGray, gaussian_taps, separable_filter, tile_grid
 
 FEATURE_DIM = 36
 DEFAULT_PATCH = 96
 
-_MSCN_WINDOW = gaussian_kernel(7, 7.0 / 6.0)
+_MSCN_TAPS = gaussian_taps(7, 7.0 / 6.0)
 _MSCN_STABILIZER = 1.0 / 255.0
 
 # shape-parameter grid for the moment-matching AGGD fit
@@ -97,8 +97,8 @@ def _field_features(field: np.ndarray) -> np.ndarray:
 
 def _mscn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean-subtracted contrast-normalized field and the local deviation map."""
-    mu = filter2_same(a, _MSCN_WINDOW)
-    sigma = np.sqrt(np.clip(filter2_same(a * a, _MSCN_WINDOW) - mu * mu, 0.0, None))
+    mu = separable_filter(a, _MSCN_TAPS)
+    sigma = np.sqrt(np.clip(separable_filter(a * a, _MSCN_TAPS) - mu * mu, 0.0, None))
     return (a - mu) / (sigma + _MSCN_STABILIZER), sigma
 
 
@@ -205,12 +205,17 @@ def load_niqe_model(path) -> NiqeModel:
     if len(blob) < 8:
         raise TruncationError("model file ends inside the header")
     (d,) = struct.unpack("<I", blob[4:8])
+    if d != FEATURE_DIM:
+        raise FormatError(f"feature_dim {d} != {FEATURE_DIM}")
     need = 8 + 8 * (d + d * d)
     if len(blob) < need:
         raise TruncationError(f"expected {need} bytes, found {len(blob)}")
-    mu = np.frombuffer(blob[8 : 8 + 8 * d], dtype="<f8").copy()
-    cov = np.frombuffer(blob[8 + 8 * d : need], dtype="<f8").copy().reshape(d, d)
-    return NiqeModel(mu_ref=mu, cov_ref=cov, feature_dim=d)
+    if len(blob) > need:
+        raise FormatError(f"{len(blob) - need} trailing bytes after the covariance")
+    values = np.frombuffer(blob[8:need], dtype="<f8")
+    if not np.isfinite(values).all():
+        raise FormatError("model holds non-finite values")
+    return NiqeModel(mu_ref=values[:d].copy(), cov_ref=values[d:].reshape(d, d).copy(), feature_dim=d)
 
 
 @lru_cache(maxsize=1)

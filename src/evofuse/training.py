@@ -3,25 +3,23 @@
 The training target for a pair is its bank-stored optimal solution; the
 loss blends pixel error with structural similarity (0.8 MSE + 0.2 (1-SSIM))
 so descent improves perceived quality, not just pixel agreement. The SSIM
-term is differentiated exactly through its local-statistics chain,
-including the reflect-padding adjoint.
+term and its exact gradient come from the same core as the SSIM metric.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BankMissError, DimensionError, RangeError, TaskMixError
-from .evolution import SolutionBank, init_bank, update_bank
+from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
-from .image import ImageGray, ImagePair, gaussian_kernel, tile_grid
+from .image import ImageGray, ImagePair, tile_grid
+from .metrics import _ssim
 from .net.arch import ArchSpec, _path_arrays, _path_backward, _path_forward, builtin_spec
 from .net.network import (
     NetParams,
@@ -40,10 +38,6 @@ from .niqe import NiqeModel
 MSE_WEIGHT = 0.8
 SSIM_WEIGHT = 0.2
 
-_WINDOW = gaussian_kernel(11, 1.5)
-_C1 = 0.01**2
-_C2 = 0.03**2
-
 
 @dataclass
 class TrainConfig:
@@ -57,7 +51,6 @@ class TrainConfig:
     loss_kind: str = "to_optimal"  # or "supervised"
     checkpoint_every: int = 0
     checkpoint_dir: str | None = None
-    extra_loss: object = None  # optional hook: (pred, x) -> (loss, grad)
 
     def __post_init__(self):
         for lr, epochs in self.phases:
@@ -96,85 +89,16 @@ def write_curve_csv(curve: list[CurvePoint], path) -> None:
             writer.writerow([pt.epoch, pt.phase, f"{pt.mean_loss:.8f}"])
 
 
-# ---------------------------------------------------------------------------
-# Differentiable reflect-border Gaussian filtering
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _reflect_vec(n: int, r: int) -> np.ndarray:
-    # symmetric padding indices: (r-1 .. 0) | 0 .. n-1 | (n-1 .. n-r)
-    return np.concatenate(
-        [np.arange(r - 1, -1, -1), np.arange(n), np.arange(n - 1, n - 1 - r, -1)]
-    )
-
-
-def _filt(a: np.ndarray) -> np.ndarray:
-    r = _WINDOW.shape[0] // 2
-    iy = _reflect_vec(a.shape[0], r)
-    ix = _reflect_vec(a.shape[1], r)
-    padded = a[np.ix_(iy, ix)]
-    win = sliding_window_view(padded, _WINDOW.shape)
-    return np.einsum("hwuv,uv->hw", win, _WINDOW, optimize=True)
-
-
-def _filt_adjoint(g: np.ndarray) -> np.ndarray:
-    """Exact adjoint of _filt: full-correlate with the flipped window, then
-    fold the padded border contributions back onto their source pixels."""
-    k = _WINDOW.shape[0]
-    r = k // 2
-    flipped = _WINDOW[::-1, ::-1]
-    gz = np.pad(g, 2 * r)
-    win = sliding_window_view(gz, (k, k))
-    grad_padded = np.einsum("hwuv,uv->hw", win, flipped, optimize=True)
-    iy = _reflect_vec(g.shape[0], r)
-    ix = _reflect_vec(g.shape[1], r)
-    out = np.zeros_like(g)
-    np.add.at(out, (iy[:, None], ix[None, :]), grad_padded)
-    return out
-
-
-def _ssim_with_grad(x: np.ndarray, y: np.ndarray):
-    """Mean SSIM of 2-D x against fixed target y, plus d(ssim)/dx."""
-    mu1 = _filt(x)
-    mu2 = _filt(y)
-    s1 = _filt(x * x) - mu1 * mu1
-    s2 = _filt(y * y) - mu2 * mu2
-    s12 = _filt(x * y) - mu1 * mu2
-    a1 = 2.0 * mu1 * mu2 + _C1
-    a2 = 2.0 * s12 + _C2
-    b1 = mu1 * mu1 + mu2 * mu2 + _C1
-    b2 = s1 + s2 + _C2
-    smap = (a1 * a2) / (b1 * b2)
-    value = float(smap.mean())
-
-    g = 1.0 / smap.size
-    da1 = g * a2 / (b1 * b2)
-    da2 = g * a1 / (b1 * b2)
-    db1 = -g * smap / b1
-    db2 = -g * smap / b2
-    dmu1 = 2.0 * mu2 * da1 + 2.0 * mu1 * db1 - 2.0 * mu2 * da2 - 2.0 * mu1 * db2
-    grad = _filt_adjoint(dmu1) + 2.0 * x * _filt_adjoint(db2) + y * _filt_adjoint(2.0 * da2)
-    return value, grad
-
-
 def _quality_loss(pred: np.ndarray, target: np.ndarray):
     """Per-batch mean of 0.8*MSE + 0.2*(1 - SSIM); returns (loss, grad)."""
     if pred.shape != target.shape:
         raise DimensionError(f"prediction {pred.shape} != target {target.shape}")
-    if min(pred.shape[2:]) < _WINDOW.shape[0]:
-        raise DimensionError(f"spatial dims {pred.shape[2:]} below the SSIM window")
-    n = pred.shape[0]
-    npix = pred.shape[2] * pred.shape[3]
-    grad = np.empty_like(pred)
-    total = 0.0
-    for i in range(n):
-        diff = pred[i, 0] - target[i, 0]
-        mse = float((diff * diff).mean())
-        ssim_val, ssim_grad = _ssim_with_grad(pred[i, 0], target[i, 0])
-        total += MSE_WEIGHT * mse + SSIM_WEIGHT * (1.0 - ssim_val)
-        grad[i, 0] = (MSE_WEIGHT * 2.0 * diff / npix - SSIM_WEIGHT * ssim_grad) / n
-    return total / n, grad
+    ssim_val, ssim_grad = _ssim(pred, target, grad=True)
+    diff = pred - target
+    mse = (diff * diff).mean(axis=(-2, -1))
+    loss = float((MSE_WEIGHT * mse + SSIM_WEIGHT * (1.0 - ssim_val)).mean())
+    npix = pred.shape[-2] * pred.shape[-1]
+    return loss, (MSE_WEIGHT * 2.0 * diff / npix - SSIM_WEIGHT * ssim_grad) / ssim_val.size
 
 
 def loss_to_optimal(pred: np.ndarray, optimal) -> tuple[float, np.ndarray]:
@@ -262,10 +186,6 @@ def _batch_loss(out, xb, tb, cfg):
         la, ga = _quality_loss(out, xb[:, 0:1])
         lb, gb = _quality_loss(out, xb[:, 1:2])
         loss, grad = (la + lb) / 2.0, (ga + gb) / 2.0
-    if cfg.extra_loss is not None:
-        extra, extra_grad = cfg.extra_loss(out, xb)
-        loss += extra
-        grad = grad + extra_grad
     return loss, grad
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from evofuse.errors import DimensionError, EmptyInputError, NotEvaluatedError
+from evofuse.errors import DimensionError, EmptyInputError, NotEvaluatedError, ParseError
 from evofuse.evolution import (
     SolutionBank,
     evaluate_candidates,
@@ -210,6 +210,13 @@ class TestBankPersistence:
             assert np.max(
                 np.abs(back.entries[pid].fused.data - bank.entries[pid].fused.data)
             ) <= 1.0 / 510.0 + 1e-15
+
+    def test_non_utf8_manifest_is_parse_error(self, tmp_path):
+        root = tmp_path / "bank"
+        root.mkdir()
+        (root / "manifest.txt").write_bytes(b"pair\xff\tavg\t0.5\tpair.pgm\n")
+        with pytest.raises(ParseError, match="manifest.txt: not UTF-8"):
+            load_bank(root)
 
     def test_atomic_write_leaves_no_temp(self, tmp_path, rng, niqe_model):
         pair = random_pair(rng, 96, 96)

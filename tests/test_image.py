@@ -9,11 +9,15 @@ from evofuse.image import (
     ImagePair,
     extract_patches,
     filter2_same,
+    gaussian_kernel,
+    gaussian_taps,
     load_pgm,
     quantize8,
     resize_bilinear,
     rgb_to_gray,
     save_pgm,
+    separable_filter,
+    separable_filter_adjoint,
     tile_grid,
 )
 
@@ -209,6 +213,21 @@ class TestFilter2:
         lhs = filter2_same(a * x + b * y, k)
         rhs = a * filter2_same(x, k) + b * filter2_same(y, k)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+    @pytest.mark.parametrize("size,sigma", [(11, 1.5), (3, 0.6), (7, 7.0 / 6.0)])
+    def test_separable_equals_2d_gaussian(self, rng, size, sigma):
+        a = rng.random((40, 33))
+        out = separable_filter(a, gaussian_taps(size, sigma))
+        np.testing.assert_allclose(out, filter2_same(a, gaussian_kernel(size, sigma)), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(11, 11), (11, 17), (64, 48)])
+    def test_separable_adjoint_identity(self, rng, shape):
+        taps = gaussian_taps(11, 1.5)
+        u = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        lhs = float((separable_filter(u, taps) * v).sum())
+        rhs = float((u * separable_filter_adjoint(v, taps)).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_quantize8_round_half_up():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,14 @@ class TestActivations:
         y = layers.sigmoid(x)
         gx = layers.sigmoid_backward(target, y)
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
+
+    def test_sigmoid_saturates_without_overflow(self):
+        x = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = layers.sigmoid(x)
+        assert y[0] == 0.0 and y[2] == 0.5 and y[4] == 1.0
+        np.testing.assert_allclose(y[1] + y[3], 1.0, rtol=0.0, atol=1e-15)
 
     def test_relu_backward(self, rng):
         x = spaced_values(rng, (2, 2, 3, 3))

@@ -206,7 +206,8 @@ class TestWeightFiles:
             load_weights(path)
 
     # byte offsets in a seed-0 gcb file: name at 10, in_channels at 13,
-    # groups at 15, first array's ndim at 21, shape at 22, payload at 38
+    # groups at 15, first array's ndim at 21, shape at 22, payload at 38;
+    # an offset past the end appends the patch
     @pytest.mark.parametrize(
         "offset,patch,match",
         [
@@ -215,8 +216,9 @@ class TestWeightFiles:
             (15, struct.pack("<H", 0), "no valid built-in"),
             (22, struct.pack("<I", 2**31), "array 0: shape"),
             (38, struct.pack("<f", float("nan")), "array 0 holds non-finite"),
+            (2**31, b"garbage", "7 trailing bytes"),
         ],
-        ids=["utf8-name", "in-channels-0", "groups-0", "shape-beyond-payload", "nan-payload"],
+        ids=["utf8-name", "in-channels-0", "groups-0", "shape-beyond-payload", "nan-payload", "trailing-bytes"],
     )
     def test_corrupt_header_or_payload(self, tmp_path, offset, patch, match):
         path = tmp_path / "w.aenw"

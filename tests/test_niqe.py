@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -91,6 +93,26 @@ def test_model_truncated(tmp_path, niqe_model):
     save_niqe_model(niqe_model, path)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(TruncationError):
+        load_niqe_model(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt,match",
+    [
+        (lambda blob: blob + b"garbage", "7 trailing bytes"),
+        (lambda blob: blob[:8] + struct.pack("<d", float("nan")) + blob[16:], "non-finite"),
+        (lambda blob: blob[:8] + struct.pack("<d", float("inf")) + blob[16:], "non-finite"),
+        (lambda blob: blob[:8] + struct.pack("<d", float("-inf")) + blob[16:], "non-finite"),
+        (lambda blob: blob[:4] + struct.pack("<I", 0), "feature_dim 0"),
+        (lambda blob: blob[:4] + struct.pack("<I", 35) + blob[8:], "feature_dim 35"),
+    ],
+    ids=["trailing-bytes", "nan-mean", "inf-mean", "neg-inf-mean", "dim-0", "dim-35"],
+)
+def test_model_corrupt_is_format_error(tmp_path, niqe_model, corrupt, match):
+    path = tmp_path / "bad.niqe"
+    save_niqe_model(niqe_model, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError, match=match):
         load_niqe_model(path)
 
 
