@@ -17,6 +17,7 @@ from evofuse.net.arch import (
 from evofuse.net.network import (
     build_network,
     load_weights,
+    net_backward,
     net_forward,
     net_forward_cached,
     net_output_image,
@@ -235,3 +236,248 @@ class TestWeightFiles:
         save_weights(params, path)
         back = load_weights(path)
         assert back.spec.in_channels == 6
+
+
+# Built-in forward and backward passes pinned to recorded values. Input
+# (2, 2, 32, 32) uniform from seed 7, seed-0 weights; per built-in: the
+# digest of the eval output, of the train-mode output, then one digest per
+# trainable gradient (trainable_arrays order) and of the input gradient,
+# backpropagating a standard normal grad_out from seed 9. A digest is
+# (sum |a|, ||a||_2, <a, w>) with w standard normal from seed 8.
+PINNED = {
+    'regular': (
+        (844.2154576004662, 19.22182259305021, -14.124101079728387),
+        (846.4499394158186, 20.996588002741763, -10.023850467396812),
+        [
+            (1292.092981286905, 48.374406067244294, -49.2800272520698),
+            (1.5240586570541836e-13, 2.357441999498992e-14, 5.271754242388891e-15),
+            (97.03704991938473, 15.507026784288838, 3.4469086504420527),
+            (79.57150410691841, 12.216332479839313, 5.646846633375332),
+            (25035.148296787254, 167.29072544695228, 413.3918618722561),
+            (4.200806369425436e-14, 6.1622534936895195e-15, -8.151770195094016e-15),
+            (49.7334308369516, 8.122249975204905, 12.917713000824245),
+            (57.00457387071314, 9.445783302217952, 8.261429102091771),
+            (4869.544747044501, 249.038872356248, 403.99221661369035),
+            (8.645974674761627, 8.645974674761627, -15.029007259393143),
+            (2324.839761031167, 46.50004926545601, 84.93981657119895),
+        ],
+    ),
+    'gcb': (
+        (948.3098469133305, 21.466031381403038, -24.760578043616064),
+        (1637.9713881185398, 36.974521438312316, -42.496739067629406),
+        [
+            (894.5353294091956, 33.86523532214679, -1.7072854558130643),
+            (8.362754932988992e-14, 1.302481955104709e-14, 2.785022718784254e-15),
+            (50.36312300047267, 7.975389685204608, 19.35538346802144),
+            (42.41320213819143, 7.319310393519564, 12.90761267955739),
+            (2067.720806608712, 39.29928859490541, 39.040341367438245),
+            (2.1871393585115584e-14, 3.647034052751239e-15, -2.6268973735924976e-15),
+            (29.538707890141243, 4.678923773503124, 6.832245311393021),
+            (28.86465565543769, 4.871835678951046, 5.276996397023165),
+            (2600.9774620548815, 137.43231277718348, -126.80565087512406),
+            (0.41455965848247667, 0.41455965848247667, 0.7206151245124321),
+            (1682.2932288107054, 34.3075312667152, -3.6316462105362683),
+        ],
+    ),
+    'separable': (
+        (1605.6829345709655, 35.71883961461711, -39.44007089322639),
+        (1605.825122706008, 36.22209371927302, -40.55726433254816),
+        [
+            (915.5732734280899, 34.43660682375408, 1.0822127961468766),
+            (9.697798120100742e-14, 1.5225293111737266e-14, 2.712734151177028e-15),
+            (75.27359610409644, 11.794929204678942, 7.348970172575943),
+            (67.38303032167718, 10.474182426572892, 8.660988193352113),
+            (287.28045337298556, 15.220515501352102, 1.3525797796305685),
+            (2.933764342571976e-14, 4.427210074531013e-15, -9.766430097998824e-16),
+            (1922.4720978185676, 40.59775128909158, -49.987697509827875),
+            (2.1913026948539027e-14, 3.375199537441856e-15, -4.556654606112107e-15),
+            (52.755091400274914, 8.688526505711911, -5.002004117963036),
+            (55.64656609058345, 9.002678226554568, -8.589978684055858),
+            (5029.909733213282, 250.4712420340608, 92.87276677584417),
+            (10.719996181081552, 10.719996181081552, -18.63420915358896),
+            (1794.5083445840291, 35.9402572346006, 51.018216328513056),
+        ],
+    ),
+    'squeeze': (
+        (254.32937263079324, 6.531681941839145, -4.699455413165039),
+        (416.96734931562423, 12.39887813165138, -18.581283720951344),
+        [
+            (1549.3461095819293, 59.98418829592372, 13.641540862828462),
+            (1.27675647831893e-13, 2.182202593292661e-14, 1.7437307875927494e-15),
+            (91.29110419101929, 14.961155404775281, 6.123380878499091),
+            (86.78561698606532, 14.67308524514245, 12.074293061718313),
+            (1878.893275428387, 77.71054779211114, -199.3449148022638),
+            (33.6383178196044, 10.447850974074068, -2.044325944440698),
+            (387.79654504014934, 28.092414021286807, 58.10844978363481),
+            (29.097109505715263, 8.649451866505323, -7.9473530094060285),
+            (2986.4883516004193, 65.57193563211085, -7.031558077251603),
+            (10.757226444239933, 3.1701118745989803, -3.310802433390679),
+            (46.76316623077446, 7.497756724990214, -10.711838008848169),
+            (28.861511740878292, 4.650640380972683, -0.0696210930943173),
+            (3668.480489861303, 193.4710887158643, 60.90717221265341),
+            (5.062771118854817, 5.062771118854817, -8.800444919185793),
+            (2762.470510921711, 56.2481862865678, 0.4434268147907572),
+        ],
+    ),
+    'inception': (
+        (612.5079876835434, 14.233462328735982, -10.366079244701009),
+        (896.7099530171595, 22.12723651352077, -16.20859687308579),
+        [
+            (1132.119005395487, 42.86720492409595, -10.548768221648574),
+            (1.0147438445073931e-13, 1.6053187658486e-14, 5.66311311108835e-15),
+            (71.58328844237232, 11.054070715555248, 2.520466538531104),
+            (66.9005961919596, 10.208794112826475, 10.526221297160305),
+            (588.2022693631836, 24.196329384949802, -3.1450862944358544),
+            (7.799316747991725e-15, 2.529110225217337e-15, -4.312406599429267e-15),
+            (10958.549290383515, 104.81516834076231, -120.71433388720858),
+            (1.6459056340067946e-14, 4.25620688605551e-15, 9.79698510152264e-15),
+            (15906.869618769146, 130.06508056310466, 263.36269290839846),
+            (9.686695889854491e-15, 3.085865845597998e-15, -6.380919959065857e-16),
+            (49.28518819963001, 8.52189648122597, 4.89511455871267),
+            (47.80971372367944, 7.981466510261433, -2.1771633328728033),
+            (3728.48056068892, 196.3634699797296, -71.41353603643114),
+            (2.8532070546238844, 2.8532070546238844, -4.959633951006956),
+            (2309.838293134273, 45.95676835327746, 27.656206279282497),
+        ],
+    ),
+    'gcb_inception': (
+        (1075.981265569522, 24.67521232676599, -24.042731324814433),
+        (1349.0850415417692, 31.628854559726005, -36.03668940075843),
+        [
+            (1183.5200305531262, 44.924758387657945, -35.051504208828575),
+            (1.3367085216486885e-13, 1.893735892579687e-14, 2.928054745462948e-14),
+            (88.37742485378664, 13.555521479732985, 9.591006383523643),
+            (79.95732028687165, 12.71376354791023, -10.416706826694618),
+            (80.47280929323125, 9.46531473118914, 5.791455778708062),
+            (1.1629586182948515e-14, 4.019147274678237e-15, -6.174040453760056e-15),
+            (1388.4431009006337, 37.76740025491503, -42.392595052829385),
+            (2.033095913844818e-14, 4.544991397628182e-15, -8.748173417457725e-15),
+            (1876.4271571688073, 43.51385351793358, 34.66623486952463),
+            (9.631184738623233e-15, 3.191891195797325e-15, 1.966560787032478e-16),
+            (50.98019832876827, 8.202631805796118, -4.54050669780749),
+            (50.41847447192534, 7.805063643603012, -14.620041307608334),
+            (4418.618829334866, 227.31832310044163, 148.05180710710465),
+            (8.118843117392988, 8.118843117392988, -14.112712185631906),
+            (2346.0436442048485, 47.20355214829676, -19.10399053408706),
+        ],
+    ),
+    'squeeze_gcb': (
+        (1753.999765592667, 38.91272480176649, -44.029781251572274),
+        (1608.5051648348806, 36.290363116851886, -56.2304790145612),
+        [
+            (1305.4305416373231, 50.26037569017586, -83.99153609553562),
+            (1.2606582444618653e-13, 1.953795385727979e-14, 1.58529536392729e-14),
+            (80.67975791846578, 12.480209037061394, 4.08593413883065),
+            (84.02757676778543, 12.48853920377119, -4.595653692106714),
+            (1611.0702718167959, 67.00357700638295, 55.61527960448102),
+            (28.863688136084043, 8.964993579660065, 1.9739909955850141),
+            (360.06206270968437, 25.86178410368199, -42.95087182789728),
+            (25.24355536551282, 6.586491566693001, 5.6340061144315055),
+            (2831.956669745759, 61.25142017645362, 38.18177206916943),
+            (13.499398401722821, 3.643041941837502, 3.715935567078027),
+            (36.57182098829377, 5.693182270630848, -1.9698868206000852),
+            (21.834937294112287, 3.407054786723969, 1.8304616880589535),
+            (2001.6387953912072, 38.699690719327506, 76.38259403300512),
+            (1.7819079545233762e-14, 2.8397799491572325e-15, 1.8787379661517817e-15),
+            (50.14802840733907, 8.072816315659114, 4.1270719249238095),
+            (54.13156540758898, 8.20999434741703, 4.729950974910395),
+            (5001.415070683468, 248.76494576657134, 11.384617901809108),
+            (9.906182033743367, 9.906182033743367, -17.2195833666496),
+            (2483.2805959568905, 50.41344791688432, -21.252297203391407),
+        ],
+    ),
+    'squeeze2_gcb': (
+        (1390.0248156175996, 30.93596984225197, -38.22241572387427),
+        (1593.9246182811862, 35.977575940425524, -49.66755442958929),
+        [
+            (2206.0364477648523, 86.43883011584842, 4.012310870530605),
+            (1.7896795156957523e-13, 2.9283381906441885e-14, -9.929512293273433e-15),
+            (120.91577685872188, 20.1575668618822, -28.517476783864282),
+            (142.2095237298223, 23.572106299660916, -9.958058681865134),
+            (2768.1316694576512, 111.3963964596075, 199.24043108840758),
+            (59.585112733086184, 16.96234852424392, -7.408769463871565),
+            (616.5574765551006, 43.90179711660241, 43.61629354661855),
+            (34.378013224801904, 9.110374542788856, -1.6055651540527884),
+            (4762.924666958219, 105.32762438594155, -136.7614102479818),
+            (21.335367915690853, 6.169033818739289, 5.772406666817711),
+            (70.25077065059699, 11.093818028638504, 12.897102283368014),
+            (42.602199666514906, 7.269042061716342, 0.5419670393428966),
+            (1777.5701822404983, 73.82054033212104, -36.08673914228338),
+            (36.228466639552664, 10.48505182314945, 9.440333587182772),
+            (341.38682661645686, 24.80651176942245, 11.232688100831695),
+            (13.440552371039214, 4.02892900933986, -1.1199074109839815),
+            (3265.4444984370393, 77.944338937572, 110.40062934789785),
+            (16.773764804332743, 6.633846621413342, -5.685577646720613),
+            (31.466523278928165, 5.085587132471446, -2.032960415674118),
+            (26.717224856393756, 4.208924783538975, -3.3497234296205587),
+            (2146.653991358974, 42.12933345909471, -37.62313718841631),
+            (2.137873211793817e-14, 3.663847685238518e-15, 7.389478102472893e-15),
+            (45.53160746353057, 7.230929990268105, 4.490907936119932),
+            (40.71541759630465, 6.465071877953432, -2.5764502608064435),
+            (3141.061059684749, 169.39855707880983, -62.00084263893432),
+            (4.254396556999382, 4.254396556999382, -7.39527458091285),
+            (4090.3547958769864, 85.85661126898626, 91.77375851771816),
+        ],
+    ),
+    'm': (
+        (547.2458037311931, 12.924574190445215, -9.922233724506857),
+        (397.1140385813105, 11.322468406546003, -17.30448415091193),
+        [
+            (1764.324458439486, 66.9275483459765, -91.19775113600858),
+            (1.9240165016753963e-13, 2.816445664405155e-14, 1.0271165505744875e-13),
+            (94.59507036603623, 15.749770425415008, 23.97368321874264),
+            (97.6870844448252, 15.34616711633695, 0.7975914045283634),
+            (40811.92936970067, 269.61577589367903, -404.76330064670594),
+            (4.3298697960381105e-14, 6.735861340753108e-15, -1.02889778915885e-14),
+            (60.397898008581855, 9.362570132058625, 8.950906808797782),
+            (39.12823966577466, 6.2545570395748875, 5.439210614033353),
+            (26949.030869970415, 182.04747338822156, -194.62855025712406),
+            (2.0469737016526324e-14, 3.518860808763094e-15, -1.7695825466301158e-16),
+            (75.2171785554867, 12.142973463398699, -34.13481713438334),
+            (57.724737224204596, 8.832828241369738, -27.245149788785355),
+            (1430.1829536969437, 64.39860606552577, 58.46364532029816),
+            (16.908055676889518, 6.5851953341121146, -11.953394683554448),
+            (186.06956917176214, 17.479401562098598, -34.862426636330305),
+            (6.079528584229449, 1.738704745542844, 0.3660120997163457),
+            (1917.4856368282033, 51.06178761308406, -29.869826020516825),
+            (12.677413981449114, 3.248286870652317, -4.519854042395263),
+            (25.693166771332223, 3.987612313291126, 2.777325396226067),
+            (13.855354504913741, 2.2411711628555624, -0.5865749264167249),
+            (27621.59577533596, 133.9723141152879, -213.34397149417714),
+            (1.3836154444391013e-14, 2.0538657106031453e-15, 5.594910739786929e-16),
+            (29.429226008827328, 4.738181193522453, 8.769880976601701),
+            (25.267728195578464, 3.8703504369511945, 4.4762799599262895),
+            (34084.49971945008, 163.50758223748053, -27.628016390023973),
+            (2.5326962749261384e-14, 4.10076301551518e-15, -7.077615213432651e-16),
+            (32.89896473726353, 5.379809059395873, 6.759055914840193),
+            (31.91913804470216, 5.223690112443543, 1.489482049652091),
+            (2636.2347642134637, 138.64823756647326, 190.55459493714164),
+            (2.2213906368794687, 2.2213906368794687, -3.861368702023169),
+            (3421.2122215376876, 70.58258260882758, 44.96170380507914),
+        ],
+    ),
+}
+
+
+REL = 1e-10
+
+
+def _digest(a):
+    w = np.random.default_rng(8).standard_normal(a.shape)
+    return (np.abs(a).sum(), np.sqrt((a * a).sum()), (a * w).sum())
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_forward_and_gradients_pinned(name):
+    eval_want, train_want, grads_want = PINNED[name]
+    params = build_network(name, seed=0)
+    x = np.random.default_rng(7).random((2, 2, 32, 32))
+    np.testing.assert_allclose(_digest(net_forward(params, x)), eval_want, rtol=REL, atol=0.0)
+    out, cache = net_forward_cached(params, x, mode="train")
+    np.testing.assert_allclose(_digest(out), train_want, rtol=REL, atol=0.0)
+    grads, gx = net_backward(params, cache, np.random.default_rng(9).standard_normal(out.shape))
+    # conv biases ahead of a train-mode BN have zero gradient up to rounding,
+    # so the floor is REL times the network's largest gradient digest
+    floor = REL * np.max(grads_want)
+    got = [_digest(g) for g in grads + [gx]]
+    np.testing.assert_allclose(got, grads_want, rtol=REL, atol=floor)
