@@ -289,7 +289,8 @@ class ArchSpec:
     residual: bool = True
 
     def __post_init__(self):
-        """Channel arithmetic must chain across all three stages."""
+        """Channel arithmetic must chain across all three stages, and a
+        residual beta must keep the spatial size."""
         if min(self.in_channels, self.out_channels) < 1:
             raise SpecError(
                 f"in/out channels must be >= 1, got {self.in_channels}/{self.out_channels}"
@@ -299,6 +300,11 @@ class ArchSpec:
         if self.residual and beta_out != c:
             raise SpecError(
                 f"residual spec needs beta out ({beta_out}) == alpha out ({c})"
+            )
+        _, h, w = Branch((self.beta,)).costs(64, 64)
+        if self.residual and (h, w) != (64, 64):
+            raise SpecError(
+                f"residual spec needs beta to keep the spatial size, it maps 64x64 to {h}x{w}"
             )
         final = _path_channels(self.gamma, beta_out if not self.residual else c)
         if final != self.out_channels:
@@ -336,24 +342,28 @@ def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
     return [a for blk, p in zip(blocks, plist) for a in blk.arrays(p, with_running)]
 
 
-def _path_forward(blocks, plist, x, mode):
-    """Returns (out, caches); caches hold whatever backward needs. Block
-    outputs are kept for skip sources only while the path runs."""
-    outs = []
-    caches = []
-    for blk, p in zip(blocks, plist):
+def _path_forward(blocks, plist, x, mode, keep=True):
+    """Returns (out, caches); caches hold whatever backward needs, or are
+    None without ``keep``. A block's output is held only while the path
+    runs and only when a later SkipConcat reads it."""
+    sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
+    outs = {}
+    caches = [] if keep else None
+    for i, (blk, p) in enumerate(zip(blocks, plist)):
         if isinstance(blk, SkipConcat):
             src = outs[blk.source]
             if src.shape[2:] != x.shape[2:]:
                 raise DimensionError(
                     f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}"
                 )
-            caches.append(x.shape[1])
+            cache = x.shape[1]
             x = np.concatenate([x, src], axis=1)
         else:
             x, cache = blk.forward(p, x, mode)
+        if keep:
             caches.append(cache)
-        outs.append(x)
+        if i in sources:
+            outs[i] = x
     return x, caches
 
 

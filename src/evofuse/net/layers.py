@@ -2,22 +2,20 @@
 
 Backward passes are hand-written per layer and verified against central
 finite differences in the test suite. Convolutions are grouped
-cross-correlations implemented with strided window views; the column
-buffer is chunked over output rows to bound memory at large inputs.
+cross-correlations accumulated tap by tap on the zero-padded image
+flattened over rows, where each k x k tap is a contiguous offset, so no
+window buffer is gathered and no gradient is folded back from one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from ..errors import DimensionError, SpecError
 
 # flip on to assert finite activations after every op (slow; debug only)
 CHECK_FINITE = False
-
-_COL_CHUNK_ELEMS = 4 << 20  # max im2col buffer elements per chunk
 
 
 def _finite(t: np.ndarray) -> np.ndarray:
@@ -44,50 +42,48 @@ def _conv_shapes(x, weight, stride, pad, groups):
     return n, cin, h, w, cout, kh, out_h, out_w
 
 
-def _windows(xp, k, stride):
-    # (n, c, out_h, out_w, k, k) view over the padded input
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
+def _flat(x, k, pad):
+    """Zero-padded x flattened over rows, (n, c, hp * wp + k - 1).
+
+    At stride 1, tap (u, v) reads the contiguous slice at offset u * wp + v;
+    the k - 1 spare zeros keep the last tap's slice in bounds.
+    """
+    n, c, h, w = x.shape
+    if k == 1 and pad == 0:
+        return x.reshape(n, c, h * w)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((n, c, hp * wp + k - 1))
+    flat[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w] = x
+    return flat
 
 
-def _row_chunks(out_h, per_row_elems):
-    rows = max(1, int(_COL_CHUNK_ELEMS // max(per_row_elems, 1)))
-    for r0 in range(0, out_h, rows):
-        yield r0, min(r0 + rows, out_h)
+def _taps(weight, groups):
+    """(k * k, groups, cout / groups, cin / groups): one matrix per tap."""
+    cout, cin_g, k, _ = weight.shape
+    per_group = weight.reshape(groups, cout // groups, cin_g, k * k)
+    return np.ascontiguousarray(per_group.transpose(3, 0, 1, 2))
 
 
 def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
-    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1)."""
+    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1).
+
+    Every tap is one matmul over the group axis, accumulated on the stride-1
+    grid at padded width; the padded-width columns are cropped and a stride
+    above 1 subsamples the result.
+    """
     n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
-    cpg_in = cin // groups
-    cpg_out = cout // groups
-    if k == 1 and stride == 1 and pad == 0:
-        # pointwise fast path: plain channel matmul, no window gathering
-        out = np.empty((n, cout, h, w), dtype=np.float64)
-        xf = x.reshape(n, cin, h * w)
-        for g in range(groups):
-            wg = weight[g * cpg_out : (g + 1) * cpg_out, :, 0, 0]
-            src = xf[:, g * cpg_in : (g + 1) * cpg_in]
-            out[:, g * cpg_out : (g + 1) * cpg_out] = (wg @ src).reshape(n, cpg_out, h, w)
-        if bias is not None:
-            out += bias[None, :, None, None]
-        return _finite(out)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = _windows(xp, k, stride)
-    out = np.empty((n, cout, out_h, out_w), dtype=np.float64)
-    ck = cpg_in * k * k
-    per_row = n * out_w * cin * k * k
-    for r0, r1 in _row_chunks(out_h, per_row):
-        # one gather for every channel; groups slice it contiguously
-        cols = win[:, :, r0:r1].transpose(0, 2, 3, 1, 4, 5).reshape(n, -1, cin * k * k)
-        for g in range(groups):
-            wg = weight[g * cpg_out : (g + 1) * cpg_out].reshape(cpg_out, ck)
-            res = cols[:, :, g * ck : (g + 1) * ck] @ wg.T  # (n, rows*out_w, cpg_out)
-            out[:, g * cpg_out : (g + 1) * cpg_out, r0:r1] = res.transpose(0, 2, 1).reshape(
-                n, cpg_out, r1 - r0, out_w
-            )
+    wp = w + 2 * pad
+    span = (h + 2 * pad - k + 1) * wp
+    xf = _flat(x, k, pad).reshape(n, groups, cin // groups, -1)
+    taps = _taps(weight, groups)
+    acc = np.matmul(taps[0], xf[..., :span])
+    tmp = np.empty_like(acc)
+    for t in range(1, k * k):
+        off = (t // k) * wp + t % k
+        acc += np.matmul(taps[t], xf[..., off : off + span], out=tmp)
+    out = acc.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride]
     if bias is not None:
-        out += bias[None, :, None, None]
+        out = out + bias[None, :, None, None]
     return _finite(out)
 
 
@@ -96,51 +92,25 @@ def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
     n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
     if grad_out.shape != (n, cout, out_h, out_w):
         raise SpecError(f"grad_out shape {grad_out.shape} != {(n, cout, out_h, out_w)}")
-    cpg_in = cin // groups
-    cpg_out = cout // groups
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    if k == 1 and stride == 1 and pad == 0:
-        grad_w = np.zeros_like(weight)
-        grad_x = np.empty_like(x)
-        xf = x.reshape(n, cin, h * w)
-        gf = grad_out.reshape(n, cout, h * w)
-        for g in range(groups):
-            in_sl = slice(g * cpg_in, (g + 1) * cpg_in)
-            out_sl = slice(g * cpg_out, (g + 1) * cpg_out)
-            wg = weight[out_sl, :, 0, 0]
-            grad_w[out_sl, :, 0, 0] = np.einsum("nop,ncp->oc", gf[:, out_sl], xf[:, in_sl])
-            grad_x[:, in_sl] = np.einsum("oc,nop->ncp", wg, gf[:, out_sl]).reshape(
-                n, cpg_in, h, w
-            )
-        return grad_x, grad_w, grad_b
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = _windows(xp, k, stride)
-    grad_w = np.zeros_like(weight)
-    grad_xp = np.zeros_like(xp)
-    ck = cpg_in * k * k
-    per_row = n * out_w * cin * k * k
-    for r0, r1 in _row_chunks(out_h, per_row):
-        cols = win[:, :, r0:r1].transpose(0, 2, 3, 1, 4, 5).reshape(n, -1, cin * k * k)
-        gcols = np.empty_like(cols)
-        for g in range(groups):
-            out_sl = slice(g * cpg_out, (g + 1) * cpg_out)
-            wg = weight[out_sl].reshape(cpg_out, ck)
-            go = grad_out[:, out_sl, r0:r1].reshape(n, cpg_out, -1)
-            grad_w[out_sl] += np.einsum(
-                "ncp,npk->ck", go, cols[:, :, g * ck : (g + 1) * ck]
-            ).reshape(cpg_out, cpg_in, k, k)
-            gcols[:, :, g * ck : (g + 1) * ck] = go.transpose(0, 2, 1) @ wg
-        gc = gcols.reshape(n, r1 - r0, out_w, cin, k, k).transpose(0, 3, 1, 2, 4, 5)
-        for u in range(k):
-            for v in range(k):
-                grad_xp[
-                    :,
-                    :,
-                    u + r0 * stride : u + r1 * stride : stride,
-                    v : v + out_w * stride : stride,
-                ] += gc[..., u, v]
-    grad_x = grad_xp[:, :, pad : pad + h, pad : pad + w] if pad else grad_xp
-    return grad_x, grad_w, grad_b
+    hp, wp = h + 2 * pad, w + 2 * pad
+    # grad_out on the forward's stride-1 grid; skipped positions and the
+    # padded-width columns stay zero
+    g1 = np.zeros((n, cout, hp - k + 1, wp))
+    g1[:, :, ::stride, : wp - k + 1 : stride] = grad_out
+    g1 = g1.reshape(n, groups, cout // groups, -1)
+    span = g1.shape[-1]
+    xf = _flat(x, k, pad).reshape(n, groups, cin // groups, -1)
+    taps = _taps(weight, groups)
+    grad_taps = np.empty_like(taps)
+    grad_xf = np.zeros_like(xf)
+    tmp = np.empty_like(grad_xf[..., :span])
+    for t in range(k * k):
+        off = (t // k) * wp + t % k
+        grad_taps[t] = np.matmul(g1, xf[..., off : off + span].swapaxes(-1, -2)).sum(axis=0)
+        grad_xf[..., off : off + span] += np.matmul(taps[t].swapaxes(-1, -2), g1, out=tmp)
+    grad_w = grad_taps.transpose(1, 2, 3, 0).reshape(weight.shape)
+    grad_x = grad_xf[..., : hp * wp].reshape(n, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
 
 
 def channel_shuffle(x, groups):

@@ -58,37 +58,48 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
     return np.stack([pair.a.data, pair.b.data])[None]
 
 
-def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval"):
-    """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule,
-    with the (alpha, beta) caches for net_backward."""
+def _trunk(params: NetParams, x: np.ndarray, mode: str, keep: bool):
+    """alpha(x) + beta(alpha(x)) under the residual rule, with the (alpha,
+    beta) caches when ``keep`` is set."""
     spec = params.spec
-    h1, a_caches = _path_forward(spec.alpha, params.alpha, x, mode)
-    m, b_caches = _path_forward(spec.beta, params.beta, h1, mode)
+    h1, a_caches = _path_forward(spec.alpha, params.alpha, x, mode, keep)
+    m, b_caches = _path_forward(spec.beta, params.beta, h1, mode, keep)
     return (h1 + m if spec.residual else m), (a_caches, b_caches)
 
 
-def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):
-    """Full forward pass keeping intermediate state for net_backward."""
+def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
+    """Full forward pass; (out, caches for net_backward or None)."""
     spec = params.spec
     if x.ndim != 4 or x.shape[1] != spec.in_channels:
         raise DimensionError(
             f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
         )
-    z, (a_caches, b_caches) = trunk_forward(params, x, mode)
-    y, g_caches = _path_forward(spec.gamma, params.gamma, z, mode)
+    z, (a_caches, b_caches) = _trunk(params, x, mode, keep)
+    y, g_caches = _path_forward(spec.gamma, params.gamma, z, mode, keep)
     out = layers.sigmoid(y)
     return out, (a_caches, b_caches, g_caches, out)
+
+
+def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.ndarray:
+    """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule;
+    an inference pass that keeps no block caches."""
+    return _trunk(params, x, mode, keep=False)[0]
+
+
+def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):
+    """Full forward pass keeping intermediate state for net_backward."""
+    return _forward(params, x, mode, keep=True)
 
 
 def net_forward(params: NetParams, inputs, mode: str = "eval") -> np.ndarray:
     """Run the fusion network on an ImagePair or a raw (n, c, h, w) tensor.
 
     The pooled variant needs spatial dims divisible by 4. Output shape is
-    (n, 1, h, w) with values in (0, 1) from the final sigmoid.
+    (n, 1, h, w) with values in (0, 1) from the final sigmoid. No block
+    cache is kept, so the pass holds only the live activations.
     """
     x = pair_tensor(inputs) if isinstance(inputs, ImagePair) else np.asarray(inputs, dtype=np.float64)
-    out, _ = net_forward_cached(params, x, mode)
-    return out
+    return _forward(params, x, mode, keep=False)[0]
 
 
 def net_backward(params: NetParams, cache, grad_out: np.ndarray):

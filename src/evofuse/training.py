@@ -303,13 +303,13 @@ def make_task_weights(
 def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray:
     """Common trunk scaled by beta_mix feeding the task-specific output stage."""
     x = pair_tensor(inputs) if isinstance(inputs, ImagePair) else np.asarray(inputs, dtype=np.float64)
-    z = tw.beta_mix * trunk_forward(tw.common, x, mode="eval")[0]
+    z = tw.beta_mix * trunk_forward(tw.common, x, mode="eval")
     if task is None:
         if len(tw.unique) != 1:
             raise RangeError("task must be named when several heads are stored")
         task = next(iter(tw.unique))
     gamma = tw.unique[task]
-    y, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval")
+    y, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval", keep=False)
     return layers.sigmoid(y)
 
 
@@ -334,7 +334,7 @@ def adapt_task(
     feats = []
     for start in range(0, inputs.shape[0], cfg.batch_size):
         xb = inputs[start : start + cfg.batch_size]
-        feats.append(beta_mix * trunk_forward(common, xb, mode="eval")[0])
+        feats.append(beta_mix * trunk_forward(common, xb, mode="eval"))
     feats = np.concatenate(feats)
 
     gamma_blocks = common.spec.gamma

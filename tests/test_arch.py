@@ -198,6 +198,14 @@ conv 64 1 3
             parse_arch_file(path)
         assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
 
+    @pytest.mark.parametrize("beta", ["conv 64 64 3 1 2", "pool", "up"])
+    def test_residual_beta_must_keep_spatial_size(self, tmp_path, beta):
+        path = tmp_path / "strided.arch"
+        path.write_text(f"stage alpha\nconv 2 64 3\nstage beta\n{beta}\nstage gamma\nconv 64 1 3\n")
+        with pytest.raises(SpecError, match="spatial size"):
+            parse_arch_file(path)
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
+
     def test_bad_directive(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("stage alpha\nwarp 9000\n")

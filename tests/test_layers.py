@@ -13,6 +13,12 @@ GRAD_TOL = 1e-3
 FD_H = 1e-3
 
 
+# the conv tests run every (k, pad) with k in {1, 3, 5} and pad in {0, k // 2}
+# at each (groups, stride) with groups in {1, 2, cin = 4} and stride in {1, 2}
+KERNEL_PADS = [(1, 0), (3, 0), (3, 1), (5, 0), (5, 2)]
+GROUPS_STRIDES = [(g, s) for g in (1, 2, 4) for s in (1, 2)]
+
+
 def spaced_values(rng, shape, step=0.01):
     """Random tensors whose entries differ by >= step and sit away from zero,
     so +-h perturbations cannot flip max-pool or ReLU decisions during
@@ -36,22 +42,16 @@ class TestConvForward:
         out = layers.conv2d_forward(x, w, b, pad=0)
         np.testing.assert_allclose(out, 9.0 + 0.25)
 
-    def test_matches_naive_oracle_grouped(self, rng):
-        x = rng.standard_normal((2, 4, 6, 6))
-        w = rng.standard_normal((6, 2, 3, 3))
-        b = rng.standard_normal(6)
-        fast = layers.conv2d_forward(x, w, b, stride=1, pad=1, groups=2)
-        slow = conv2d_oracle(x, w, b, stride=1, pad=1, groups=2)
-        assert np.max(np.abs(fast - slow)) < 1e-6
-
-    def test_matches_naive_oracle_strided(self, rng):
-        x = rng.standard_normal((1, 3, 7, 7))
-        w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
-        fast = layers.conv2d_forward(x, w, b, stride=2, pad=1)
-        slow = conv2d_oracle(x, w, b, stride=2, pad=1)
-        assert fast.shape == (1, 4, 4, 4)
-        assert np.max(np.abs(fast - slow)) < 1e-6
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
+    def test_matches_naive_oracle(self, rng, groups, stride):
+        for k, pad in KERNEL_PADS:
+            x = rng.standard_normal((2, 4, 7, 6))
+            w = rng.standard_normal((8, 4 // groups, k, k))
+            b = rng.standard_normal(8)
+            fast = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+            slow = conv2d_oracle(x, w, b, stride=stride, pad=pad, groups=groups)
+            assert fast.shape == slow.shape, (k, pad)
+            assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
 
     def test_groups_must_divide(self, rng):
         with pytest.raises(SpecError):
@@ -80,24 +80,37 @@ class TestConvBackward:
         assert abs(gw[0, 0, 0, 0] - x[0, 0, 0, 0] * g[0, 0, 0, 0]) < 1e-12
         assert abs(gx[0, 0, 0, 0] - w[0, 0, 0, 0] * g[0, 0, 0, 0]) < 1e-12
 
-    @pytest.mark.parametrize("groups,stride", [(1, 1), (2, 1), (4, 1), (1, 2)])
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
     def test_matches_finite_differences(self, rng, groups, stride):
-        x = rng.standard_normal((2, 4, 6, 6))
-        w = 0.3 * rng.standard_normal((4, 4 // groups, 3, 3))
-        b = 0.1 * rng.standard_normal(4)
-        target = rng.standard_normal(
-            layers.conv2d_forward(x, w, b, stride=stride, pad=1, groups=groups).shape
-        )
+        for k, pad in KERNEL_PADS:
+            x = rng.standard_normal((2, 4, 7, 6))
+            w = 0.3 * rng.standard_normal((4, 4 // groups, k, k))
+            b = 0.1 * rng.standard_normal(4)
+            target = rng.standard_normal(
+                layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups).shape
+            )
 
-        def loss():
-            out = layers.conv2d_forward(x, w, b, stride=stride, pad=1, groups=groups)
-            return float((out * target).sum())
+            def loss():
+                out = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+                return float((out * target).sum())
 
-        out = layers.conv2d_forward(x, w, b, stride=stride, pad=1, groups=groups)
-        gx, gw, gb = layers.conv2d_backward(x, w, target, stride=stride, pad=1, groups=groups)
-        assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
-        assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL
-        assert relative_err(finite_diff_grad(loss, b, FD_H), gb) < GRAD_TOL
+            gx, gw, gb = layers.conv2d_backward(x, w, target, stride=stride, pad=pad, groups=groups)
+            assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL, (k, pad)
+            assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL, (k, pad)
+            assert relative_err(finite_diff_grad(loss, b, FD_H), gb) < GRAD_TOL, (k, pad)
+
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
+    def test_adjoint_identity(self, rng, groups, stride):
+        """conv is bilinear in (x, w): <conv(x, w), g> = <x, g_x> = <w, g_w>."""
+        for k, pad in KERNEL_PADS:
+            x = rng.standard_normal((2, 4, 7, 6))
+            w = rng.standard_normal((8, 4 // groups, k, k))
+            out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
+            g = rng.standard_normal(out.shape)
+            gx, gw, _ = layers.conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
+            lhs = (out * g).sum()
+            assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
+            assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
 
 
 class TestChannelShuffle:
