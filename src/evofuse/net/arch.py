@@ -190,12 +190,10 @@ class ReLU(Block):
 @dataclass(frozen=True)
 class MaxPool2(Block):
     def forward(self, p, x, mode):
-        y, idx = layers.maxpool2_forward(x)
-        return y, (idx, x.shape)
+        return layers.maxpool2_forward(x), x
 
-    def backward(self, p, cache, gy):
-        idx, in_shape = cache
-        return layers.maxpool2_backward(gy, idx, in_shape), []
+    def backward(self, p, x, gy):
+        return layers.maxpool2_backward(gy, x), []
 
     def costs(self, h, w):
         return 0, h // 2, w // 2
@@ -311,6 +309,26 @@ class ArchSpec:
             raise SpecError(f"gamma produces {final} channels, spec says {self.out_channels}")
 
     @property
+    def spatial_multiple(self) -> int:
+        """Side multiple that every pooling layer can halve: 2 ** (deepest
+        pooling level), read off the stage walk of a power-of-two side
+        (no block type puts a pool inside a Branch)."""
+        probe = side = smallest = 1 << 12
+        for blk in self.alpha + self.beta + self.gamma:
+            _, side, _ = blk.costs(side, side)
+            smallest = min(smallest, side)
+        return probe // smallest
+
+    def check_size(self, h: int, w: int, what: str) -> None:
+        """DimensionError unless h and w are multiples of spatial_multiple."""
+        m = self.spatial_multiple
+        if h % m or w % m:
+            raise DimensionError(
+                f"{self.name!r} pools to 1/{m}, so {what} sides must be multiples "
+                f"of {m}, got {h}x{w}"
+            )
+
+    @property
     def stages(self) -> tuple[tuple, tuple, tuple]:
         return (self.alpha, self.beta, self.gamma)
 
@@ -342,15 +360,52 @@ def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
     return [a for blk, p in zip(blocks, plist) for a in blk.arrays(p, with_running)]
 
 
+def _fold_bn(blocks, plist, sources):
+    """(params, folded BN indices) with every BatchNorm fed by a ConvBlock,
+    directly or through ChannelShuffles, folded into that conv's weight and
+    bias. A BN is left alone when a SkipConcat reads the conv's or a
+    shuffle's output, which folding would change. plist is not mutated."""
+    plist = list(plist)
+    folded = set()
+    for j, bn in enumerate(blocks):
+        if not isinstance(bn, BatchNorm):
+            continue
+        i = j - 1
+        while i >= 0 and isinstance(blocks[i], ChannelShuffle):
+            i -= 1
+        if i < 0 or not isinstance(blocks[i], ConvBlock) or sources & set(range(i, j)):
+            continue
+        q = plist[j]
+        scale = q.scale / np.sqrt(q.running_var + layers.BN_EPS)
+        shift = q.shift - q.running_mean * scale
+        for shuffle in blocks[j - 1 : i : -1]:
+            # per-channel vectors go back through the shuffle like gradients
+            scale, shift = (
+                layers.channel_shuffle_backward(v[None, :, None, None], shuffle.groups).ravel()
+                for v in (scale, shift)
+            )
+        conv = plist[i]
+        plist[i] = ConvParams(conv.weight * scale[:, None, None, None], conv.bias * scale + shift)
+        folded.add(j)
+    return plist, folded
+
+
 def _path_forward(blocks, plist, x, mode, keep=True):
     """Returns (out, caches); caches hold whatever backward needs, or are
     None without ``keep``. A block's output is held only while the path
-    runs and only when a later SkipConcat reads it."""
+    runs and only when a later SkipConcat reads it. An eval pass without
+    ``keep`` runs each foldable BatchNorm inside its conv (``_fold_bn``),
+    recomputed on every call so that in-place parameter updates count."""
     sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
+    folded = set()
+    if mode == "eval" and not keep:
+        plist, folded = _fold_bn(blocks, plist, sources)
     outs = {}
     caches = [] if keep else None
     for i, (blk, p) in enumerate(zip(blocks, plist)):
-        if isinstance(blk, SkipConcat):
+        if i in folded:
+            pass  # the conv that feeds it already applied this BN
+        elif isinstance(blk, SkipConcat):
             src = outs[blk.source]
             if src.shape[2:] != x.shape[2:]:
                 raise DimensionError(

@@ -189,6 +189,14 @@ def _batch_loss(out, xb, tb, cfg):
     return loss, grad
 
 
+def _check_sizes(spec: ArchSpec, dataset, cfg: TrainConfig) -> None:
+    """Fail before any work when a pooling layer would meet an odd side in
+    a training patch or in a full pair at inference."""
+    spec.check_size(cfg.patch, cfg.patch, "patch")
+    for pair in dataset:
+        spec.check_size(pair.height, pair.width, f"pair {pair.pair_id!r}")
+
+
 def _train_params(params: NetParams, dataset, bank, cfg: TrainConfig) -> list[CurvePoint]:
     """Run the phase schedule on existing parameters; returns the loss curve."""
     inputs, targets = _collect_samples(dataset, bank, cfg)
@@ -231,6 +239,7 @@ def train(spec: ArchSpec | str, dataset, bank, cfg: TrainConfig):
     """
     if isinstance(spec, str):
         spec = builtin_spec(spec)
+    _check_sizes(spec, dataset, cfg)
     params = build_network(spec, cfg.seed)
     curve = _train_params(params, dataset, bank, cfg)
     return params, curve
@@ -258,6 +267,7 @@ def evolve(
         raise RangeError(f"rounds must be >= 0, got {rounds}")
     if isinstance(spec, str):
         spec = builtin_spec(spec)
+    _check_sizes(spec, dataset, cfg)
     bank = init_bank(dataset, niqe_model, algos, weights)
     params = build_network(spec, cfg.seed)
     for round_no in range(1, rounds + 1):
@@ -326,6 +336,7 @@ def adapt_task(
     Trunk features are computed once per sample in eval mode and scaled by
     beta_mix before the head, so only head parameters receive updates.
     """
+    _check_sizes(common.spec, task_dataset, cfg)
     task = task_dataset[0].task.value
     tw = make_task_weights(common, task, beta_mix, unique_init, seed=cfg.seed)
     gamma = tw.unique[task]

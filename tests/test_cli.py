@@ -97,6 +97,22 @@ def test_train_cli_writes_weights(tmp_path, niqe_file, capsys):
     assert len(curve_lines) == 3  # header + 2 epochs
 
 
+def test_train_cli_rejects_unpoolable_pairs_first(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    for pair in toy_pairs(n=2, size=98, seed=4):
+        save_pgm(pair.a, data / f"{pair.pair_id}_a.pgm")
+        save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
+    monkeypatch.setattr("evofuse.training.init_bank", lambda *a, **k: pytest.fail("bank built"))
+    rc = main([
+        "train", "--spec", "m", "--data", str(data), "--rounds", "1",
+        "--out", str(tmp_path / "net.aenw"), "--patch", "32",
+    ])
+    assert rc == 3
+    assert "multiples of 4, got 98x98" in capsys.readouterr().err
+    assert not (tmp_path / "net.aenw").exists()
+
+
 def test_bench_cli(tmp_path, niqe_file, capsys):
     out = tmp_path / "bench"
     rc = main(["bench", "--methods", "avg,absmax", "--size", "32", "--trials", "2",

@@ -53,6 +53,24 @@ class TestConvForward:
             assert fast.shape == slow.shape, (k, pad)
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
 
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
+    def test_matches_naive_oracle_across_column_blocks(self, rng, monkeypatch, groups, stride):
+        """The oracle grid again with the column-block budget shrunk so the
+        flat span splits into >= 3 blocks, the last one partial."""
+        n, cout = 2, 8
+        for k, pad in KERNEL_PADS:
+            wp = 6 + 2 * pad
+            span = (7 + 2 * pad - k + 1) * wp
+            cols = next(c for c in range(wp, span) if span % c and -(-span // c) >= 3)
+            monkeypatch.setattr(layers, "_BLOCK_ELEMS", n * cout * cols)
+            x = rng.standard_normal((n, 4, 7, 6))
+            w = rng.standard_normal((cout, 4 // groups, k, k))
+            b = rng.standard_normal(cout)
+            fast = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+            slow = conv2d_oracle(x, w, b, stride=stride, pad=pad, groups=groups)
+            assert fast.shape == slow.shape, (k, pad)
+            assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
+
     def test_groups_must_divide(self, rng):
         with pytest.raises(SpecError):
             layers.conv2d_forward(rng.random((1, 3, 4, 4)), rng.random((4, 1, 3, 3)), None, groups=2)
@@ -200,19 +218,21 @@ class TestBatchNorm:
 class TestPoolAndUpsample:
     def test_constant_pool_tie_top_left(self):
         x = np.full((1, 1, 4, 4), 0.7)
-        out, idx = layers.maxpool2_forward(x)
+        out = layers.maxpool2_forward(x)
         np.testing.assert_allclose(out, 0.7)
-        assert (idx == 0).all()  # ties resolve to the top-left corner
+        routed = layers.maxpool2_backward(np.ones_like(out), x)
+        # ties resolve to the top-left corner
+        assert (routed[:, :, 0::2, 0::2] == 1).all() and routed.sum() == out.size
 
     def test_upsample_of_pool_on_blockconstant(self, rng):
         small = rng.random((1, 2, 3, 3))
         x = layers.upsample_nearest(small)
-        out, _ = layers.maxpool2_forward(x)
+        out = layers.maxpool2_forward(x)
         np.testing.assert_array_equal(layers.upsample_nearest(out), x)
 
     def test_pool_matches_window_max(self, rng):
         x = rng.random((2, 3, 4, 4))
-        out, _ = layers.maxpool2_forward(x)
+        out = layers.maxpool2_forward(x)
         for n in range(2):
             for c in range(3):
                 for i in range(2):
@@ -229,11 +249,10 @@ class TestPoolAndUpsample:
         target = rng.standard_normal((2, 2, 2, 2))
 
         def loss():
-            out, _ = layers.maxpool2_forward(x)
+            out = layers.maxpool2_forward(x)
             return float((out * target).sum())
 
-        out, idx = layers.maxpool2_forward(x)
-        gx = layers.maxpool2_backward(target, idx, x.shape)
+        gx = layers.maxpool2_backward(target, x)
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
 
     def test_upsample_backward_adjoint(self, rng):

@@ -8,11 +8,13 @@ from evofuse.errors import FormatError, TruncationError
 from evofuse.net import layers
 from evofuse.net.arch import (
     BUILTIN_NAMES,
+    BatchNorm,
     POOLED_NAMES,
     _path_forward,
     builtin_spec,
     count_params,
     inception,
+    parse_arch_file,
 )
 from evofuse.net.network import (
     build_network,
@@ -134,6 +136,82 @@ class TestForward:
         params = build_network("gcb", seed=7)
         img = net_output_image(params, random_pair(rng, 16, 16))
         assert img.shape == (16, 16)
+
+
+def randomize_bn(params, seed):
+    """Every BN scale, shift, running mean and running var drawn at random."""
+    rng = np.random.default_rng(seed)
+    for blk, p in zip(params.spec.sequence.paths[0], params.alpha + params.beta + params.gamma):
+        if isinstance(blk, BatchNorm):
+            p.scale[...] = rng.uniform(0.5, 1.5, p.scale.shape)
+            p.shift[...] = rng.normal(0.0, 0.3, p.shift.shape)
+            p.running_mean[...] = rng.normal(0.0, 0.3, p.shift.shape)
+            p.running_var[...] = rng.uniform(0.2, 2.0, p.shift.shape)
+
+
+# beta: the first BN must not fold (its conv's output is a cat source), the
+# second follows a relu, the third folds back through a shuffle
+FOLD_ARCH = """
+name foldcheck
+residual 0
+stage alpha
+conv 2 8 3
+bn 8
+relu
+stage beta
+conv 8 8 3
+shuffle 2
+bn 8
+relu
+bn 8
+cat 0
+conv 16 8 3 2
+shuffle 2
+bn 8
+relu
+stage gamma
+conv 8 1 3
+"""
+
+
+class TestBatchNormFolding:
+    """Eval inference folds each BN fed by a conv (through shuffles) into it."""
+
+    def specs(self, tmp_path):
+        path = tmp_path / "fold.arch"
+        path.write_text(FOLD_ARCH)
+        return [builtin_spec(name) for name in BUILTIN_NAMES] + [parse_arch_file(path)]
+
+    def test_folded_equals_unfolded(self, tmp_path):
+        x = np.random.default_rng(4).random((2, 2, 32, 32))
+        for spec in self.specs(tmp_path):
+            params = build_network(spec, seed=1)
+            randomize_bn(params, seed=2)
+            path = tmp_path / "before.aenw"
+            save_weights(params, path)
+            folded = net_forward(params, x)
+            unfolded = net_forward_cached(params, x, mode="eval")[0]
+            np.testing.assert_allclose(folded, unfolded, rtol=0.0, atol=1e-10, err_msg=spec.name)
+            save_weights(params, tmp_path / "after.aenw")
+            assert path.read_bytes() == (tmp_path / "after.aenw").read_bytes(), spec.name
+
+    def test_only_unfoldable_bns_run(self, tmp_path, monkeypatch):
+        # a BN after a Branch (separable, fire, inception) is not fed by a conv
+        unfolded = {"regular": 0, "gcb": 0, "separable": 1, "squeeze": 1, "inception": 1,
+                    "gcb_inception": 1, "squeeze_gcb": 1, "squeeze2_gcb": 2, "m": 1,
+                    "foldcheck": 2}
+        calls = []
+        real = layers.batchnorm_forward
+
+        def counted(x, *args):
+            calls.append(x.shape)
+            return real(x, *args)
+
+        monkeypatch.setattr(layers, "batchnorm_forward", counted)
+        for spec in self.specs(tmp_path):
+            calls.clear()
+            net_forward(build_network(spec, seed=0), np.zeros((1, 2, 16, 16)))
+            assert len(calls) == unfolded[spec.name], spec.name
 
 
 GOLDEN_AENW_SHA256 = {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evofuse.errors import BankMissError, RangeError, TaskMixError
+from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixError
 from evofuse.evolution import init_bank
 from evofuse.image import ImageGray, ImagePair, Task
 from evofuse.metrics import ssim
@@ -207,6 +207,42 @@ class TestEvolve:
     def test_negative_rounds_rejected(self, rng, niqe_model):
         with pytest.raises(RangeError):
             evolve("gcb", [], small_cfg(), rounds=-1, niqe_model=niqe_model)
+
+
+class TestPoolingShapes:
+    """m pools to 1/4: pair sides and the patch must be multiples of 4, and
+    every entry point says so before it collects a patch or builds a bank."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("work started before the shape check")
+
+        monkeypatch.setattr("evofuse.training._collect_samples", fail)
+        monkeypatch.setattr("evofuse.training.init_bank", fail)
+
+    @pytest.mark.parametrize("size,patch,match", [
+        (98, 32, "pair .* multiples of 4, got 98x98"),
+        (96, 30, "patch sides must be multiples of 4, got 30x30"),
+    ])
+    def test_entry_points_fail_fast(self, rng, size, patch, match):
+        pairs = small_dataset(rng, n=1, size=size, task=Task.MEDICAL)
+        pairs += small_dataset(rng, n=1, size=size, task=Task.CVS)
+        cfg = small_cfg(patch=patch)
+        calls = [
+            lambda: evolve("m", pairs, cfg, rounds=1, niqe_model=None),
+            lambda: train("m", pairs, None, cfg),
+            lambda: train_common("m", pairs, None, cfg),
+            lambda: adapt_task(build_network("m"), pairs, None, cfg, beta_mix=1.0),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionError, match=match):
+                call()
+
+    def test_unpooled_spec_takes_any_size(self, rng):
+        pairs = small_dataset(rng, n=1, size=33)
+        with pytest.raises(pytest.fail.Exception, match="work started"):
+            train("gcb", pairs, None, small_cfg(patch=31))
 
 
 class TestTrainCommon:
