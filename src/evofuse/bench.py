@@ -19,7 +19,7 @@ from .errors import EmptyInputError, RangeError, UnknownAlgorithmError
 from .evolution import evaluate_candidates
 from .fusion import REGISTRY, FusionCandidate
 from .image import ImagePair
-from .net.arch import BUILTIN_NAMES, POOLED_NAMES, ArchSpec, builtin_spec, count_flops, count_groups, count_state
+from .net.arch import BUILTIN_NAMES, ArchSpec, builtin_spec, count_flops, count_groups, count_state
 from .net.network import build_network, net_forward, weight_file_bytes
 from .niqe import NiqeModel
 from .synth import bench_pair, toy_pairs

@@ -294,12 +294,6 @@ def gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian window: the outer product of ``gaussian_taps``."""
-    g = gaussian_taps(size, sigma)
-    return np.outer(g, g)
-
-
 def separable_filter(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Correlate the last two axes with ``taps`` each, reflect borders.
 

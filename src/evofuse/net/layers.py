@@ -2,13 +2,16 @@
 
 Backward passes are hand-written per layer and verified against central
 finite differences in the test suite. Convolutions are grouped
-cross-correlations accumulated tap by tap on the zero-padded image
-flattened over rows, where each k x k tap is a contiguous offset, so no
-window buffer is gathered and no gradient is folded back from one; the
-forward runs all taps over one cache-sized column block at a time. Max
-pooling keeps no argmax: its backward finds each window's max again in the
-forward input. Eval-mode batch norm is folded into the conv that feeds it
-on inference passes (``arch._fold_bn``).
+cross-correlations summed over the taps on the zero-padded image
+flattened over rows, where each k x k tap is a contiguous offset, one
+cache-sized column block at a time. Thin inputs (few channels per group)
+stack all k * k tap slices of a block and run one matmul; wider ones run
+one per tap. The input gradient is that same forward on the flipped,
+transposed taps; the weight gradient takes one matmul per block. Train-mode
+batch norm takes two passes over the batch (mean, then the centred
+variance); eval-mode batch norm is folded into the conv that feeds it on
+inference passes (``arch._fold_bn``). Max pooling keeps no argmax: its
+backward finds each window's max again in the forward input.
 """
 
 from __future__ import annotations
@@ -61,43 +64,70 @@ def _flat(x, k, pad):
     return flat
 
 
-# accumulator elements per column block of conv2d_forward (4 MiB). A
-# block-sized temporary replaces a full-image one that was written and
-# re-read once per tap; on a 2-core Xeon (4 MiB L2) 2^18-2^20 ran the 3x3
-# convs at 400x400 fastest, 2^16 and a single block both slower
+# elements of the largest operand per column block of the tap loop (4 MiB);
+# on a 2-core Xeon (4 MiB L2) 2^18-2^20 ran the 3x3 convs at 400x400
+# fastest, 2^16 and a single whole-image block both slower
 _BLOCK_ELEMS = 1 << 19
+
+# inputs with fewer channels per group than this stack all k * k shifted
+# slices of a column block and run one matmul per block; wider inputs run
+# one matmul per tap (stacking won at 2-16 channels, lost at 64)
+_STACK_BELOW = 32
 
 
 def _taps(weight, groups):
-    """(k * k, groups, cout / groups, cin / groups): one matrix per tap."""
+    """Tap matrices (k * k / s, groups, cout / groups, s * cin / groups) with
+    s taps per matmul: s = 1, or s = k * k for thin inputs."""
     cout, cin_g, k, _ = weight.shape
     per_group = weight.reshape(groups, cout // groups, cin_g, k * k)
+    if cin_g < _STACK_BELOW:
+        return per_group.reshape(1, groups, cout // groups, cin_g * k * k)
     return np.ascontiguousarray(per_group.transpose(3, 0, 1, 2))
+
+
+def _tap_blocks(src, k, wp, span, rows, stacked):
+    """Column blocks [start, stop) of the flat span with the slices of src
+    (n, groups, c, length) that the k * k taps read, at offset u * wp + v
+    for tap (u, v). Stacked, the slices are copied into one buffer laid out
+    as _taps lays out the weights. A block's largest operand, the other
+    side's rows or the stack, holds about _BLOCK_ELEMS elements."""
+    n, groups, c, _ = src.shape
+    offs = [(t // k) * wp + t % k for t in range(k * k)]
+    stack_rows = n * groups * c * k * k if stacked else 0
+    cols = max(wp, _BLOCK_ELEMS // max(rows, stack_rows))
+    stack = np.empty((n, groups, c, k * k, min(cols, span))) if stacked else None
+    for start in range(0, span, cols):
+        stop = min(start + cols, span)
+        views = [src[..., off + start : off + stop] for off in offs]
+        if stacked:
+            part = np.stack(views, axis=3, out=stack[..., : stop - start])
+            views = [part.reshape(n, groups, c * k * k, stop - start)]
+        yield start, stop, views
+
+
+def _tap_sum(src, taps, k, wp, span):
+    """acc[..., j] = the sum over taps of tap @ src[..., j + offset], j < span."""
+    n, groups = src.shape[:2]
+    acc = np.empty((n, groups, taps.shape[2], span))
+    for start, stop, views in _tap_blocks(src, k, wp, span, acc[..., 0].size, len(taps) < k * k):
+        blk = acc[..., start:stop]
+        np.matmul(taps[0], views[0], out=blk)
+        for tap, view in zip(taps[1:], views[1:]):
+            blk += tap @ view
+    return acc
 
 
 def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
     """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1).
 
-    Every tap is one matmul over the group axis, accumulated on the stride-1
-    grid at padded width; the padded-width columns are cropped and a stride
-    above 1 subsamples the result.
+    The taps are summed on the stride-1 grid at padded width; the
+    padded-width columns are cropped and a stride above 1 subsamples the
+    result.
     """
     n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
     wp = w + 2 * pad
-    span = (h + 2 * pad - k + 1) * wp
     xf = _flat(x, k, pad).reshape(n, groups, cin // groups, -1)
-    taps = _taps(weight, groups)
-    acc = np.empty((n, groups, cout // groups, span))
-    # all k * k taps run over one column block before the next
-    cols = max(wp, _BLOCK_ELEMS // (n * cout))
-    tmp = np.empty((n, groups, cout // groups, min(cols, span)))
-    for start in range(0, span, cols):
-        stop = min(start + cols, span)
-        blk, part = acc[..., start:stop], tmp[..., : stop - start]
-        np.matmul(taps[0], xf[..., start:stop], out=blk)
-        for t in range(1, k * k):
-            off = (t // k) * wp + t % k + start
-            blk += np.matmul(taps[t], xf[..., off : off + stop - start], out=part)
+    acc = _tap_sum(xf, _taps(weight, groups), k, wp, (h + 2 * pad - k + 1) * wp)
     out = acc.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride]
     if bias is not None:
         out = out + bias[None, :, None, None]
@@ -105,28 +135,33 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
-    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
+    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias).
+
+    grad_out goes on the forward's stride-1 grid at padded width, after
+    (k - 1) * (wp + 1) zeros. grad_input is the forward of the flipped,
+    transposed taps over that buffer; grad_weight multiplies each column
+    block of the grid by the (stacked) input slices the forward read there.
+    """
     n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
     if grad_out.shape != (n, cout, out_h, out_w):
         raise SpecError(f"grad_out shape {grad_out.shape} != {(n, cout, out_h, out_w)}")
     hp, wp = h + 2 * pad, w + 2 * pad
-    # grad_out on the forward's stride-1 grid; skipped positions and the
-    # padded-width columns stay zero
-    g1 = np.zeros((n, cout, hp - k + 1, wp))
-    g1[:, :, ::stride, : wp - k + 1 : stride] = grad_out
-    g1 = g1.reshape(n, groups, cout // groups, -1)
-    span = g1.shape[-1]
-    xf = _flat(x, k, pad).reshape(n, groups, cin // groups, -1)
-    taps = _taps(weight, groups)
-    grad_taps = np.empty_like(taps)
-    grad_xf = np.zeros_like(xf)
-    tmp = np.empty_like(grad_xf[..., :span])
-    for t in range(k * k):
-        off = (t // k) * wp + t % k
-        grad_taps[t] = np.matmul(g1, xf[..., off : off + span].swapaxes(-1, -2)).sum(axis=0)
-        grad_xf[..., off : off + span] += np.matmul(taps[t].swapaxes(-1, -2), g1, out=tmp)
+    cin_g, cout_g = cin // groups, cout // groups
+    span, lead = (hp - k + 1) * wp, (k - 1) * (wp + 1)
+    gf = np.zeros((n, cout, (hp + k - 1) * wp + k - 1))
+    g1 = gf[..., lead : lead + span]
+    g1.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride] = grad_out
+    gf, g1 = gf.reshape(n, groups, cout_g, -1), g1.reshape(n, groups, cout_g, span)
+    flipped = weight.reshape(groups, cout_g, cin_g, k * k).swapaxes(1, 2)[..., ::-1]
+    gx = _tap_sum(gf, _taps(flipped.reshape(cin, cout_g, k, k), groups), k, wp, hp * wp)
+    grad_x = gx.reshape(n, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    grad_taps = np.zeros_like(_taps(weight, groups))
+    xf = _flat(x, k, pad).reshape(n, groups, cin_g, -1)
+    stacked = len(grad_taps) < k * k
+    for start, stop, views in _tap_blocks(xf, k, wp, span, g1[..., 0].size, stacked):
+        for grad_tap, view in zip(grad_taps, views):
+            grad_tap += np.matmul(g1[..., start:stop], view.swapaxes(-1, -2)).sum(axis=0)
     grad_w = grad_taps.transpose(1, 2, 3, 0).reshape(weight.shape)
-    grad_x = grad_xf[..., : hp * wp].reshape(n, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
     return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
 
 
@@ -155,24 +190,27 @@ BN_MOMENTUM = 0.9
 def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval"):
     """Per-channel normalization.
 
-    Train mode normalizes with batch statistics and updates the running
-    mean/var in place (momentum 0.9); eval mode uses the running stats.
-    Returns (out, cache); the cache feeds batchnorm_backward in train mode.
+    Train mode normalizes with batch statistics (two passes: the mean, then
+    the variance of the centred copy) and updates the running mean/var in
+    place (momentum 0.9); eval mode uses the running stats. Returns
+    (out, cache); the cache feeds batchnorm_backward in train mode.
     """
     if mode == "train":
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        m = x.size // x.shape[1]
+        mu = np.einsum("nchw->c", x) / m
+        xhat = x - mu[None, :, None, None]
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
         running_mean *= BN_MOMENTUM
         running_mean += (1.0 - BN_MOMENTUM) * mu
         running_var *= BN_MOMENTUM
         running_var += (1.0 - BN_MOMENTUM) * var
     elif mode == "eval":
-        mu = running_mean
+        xhat = x - running_mean[None, :, None, None]
         var = running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
     out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
     return _finite(out), (xhat, inv_std, mode)
 
@@ -180,16 +218,17 @@ def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval"):
 def batchnorm_backward(grad_out, scale, cache):
     """(grad_input, grad_scale, grad_shift) for the cached forward pass."""
     xhat, inv_std, mode = cache
-    grad_scale = (grad_out * xhat).sum(axis=(0, 2, 3))
-    grad_shift = grad_out.sum(axis=(0, 2, 3))
-    gxhat = grad_out * scale[None, :, None, None]
+    grad_scale = np.einsum("nchw,nchw->c", grad_out, xhat)
+    grad_shift = np.einsum("nchw->c", grad_out)
     if mode == "eval":
-        return gxhat * inv_std[None, :, None, None], grad_scale, grad_shift
-    n, _, h, w = grad_out.shape
-    m = n * h * w
-    sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_x = (inv_std[None, :, None, None] / m) * (m * gxhat - sum_g - xhat * sum_gx)
+        return grad_out * (scale * inv_std)[None, :, None, None], grad_scale, grad_shift
+    # with c = scale * inv_std / m per channel:
+    # grad_x = c * (m * grad_out - grad_shift - xhat * grad_scale)
+    m = grad_out.size // grad_out.shape[1]
+    c = scale * inv_std / m
+    grad_x = grad_out * (m * c)[None, :, None, None]
+    grad_x -= (c * grad_shift)[None, :, None, None]
+    grad_x -= xhat * (c * grad_scale)[None, :, None, None]
     return grad_x, grad_scale, grad_shift
 
 

@@ -19,7 +19,7 @@ from .errors import BankMissError, DimensionError, RangeError, TaskMixError
 from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
 from .image import ImageGray, ImagePair, tile_grid
-from .metrics import _ssim
+from .metrics import _SSIM_TAPS, _ssim
 from .net.arch import ArchSpec, _path_arrays, _path_backward, _path_forward, builtin_spec
 from .net.network import (
     NetParams,
@@ -190,10 +190,19 @@ def _batch_loss(out, xb, tb, cfg):
 
 
 def _check_sizes(spec: ArchSpec, dataset, cfg: TrainConfig) -> None:
-    """Fail before any work when a pooling layer would meet an odd side in
-    a training patch or in a full pair at inference."""
+    """Fail before any work on a patch smaller than the SSIM loss window or
+    larger than a pair, or when a pooling layer would meet an odd side in a
+    training patch or in a full pair at inference."""
+    if cfg.patch < _SSIM_TAPS.size:
+        raise DimensionError(
+            f"patch {cfg.patch} is smaller than the {_SSIM_TAPS.size}-pixel SSIM window"
+        )
     spec.check_size(cfg.patch, cfg.patch, "patch")
     for pair in dataset:
+        if cfg.patch > min(pair.height, pair.width):
+            raise DimensionError(
+                f"patch {cfg.patch} exceeds pair {pair.pair_id!r} of {pair.height}x{pair.width}"
+            )
         spec.check_size(pair.height, pair.width, f"pair {pair.pair_id!r}")
 
 

@@ -9,7 +9,13 @@ import math
 
 import numpy as np
 
-from evofuse.image import gaussian_kernel
+from evofuse.image import gaussian_taps
+
+
+def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+    """Normalized 2-D Gaussian window: the outer product of ``gaussian_taps``."""
+    g = gaussian_taps(size, sigma)
+    return np.outer(g, g)
 
 
 def entropy_oracle(img) -> float:

@@ -113,6 +113,22 @@ def test_train_cli_rejects_unpoolable_pairs_first(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "net.aenw").exists()
 
 
+def test_train_cli_rejects_patch_below_ssim_window_first(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    for pair in toy_pairs(n=2, size=32, seed=4):
+        save_pgm(pair.a, data / f"{pair.pair_id}_a.pgm")
+        save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
+    monkeypatch.setattr("evofuse.training.init_bank", lambda *a, **k: pytest.fail("bank built"))
+    rc = main([
+        "train", "--spec", "gcb", "--data", str(data), "--rounds", "1",
+        "--out", str(tmp_path / "net.aenw"), "--patch", "8",
+    ])
+    assert rc == 3
+    assert "smaller than the 11-pixel SSIM window" in capsys.readouterr().err
+    assert not (tmp_path / "net.aenw").exists()
+
+
 def test_bench_cli(tmp_path, niqe_file, capsys):
     out = tmp_path / "bench"
     rc = main(["bench", "--methods", "avg,absmax", "--size", "32", "--trials", "2",

@@ -9,7 +9,6 @@ from evofuse.image import (
     ImagePair,
     extract_patches,
     filter2_same,
-    gaussian_kernel,
     gaussian_taps,
     load_pgm,
     quantize8,
@@ -22,6 +21,7 @@ from evofuse.image import (
 )
 
 from conftest import random_image, random_pair
+from oracles import gaussian_kernel
 
 
 class TestImageGray:

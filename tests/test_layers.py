@@ -19,6 +19,32 @@ KERNEL_PADS = [(1, 0), (3, 0), (3, 1), (5, 0), (5, 2)]
 GROUPS_STRIDES = [(g, s) for g in (1, 2, 4) for s in (1, 2)]
 
 
+def both_stackings(monkeypatch):
+    """KERNEL_PADS twice: with one matmul per tap, then with all k * k taps of
+    a column block stacked into one matmul, whatever the channel count."""
+    for stack_below in (0, 1 << 30):
+        monkeypatch.setattr(layers, "_STACK_BELOW", stack_below)
+        yield from KERNEL_PADS
+
+
+@pytest.fixture
+def partial_blocks(monkeypatch):
+    """Every tap loop splits its flat span into >= 3 column blocks, the last
+    one partial. The loop is handed more rows than any stacked buffer in
+    these grids, so the block budget alone sets its column count."""
+    rows, tap_blocks = 1 << 20, layers._tap_blocks
+    spans = []
+
+    def split(src, k, wp, span, _rows, stacked):
+        cols = next(c for c in range(wp, span) if span % c and -(-span // c) >= 3)
+        monkeypatch.setattr(layers, "_BLOCK_ELEMS", rows * cols)
+        spans.append(span)
+        return tap_blocks(src, k, wp, span, rows, stacked)
+
+    monkeypatch.setattr(layers, "_tap_blocks", split)
+    return spans
+
+
 def spaced_values(rng, shape, step=0.01):
     """Random tensors whose entries differ by >= step and sit away from zero,
     so +-h perturbations cannot flip max-pool or ReLU decisions during
@@ -43,8 +69,8 @@ class TestConvForward:
         np.testing.assert_allclose(out, 9.0 + 0.25)
 
     @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
-    def test_matches_naive_oracle(self, rng, groups, stride):
-        for k, pad in KERNEL_PADS:
+    def test_matches_naive_oracle(self, rng, monkeypatch, groups, stride):
+        for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((2, 4, 7, 6))
             w = rng.standard_normal((8, 4 // groups, k, k))
             b = rng.standard_normal(8)
@@ -54,15 +80,13 @@ class TestConvForward:
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
 
     @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
-    def test_matches_naive_oracle_across_column_blocks(self, rng, monkeypatch, groups, stride):
-        """The oracle grid again with the column-block budget shrunk so the
-        flat span splits into >= 3 blocks, the last one partial."""
+    def test_matches_naive_oracle_across_column_blocks(
+        self, rng, monkeypatch, partial_blocks, groups, stride
+    ):
+        """The oracle grid again with every flat span split into >= 3 column
+        blocks, the last one partial."""
         n, cout = 2, 8
-        for k, pad in KERNEL_PADS:
-            wp = 6 + 2 * pad
-            span = (7 + 2 * pad - k + 1) * wp
-            cols = next(c for c in range(wp, span) if span % c and -(-span // c) >= 3)
-            monkeypatch.setattr(layers, "_BLOCK_ELEMS", n * cout * cols)
+        for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((n, 4, 7, 6))
             w = rng.standard_normal((cout, 4 // groups, k, k))
             b = rng.standard_normal(cout)
@@ -70,6 +94,7 @@ class TestConvForward:
             slow = conv2d_oracle(x, w, b, stride=stride, pad=pad, groups=groups)
             assert fast.shape == slow.shape, (k, pad)
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
+        assert len(partial_blocks) == 2 * len(KERNEL_PADS)
 
     def test_groups_must_divide(self, rng):
         with pytest.raises(SpecError):
@@ -99,8 +124,8 @@ class TestConvBackward:
         assert abs(gx[0, 0, 0, 0] - w[0, 0, 0, 0] * g[0, 0, 0, 0]) < 1e-12
 
     @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
-    def test_matches_finite_differences(self, rng, groups, stride):
-        for k, pad in KERNEL_PADS:
+    def test_matches_finite_differences(self, rng, monkeypatch, groups, stride):
+        for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((2, 4, 7, 6))
             w = 0.3 * rng.standard_normal((4, 4 // groups, k, k))
             b = 0.1 * rng.standard_normal(4)
@@ -118,9 +143,9 @@ class TestConvBackward:
             assert relative_err(finite_diff_grad(loss, b, FD_H), gb) < GRAD_TOL, (k, pad)
 
     @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
-    def test_adjoint_identity(self, rng, groups, stride):
+    def test_adjoint_identity(self, rng, monkeypatch, groups, stride):
         """conv is bilinear in (x, w): <conv(x, w), g> = <x, g_x> = <w, g_w>."""
-        for k, pad in KERNEL_PADS:
+        for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((2, 4, 7, 6))
             w = rng.standard_normal((8, 4 // groups, k, k))
             out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
@@ -129,6 +154,24 @@ class TestConvBackward:
             lhs = (out * g).sum()
             assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
             assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
+
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
+    def test_adjoint_identity_across_column_blocks(
+        self, rng, monkeypatch, partial_blocks, groups, stride
+    ):
+        """The adjoint identity against the naive oracle's forward, with both
+        backward loops (grad_x and grad_w) split into >= 3 column blocks, the
+        last one partial."""
+        for k, pad in both_stackings(monkeypatch):
+            x = rng.standard_normal((2, 4, 7, 6))
+            w = rng.standard_normal((8, 4 // groups, k, k))
+            out = conv2d_oracle(x, w, None, stride=stride, pad=pad, groups=groups)
+            g = rng.standard_normal(out.shape)
+            gx, gw, _ = layers.conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
+            lhs = (out * g).sum()
+            assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
+            assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
+        assert len(partial_blocks) == 4 * len(KERNEL_PADS)
 
 
 class TestChannelShuffle:
@@ -213,6 +256,39 @@ class TestBatchNorm:
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
         assert relative_err(finite_diff_grad(loss, scale, FD_H), gscale) < GRAD_TOL
         assert relative_err(finite_diff_grad(loss, shift, FD_H), gshift) < GRAD_TOL
+
+
+class TestNoAliasing:
+    """Conv and BN do part of their arithmetic in place; it must land only in
+    buffers they allocate, and in BN's running statistics."""
+
+    def test_conv_leaves_inputs_unchanged(self, rng, monkeypatch):
+        for k, pad in both_stackings(monkeypatch):
+            x, w = rng.standard_normal((2, 4, 7, 6)), rng.standard_normal((8, 2, k, k))
+            b = rng.standard_normal(8)
+            g = rng.standard_normal(layers.conv2d_forward(x, w, b, pad=pad, groups=2).shape)
+            before = [a.copy() for a in (x, w, b, g)]
+            out = layers.conv2d_forward(x, w, b, pad=pad, groups=2)
+            grads = layers.conv2d_backward(x, w, g, pad=pad, groups=2)
+            for a, a0 in zip((x, w, b, g), before):
+                np.testing.assert_array_equal(a, a0)
+            for r in (out, *grads):
+                assert not any(np.shares_memory(r, a) for a in (x, w, b, g)), (k, pad)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batchnorm_moves_only_running_stats(self, rng, mode):
+        x, g = rng.standard_normal((2, 3, 4, 4)) + 2.0, rng.standard_normal((2, 3, 4, 4))
+        scale, shift = rng.random(3) + 0.5, rng.standard_normal(3)
+        running_mean, running_var = rng.standard_normal(3), rng.random(3) + 0.5
+        fixed = [x, g, scale, shift]
+        before = [a.copy() for a in fixed + [running_mean, running_var]]
+        _, cache = layers.batchnorm_forward(x, scale, shift, running_mean, running_var, mode)
+        assert not np.shares_memory(cache[0], x)
+        layers.batchnorm_backward(g, scale, cache)
+        for a, a0 in zip(fixed, before):
+            np.testing.assert_array_equal(a, a0)
+        for a, a0 in zip((running_mean, running_var), before[4:]):
+            assert np.array_equal(a, a0) == (mode == "eval")
 
 
 class TestPoolAndUpsample:

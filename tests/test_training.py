@@ -4,7 +4,7 @@ import pytest
 from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixError
 from evofuse.evolution import init_bank
 from evofuse.image import ImageGray, ImagePair, Task
-from evofuse.metrics import ssim
+from evofuse.metrics import _SSIM_TAPS, ssim
 from evofuse.net.network import build_network, net_forward, state_arrays, trainable_arrays
 from evofuse.synth import toy_pairs
 from evofuse.training import (
@@ -26,6 +26,8 @@ from evofuse.training import (
 
 from conftest import random_image, random_pair
 from oracles import finite_diff_grad, relative_err
+
+SSIM_WINDOW = _SSIM_TAPS.size
 
 
 def small_cfg(**kw):
@@ -234,6 +236,24 @@ class TestPoolingShapes:
             lambda: train("m", pairs, None, cfg),
             lambda: train_common("m", pairs, None, cfg),
             lambda: adapt_task(build_network("m"), pairs, None, cfg, beta_mix=1.0),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionError, match=match):
+                call()
+
+    @pytest.mark.parametrize("size,patch,match", [
+        (32, SSIM_WINDOW - 1, f"patch {SSIM_WINDOW - 1} is smaller than the {SSIM_WINDOW}-pixel"),
+        (32, 36, "patch 36 exceeds pair .* of 32x32"),
+    ])
+    def test_bad_patch_fails_fast(self, rng, size, patch, match):
+        pairs = small_dataset(rng, n=1, size=size, task=Task.MEDICAL)
+        pairs += small_dataset(rng, n=1, size=size, task=Task.CVS)
+        cfg = small_cfg(patch=patch)
+        calls = [
+            lambda: evolve("gcb", pairs, cfg, rounds=1, niqe_model=None),
+            lambda: train("gcb", pairs, None, cfg),
+            lambda: train_common("gcb", pairs, None, cfg),
+            lambda: adapt_task(build_network("gcb"), pairs, None, cfg, beta_mix=1.0),
         ]
         for call in calls:
             with pytest.raises(DimensionError, match=match):
