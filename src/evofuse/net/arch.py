@@ -65,6 +65,8 @@ class Block:
     def group_count(self) -> int:
         return 1
 
+    _into = None  # inference: _into(x, out) writes forward's output into out
+
 
 @dataclass(frozen=True)
 class ConvBlock(Block):
@@ -206,6 +208,9 @@ class UpsampleNearest2(Block):
 
     def backward(self, p, cache, gy):
         return layers.upsample_nearest_backward(gy), []
+
+    def _into(self, x, out):
+        return layers._upsample_into(x, out)
 
     def costs(self, h, w):
         return 0, 2 * h, 2 * w
@@ -390,36 +395,66 @@ def _fold_bn(blocks, plist, sources):
     return plist, folded
 
 
-def _path_forward(blocks, plist, x, mode, keep=True):
-    """Returns (out, caches); caches hold whatever backward needs, or are
-    None without ``keep``. A block's output is held only while the path
-    runs and only when a later SkipConcat reads it. An eval pass without
-    ``keep`` runs each foldable BatchNorm inside its conv (``_fold_bn``),
-    recomputed on every call so that in-place parameter updates count."""
-    sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
-    folded = set()
-    if mode == "eval" and not keep:
-        plist, folded = _fold_bn(blocks, plist, sources)
+def _epilogue(blocks, i, done, sources):
+    """(shuffle, relu) after the conv at i, past folded BNs, that its tap loop
+    runs (added to done); a block whose input a SkipConcat reads stops it."""
+    fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False}
+    for j in range(i + 1, len(blocks)):
+        if j - 1 in sources or not (j in done or fused.get(blocks[j]) is False):
+            break
+        if j not in done:
+            fused[blocks[j]] = True
+            done.update(range(i + 1, j + 1))
+    return tuple(fused.values())
+
+
+def _path_forward(blocks, plist, x, mode, keep=True, flat=None):
+    """Returns (out, caches); caches hold whatever backward needs. A block's
+    output is held only while the path runs and only when a later
+    SkipConcat reads it.
+
+    An inference pass (eval without ``keep``) returns (out, flat) instead,
+    ``flat`` being out's padded-flat buffer (as ``layers._flat(out, 3, 1)``)
+    or None, as for x. It runs foldable BNs in their convs (``_fold_bn``, on
+    every call so that parameter updates count). A 3x3 stride-1 conv reads
+    x's buffer and writes a new one, running the shuffle and ReLU after it
+    in its tap loop (``_epilogue``). An upsample writes a new buffer, leaving
+    room for the SkipConcat after it; other blocks read views."""
+    skips = {i: blk.source for i, blk in enumerate(blocks) if isinstance(blk, SkipConcat)}
+    sources = set(skips.values())
+    infer, done = mode == "eval" and not keep, set()
+    if infer:
+        plist, done = _fold_bn(blocks, plist, sources)
     outs = {}
     caches = [] if keep else None
     for i, (blk, p) in enumerate(zip(blocks, plist)):
-        if i in folded:
-            pass  # the conv that feeds it already applied this BN
-        elif isinstance(blk, SkipConcat):
+        if i in done:
+            pass  # the conv before it already ran this block
+        elif infer and isinstance(blk, ConvBlock) and blk.k == 3 and blk.stride == 1:
+            shuffle, relu = _epilogue(blocks, i, done, sources)
+            flat, x = layers._conv_padded(x, flat, p.weight, p.bias, blk.groups, shuffle, relu)
+        elif i in skips:
             src = outs[blk.source]
             if src.shape[2:] != x.shape[2:]:
-                raise DimensionError(
-                    f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}"
-                )
-            cache = x.shape[1]
-            x = np.concatenate([x, src], axis=1)
+                raise DimensionError(f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}")
+            cache = c = x.shape[1]
+            if infer and flat is not None and flat.shape[1] > c:  # _into left room for src
+                x = layers._interior(flat, *x.shape[2:])
+                x[:, c:] = src
+            else:
+                x, flat = np.concatenate([x, src], axis=1), None
+        elif infer and blk._into:
+            _, h, w = blk.costs(*x.shape[2:])
+            room = outs[skips[i + 1]].shape[1] if skips.get(i + 1) in outs else 0
+            flat, inner = layers._padded(len(x), x.shape[1] + room, h, w)
+            x = blk._into(x, inner[:, : x.shape[1]])
         else:
-            x, cache = blk.forward(p, x, mode)
+            (x, cache), flat = blk.forward(p, x, mode), None
         if keep:
             caches.append(cache)
         if i in sources:
             outs[i] = x
-    return x, caches
+    return x, caches if keep else flat
 
 
 def _path_backward(blocks, plist, caches, grad_y):

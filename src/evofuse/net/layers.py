@@ -1,17 +1,18 @@
 """Layer forward/backward primitives on (n, c, h, w) float tensors.
 
-Backward passes are hand-written per layer and verified against central
-finite differences in the test suite. Convolutions are grouped
-cross-correlations summed over the taps on the zero-padded image
-flattened over rows, where each k x k tap is a contiguous offset, one
-cache-sized column block at a time. Thin inputs (few channels per group)
-stack all k * k tap slices of a block and run one matmul; wider ones run
-one per tap. The input gradient is that same forward on the flipped,
-transposed taps; the weight gradient takes one matmul per block. Train-mode
-batch norm takes two passes over the batch (mean, then the centred
-variance); eval-mode batch norm is folded into the conv that feeds it on
-inference passes (``arch._fold_bn``). Max pooling keeps no argmax: its
-backward finds each window's max again in the forward input.
+Backward passes are hand-written per layer and checked against finite
+differences. Convolutions are grouped cross-correlations summed over the
+taps on the zero-padded image flattened over rows (the padded-flat
+layout), where each k x k tap is a contiguous offset, one cache-sized
+column block at a time. Thin inputs (few channels per group) stack all
+k * k tap slices of a block and run one matmul; wider ones run one per
+tap. The input gradient is that same forward on the flipped, transposed
+taps; the weight gradient takes one matmul per block. On inference passes
+a 3 x 3 stride-1 conv writes into the next one's padded-flat input, adding
+its bias and running a following shuffle and ReLU per column block
+(``_conv_padded``), with eval-mode batch norm folded in (``arch._fold_bn``).
+Train-mode batch norm takes two passes (mean, then centred variance). Max
+pooling keeps no argmax: its backward finds each window's max again.
 """
 
 from __future__ import annotations
@@ -58,10 +59,20 @@ def _flat(x, k, pad):
     n, c, h, w = x.shape
     if k == 1 and pad == 0:
         return x.reshape(n, c, h * w)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    flat = np.zeros((n, c, hp * wp + k - 1))
-    flat[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, pad : pad + h, pad : pad + w] = x
+    flat, inner = _padded(n, c, h, w, pad, k)
+    inner[...] = x
     return flat
+
+
+def _padded(n, c, h, w, pad=1, k=3):
+    """A zero buffer in the layout of _flat and its (n, c, h, w) interior."""
+    flat = np.zeros((n, c, (h + 2 * pad) * (w + 2 * pad) + k - 1))
+    return flat, _interior(flat, h, w, pad)
+
+
+def _interior(flat, h, w, pad=1):
+    inner = flat[..., : (h + 2 * pad) * (w + 2 * pad)].reshape(*flat.shape[:2], h + 2 * pad, -1)
+    return inner[:, :, pad : pad + h, pad : pad + w]
 
 
 # elements of the largest operand per column block of the tap loop (4 MiB);
@@ -105,15 +116,20 @@ def _tap_blocks(src, k, wp, span, rows, stacked):
         yield start, stop, views
 
 
-def _tap_sum(src, taps, k, wp, span):
-    """acc[..., j] = the sum over taps of tap @ src[..., j + offset], j < span."""
+def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False):
+    """acc[..., j] = the sum over taps of tap @ src[..., j + offset], j < span,
+    in acc or a new array; per column block, + bias and ReLU when given."""
     n, groups = src.shape[:2]
-    acc = np.empty((n, groups, taps.shape[2], span))
+    acc = np.empty((n, groups, taps.shape[2], span)) if acc is None else acc
     for start, stop, views in _tap_blocks(src, k, wp, span, acc[..., 0].size, len(taps) < k * k):
         blk = acc[..., start:stop]
         np.matmul(taps[0], views[0], out=blk)
         for tap, view in zip(taps[1:], views[1:]):
             blk += tap @ view
+        if bias is not None:
+            blk += bias
+        if relu:
+            np.maximum(blk, 0.0, out=blk)
     return acc
 
 
@@ -132,6 +148,23 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
     if bias is not None:
         out = out + bias[None, :, None, None]
     return _finite(out)
+
+
+def _conv_padded(x, xf, weight, bias, groups, shuffle, relu):
+    """3 x 3, pad 1, stride 1 conv2d_forward, then optional channel_shuffle(groups)
+    and ReLU: (out's buffer laid out as _flat(out, 3, 1), out); xf is x's such
+    buffer or None. Sums land at offset wp + 1, through the shuffled view with
+    shuffle; each row's two wrap columns land on the padding and are zeroed."""
+    n, cin, h, w, cout, k, _, _ = _conv_shapes(x, weight, 1, 1, groups)
+    wp, span = w + 2, h * (w + 2)
+    flat, out = _padded(n, cout, h, w)
+    acc = flat[..., wp + 1 : wp + 1 + span]
+    dest = (acc.reshape(n, -1, groups, span).swapaxes(1, 2) if shuffle
+            else acc.reshape(n, groups, -1, span))
+    xf = (_flat(x, k, 1) if xf is None else xf).reshape(n, groups, cin // groups, -1)
+    _tap_sum(xf, _taps(weight, groups), k, wp, span, dest, bias.reshape(groups, -1, 1), relu)
+    acc.reshape(n, cout, h, wp)[..., w:] = 0.0
+    return _finite(flat), out
 
 
 def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
@@ -274,6 +307,13 @@ def maxpool2_backward(grad_out, x):
 def upsample_nearest(x):
     """Double both spatial dims by pixel replication."""
     return x.repeat(2, axis=2).repeat(2, axis=3)
+
+
+def _upsample_into(x, out):
+    """upsample_nearest(x) written into out, one strided write per column parity."""
+    for col in out.reshape(*x.shape[:3], 2, x.shape[3], 2).transpose(5, 0, 1, 2, 3, 4):
+        col[...] = x[:, :, :, None]
+    return out
 
 
 def upsample_nearest_backward(grad_out):

@@ -60,11 +60,16 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
 
 def _trunk(params: NetParams, x: np.ndarray, mode: str, keep: bool):
     """alpha(x) + beta(alpha(x)) under the residual rule, with the (alpha,
-    beta) caches when ``keep`` is set."""
+    beta) caches when ``keep`` is set, else its padded-flat buffer or None."""
     spec = params.spec
-    h1, a_caches = _path_forward(spec.alpha, params.alpha, x, mode, keep)
-    m, b_caches = _path_forward(spec.beta, params.beta, h1, mode, keep)
-    return (h1 + m if spec.residual else m), (a_caches, b_caches)
+    h1, a = _path_forward(spec.alpha, params.alpha, x, mode, keep)
+    m, b = _path_forward(spec.beta, params.beta, h1, mode, keep, None if keep else a)
+    if not spec.residual:
+        return m, (a, b) if keep else b
+    if keep or a is None or b is None:
+        return h1 + m, (a, b) if keep else None
+    b += a  # m is b's interior; the borders add 0 + 0
+    return m, b
 
 
 def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
@@ -74,16 +79,16 @@ def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
         raise DimensionError(
             f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
         )
-    z, (a_caches, b_caches) = _trunk(params, x, mode, keep)
-    y, g_caches = _path_forward(spec.gamma, params.gamma, z, mode, keep)
+    z, trunk = _trunk(params, x, mode, keep)
+    y, g = _path_forward(spec.gamma, params.gamma, z, mode, keep, None if keep else trunk)
     out = layers.sigmoid(y)
-    return out, (a_caches, b_caches, g_caches, out)
+    return out, ((*trunk, g, out) if keep else None)
 
 
 def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule;
     an inference pass that keeps no block caches."""
-    return _trunk(params, x, mode, keep=False)[0]
+    return np.ascontiguousarray(_trunk(params, x, mode, keep=False)[0])
 
 
 def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):

@@ -10,6 +10,18 @@ import math
 import numpy as np
 
 from evofuse.image import gaussian_taps
+from evofuse.net import layers
+from evofuse.net.arch import (
+    BatchNorm,
+    Branch,
+    ChannelShuffle,
+    ConvBlock,
+    MaxPool2,
+    ReLU,
+    SkipConcat,
+    UpsampleNearest2,
+    _fold_bn,
+)
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -124,6 +136,48 @@ def conv2d_oracle(x, weight, bias, stride=1, pad=0, groups=1) -> np.ndarray:
                                 )
                     out[ni, co, oy, ox] = acc + (bias[co] if bias is not None else 0.0)
     return out
+
+
+def eval_replay(params, x) -> np.ndarray:
+    """net_forward(params, x) in eval mode, replayed one block at a time with
+    the public layer primitives on the parameters ``_fold_bn`` folds: a
+    folded BatchNorm is skipped, Branch and SkipConcat run as in
+    ``_path_forward``, and each primitive returns a new contiguous array."""
+
+    def path(blocks, plist, x):
+        sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
+        plist, folded = _fold_bn(blocks, plist, sources)
+        outs = {}
+        for i, (blk, p) in enumerate(zip(blocks, plist)):
+            if i in folded:
+                pass
+            elif isinstance(blk, ConvBlock):
+                x = layers.conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
+            elif isinstance(blk, ChannelShuffle):
+                x = layers.channel_shuffle(x, blk.groups)
+            elif isinstance(blk, BatchNorm):
+                mean, var = p.running_mean.copy(), p.running_var.copy()
+                x, _ = layers.batchnorm_forward(x, p.scale, p.shift, mean, var, "eval")
+            elif isinstance(blk, ReLU):
+                x = layers.relu(x)
+            elif isinstance(blk, MaxPool2):
+                x = layers.maxpool2_forward(x)
+            elif isinstance(blk, UpsampleNearest2):
+                x = layers.upsample_nearest(x)
+            elif isinstance(blk, SkipConcat):
+                x = np.concatenate([x, outs[blk.source]], axis=1)
+            elif isinstance(blk, Branch):
+                x, _ = blk.forward(p, x, "eval")
+            else:
+                raise TypeError(f"no replay for {blk!r}")
+            if i in sources:
+                outs[i] = x
+        return x
+
+    spec = params.spec
+    h1 = path(spec.alpha, params.alpha, x)
+    m = path(spec.beta, params.beta, h1)
+    return layers.sigmoid(path(spec.gamma, params.gamma, h1 + m if spec.residual else m))
 
 
 def finite_diff_grad(fn, arr, h=1e-3):

@@ -27,24 +27,6 @@ def both_stackings(monkeypatch):
         yield from KERNEL_PADS
 
 
-@pytest.fixture
-def partial_blocks(monkeypatch):
-    """Every tap loop splits its flat span into >= 3 column blocks, the last
-    one partial. The loop is handed more rows than any stacked buffer in
-    these grids, so the block budget alone sets its column count."""
-    rows, tap_blocks = 1 << 20, layers._tap_blocks
-    spans = []
-
-    def split(src, k, wp, span, _rows, stacked):
-        cols = next(c for c in range(wp, span) if span % c and -(-span // c) >= 3)
-        monkeypatch.setattr(layers, "_BLOCK_ELEMS", rows * cols)
-        spans.append(span)
-        return tap_blocks(src, k, wp, span, rows, stacked)
-
-    monkeypatch.setattr(layers, "_tap_blocks", split)
-    return spans
-
-
 def spaced_values(rng, shape, step=0.01):
     """Random tensors whose entries differ by >= step and sit away from zero,
     so +-h perturbations cannot flip max-pool or ReLU decisions during
@@ -95,6 +77,7 @@ class TestConvForward:
             assert fast.shape == slow.shape, (k, pad)
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
         assert len(partial_blocks) == 2 * len(KERNEL_PADS)
+        assert all(split for _, split in partial_blocks)
 
     def test_groups_must_divide(self, rng):
         with pytest.raises(SpecError):
@@ -172,6 +155,7 @@ class TestConvBackward:
             assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
             assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
         assert len(partial_blocks) == 4 * len(KERNEL_PADS)
+        assert all(split for _, split in partial_blocks)
 
 
 class TestChannelShuffle:

@@ -27,10 +27,13 @@ from evofuse.net.network import (
     save_weights,
     state_arrays,
     trainable_arrays,
+    trunk_forward,
     weight_file_bytes,
 )
+from evofuse.training import make_task_weights, task_forward
 
 from conftest import random_pair
+from oracles import eval_replay
 
 
 class TestBuild:
@@ -174,17 +177,19 @@ conv 8 1 3
 """
 
 
+def fold_specs(tmp_path):
+    """Every built-in spec and FOLD_ARCH."""
+    path = tmp_path / "fold.arch"
+    path.write_text(FOLD_ARCH)
+    return [builtin_spec(name) for name in BUILTIN_NAMES] + [parse_arch_file(path)]
+
+
 class TestBatchNormFolding:
     """Eval inference folds each BN fed by a conv (through shuffles) into it."""
 
-    def specs(self, tmp_path):
-        path = tmp_path / "fold.arch"
-        path.write_text(FOLD_ARCH)
-        return [builtin_spec(name) for name in BUILTIN_NAMES] + [parse_arch_file(path)]
-
     def test_folded_equals_unfolded(self, tmp_path):
         x = np.random.default_rng(4).random((2, 2, 32, 32))
-        for spec in self.specs(tmp_path):
+        for spec in fold_specs(tmp_path):
             params = build_network(spec, seed=1)
             randomize_bn(params, seed=2)
             path = tmp_path / "before.aenw"
@@ -208,10 +213,114 @@ class TestBatchNormFolding:
             return real(x, *args)
 
         monkeypatch.setattr(layers, "batchnorm_forward", counted)
-        for spec in self.specs(tmp_path):
+        for spec in fold_specs(tmp_path):
             calls.clear()
             net_forward(build_network(spec, seed=0), np.zeros((1, 2, 16, 16)))
             assert len(calls) == unfolded[spec.name], spec.name
+
+
+# beta: an upsample whose own output is its cat's source (no room is left
+# for it), after conv -> relu -> shuffle and an unfoldable BN
+SELF_CAT_ARCH = """
+name selfcat
+stage alpha
+conv 2 8 3
+relu
+stage beta
+pool
+conv 8 8 3 2
+relu
+shuffle 2
+bn 8
+up
+cat 5
+conv 16 8 3
+stage gamma
+conv 8 1 3
+"""
+
+# shuffles of other group counts than their conv's, a 5x5 and 1x1 convs,
+# repeated relus, a pool, an upsample with room for its cat, a second cat
+MIXED_ARCH = """
+name mixed
+stage alpha
+conv 2 8 3 1
+shuffle 4
+relu
+stage beta
+conv 8 8 3 4
+shuffle 2
+relu
+conv 8 8 5
+relu
+conv 8 8 3 2
+relu
+relu
+shuffle 2
+pool
+conv 8 8 3
+up
+cat 2
+conv 16 8 1
+cat 0
+conv 16 8 3
+relu
+stage gamma
+conv 8 4 3
+relu
+conv 4 1 1
+"""
+
+
+class TestInferenceLayout:
+    """Inference passes keep activations in the padded-flat layout between
+    convs and run bias, shuffle and ReLU inside the conv's tap loop."""
+
+    def check_replay(self, tmp_path, shape):
+        x = np.random.default_rng(5).random(shape)
+        layout_specs = []
+        for name, text in (("selfcat", SELF_CAT_ARCH), ("mixed", MIXED_ARCH)):
+            (tmp_path / f"{name}.arch").write_text(text)
+            layout_specs.append(parse_arch_file(tmp_path / f"{name}.arch"))
+        for spec in fold_specs(tmp_path) + layout_specs:
+            params = build_network(spec, seed=1)
+            randomize_bn(params, seed=2)
+            got, want = net_forward(params, x), eval_replay(params, x)
+            np.testing.assert_array_equal(got, want, err_msg=f"{spec.name} {shape}")
+
+    @pytest.mark.parametrize("shape", [(2, 2, 24, 40), (1, 2, 4, 8)])
+    def test_equals_eval_replay_exactly(self, tmp_path, shape):
+        self.check_replay(tmp_path, shape)
+
+    def test_equals_eval_replay_with_blocks_ending_mid_row(self, tmp_path, partial_blocks):
+        self.check_replay(tmp_path, (2, 2, 24, 40))
+        assert any(split for _, split in partial_blocks)
+
+    @pytest.mark.parametrize("name", ["gcb", "regular", "m"])
+    def test_results_are_fresh_contiguous_arrays(self, rng, name):
+        params = build_network(name, seed=1)
+        tw = make_task_weights(params, "t", beta_mix=0.5)
+        x = rng.random((1, 2, 16, 24))
+        for run in (
+            lambda: net_forward(params, x),
+            lambda: trunk_forward(params, x),
+            lambda: task_forward(tw, x),
+        ):
+            first, second = run(), run()
+            assert first.flags.c_contiguous and second.flags.c_contiguous
+            assert not np.shares_memory(first, second)
+            want = second.copy()
+            first[...] = np.nan
+            second[...] = np.nan
+            np.testing.assert_array_equal(run(), want)
+
+    @pytest.mark.parametrize("name", ["gcb", "regular", "m"])
+    def test_finite_check_sees_fused_conv_outputs(self, rng, monkeypatch, name):
+        params = build_network(name, seed=1)
+        params.beta[0].weight[0, 0, 1, 1] = np.nan
+        monkeypatch.setattr(layers, "CHECK_FINITE", True)
+        with pytest.raises(FloatingPointError):
+            net_forward(params, rng.random((1, 2, 16, 16)))
 
 
 GOLDEN_AENW_SHA256 = {
