@@ -28,11 +28,10 @@ from .metrics import (
     avg_gradient,
     brenner,
     combined_score,
-    entropy,
-    mutual_information,
+    mutual_information_pool,
     psnr,
-    ssim,
-    viff,
+    ssim_pool,
+    viff_pool,
 )
 from .niqe import NiqeModel, niqe_score
 
@@ -49,28 +48,48 @@ class SolutionBank:
     weights: dict[str, float] | None = None
 
 
-def score_candidate(pair: ImagePair, fused: ImageGray, niqe_model: NiqeModel | None) -> QualityScores:
-    """All raw metrics of one fused image against both sources.
+def score_pool(pair: ImagePair, fused: list[ImageGray], niqe_model: NiqeModel | None) -> list[QualityScores]:
+    """All raw metrics of each fused image of one pair against both sources.
 
     Full-reference metrics are computed against a and b separately; VIFF is
     reported as the mean over the two references. NIQE is skipped when no
-    model is supplied.
+    model is supplied. SSIM, VIFF and MI run over the whole pool one metric
+    at a time, so each source's statistics are computed once per call.
     """
-    if fused.shape != pair.a.shape:
-        raise DimensionError(f"fused shape {fused.shape} != pair {pair.a.shape}")
-    return QualityScores(
-        en=entropy(fused),
-        ag=avg_gradient(fused),
-        brenner=brenner(fused),
-        ssim_a=ssim(pair.a, fused),
-        ssim_b=ssim(pair.b, fused),
-        psnr_a=psnr(pair.a, fused),
-        psnr_b=psnr(pair.b, fused),
-        mi_a=mutual_information(pair.a, fused),
-        mi_b=mutual_information(pair.b, fused),
-        viff=(viff(pair.a, fused) + viff(pair.b, fused)) / 2.0,
-        niqe=niqe_score(fused, niqe_model) if niqe_model is not None else None,
-    )
+    for img in fused:
+        if img.shape != pair.a.shape:
+            raise DimensionError(f"fused shape {img.shape} != pair {pair.a.shape}")
+    sources = [pair.a, pair.b]
+    ssims = ssim_pool(sources, fused)
+    vifs = viff_pool(sources, fused)
+    mis, ens = mutual_information_pool(sources, fused)
+    return [
+        QualityScores(
+            en=float(ens[i]),
+            ag=avg_gradient(img),
+            brenner=brenner(img),
+            ssim_a=float(ssims[i, 0]),
+            ssim_b=float(ssims[i, 1]),
+            psnr_a=psnr(pair.a, img),
+            psnr_b=psnr(pair.b, img),
+            mi_a=float(mis[i, 0]),
+            mi_b=float(mis[i, 1]),
+            viff=float((vifs[i, 0] + vifs[i, 1]) / 2.0),
+            niqe=niqe_score(img, niqe_model) if niqe_model is not None else None,
+        )
+        for i, img in enumerate(fused)
+    ]
+
+
+def score_candidate(pair: ImagePair, fused: ImageGray, niqe_model: NiqeModel | None) -> QualityScores:
+    """All raw metrics of one fused image against both sources (a pool of one)."""
+    return score_pool(pair, [fused], niqe_model)[0]
+
+
+def _score_unscored(pair: ImagePair, candidates: list[FusionCandidate], niqe_model: NiqeModel | None):
+    todo = [c for c in candidates if c.scores is None]
+    for cand, scores in zip(todo, score_pool(pair, [c.fused for c in todo], niqe_model)):
+        cand.scores = scores
 
 
 def evaluate_candidates(
@@ -79,12 +98,13 @@ def evaluate_candidates(
     niqe_model: NiqeModel | None,
     weights: dict[str, float] | None = None,
 ) -> list[FusionCandidate]:
-    """Populate every candidate's scores and pool-relative combined value."""
+    """Populate every candidate's scores and pool-relative combined value.
+
+    The candidates without scores are scored together as one pool.
+    """
     if not candidates:
         raise EmptyInputError("no candidates to evaluate")
-    for cand in candidates:
-        if cand.scores is None:
-            cand.scores = score_candidate(pair, cand.fused, niqe_model)
+    _score_unscored(pair, candidates, niqe_model)
     combined = combined_score([c.scores for c in candidates], weights)
     for cand, value in zip(candidates, combined):
         cand.scores.combined = value
@@ -126,10 +146,7 @@ def update_bank(
         return bank
     if float(np.max(np.abs(incumbent.fused.data - new_candidate.fused.data))) <= SAME_IMAGE_TOL:
         return bank
-    if incumbent.scores is None:
-        incumbent.scores = score_candidate(pair, incumbent.fused, niqe_model)
-    if new_candidate.scores is None:
-        new_candidate.scores = score_candidate(pair, new_candidate.fused, niqe_model)
+    _score_unscored(pair, [incumbent, new_candidate], niqe_model)
     inc_combined, new_combined = combined_score(
         [incumbent.scores, new_candidate.scores], bank.weights
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, NotEvaluatedError
+from .errors import DimensionError, EmptyInputError, NotEvaluatedError, RangeError
 from .image import ImageGray, gaussian_taps, quantize8, separable_filter, separable_filter_adjoint
 
 PSNR_CAP_DB = 100.0
@@ -60,9 +60,13 @@ def _hist_entropy(levels: np.ndarray, nbins: int) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def _levels(img: ImageGray) -> np.ndarray:
+    return quantize8(img.data).astype(np.int64)
+
+
 def entropy(img: ImageGray) -> float:
     """Shannon entropy in bits over the 256-bin gray-level histogram."""
-    return _hist_entropy(quantize8(img.data).astype(np.int64), 256)
+    return _hist_entropy(_levels(img), 256)
 
 
 def avg_gradient(img: ImageGray) -> float:
@@ -89,25 +93,34 @@ def brenner(img: ImageGray) -> float:
     return float((d * d).sum() / (h * w))
 
 
-def _moments(a: np.ndarray, b: np.ndarray, taps: np.ndarray):
-    """Local means, variances and covariance (mu1, mu2, s1, s2, s12) of a and b."""
-    mu1 = separable_filter(a, taps)
-    mu2 = separable_filter(b, taps)
-    s1 = separable_filter(a * a, taps) - mu1 * mu1
-    s2 = separable_filter(b * b, taps) - mu2 * mu2
-    s12 = separable_filter(a * b, taps) - mu1 * mu2
-    return mu1, mu2, s1, s2, s12
+def _pool_shape(sources: list[ImageGray], fused: list[ImageGray]) -> tuple[int, int]:
+    for img in [*sources, *fused]:
+        _require_same_dims(sources[0], img)
+    return sources[0].shape
 
 
-def _ssim(x: np.ndarray, y: np.ndarray, grad: bool = False):
+def _local_moments(a: np.ndarray, taps: np.ndarray):
+    """Local mean and variance (mu, E[a*a] - mu*mu) of a."""
+    mu = separable_filter(a, taps)
+    return mu, separable_filter(a * a, taps) - mu * mu
+
+
+def _ssim(x: np.ndarray, y: np.ndarray, grad: bool = False, mx=None, my=None):
     """Mean SSIM over the last two axes of (..., h, w) arrays; leading axes
-    are independent images. With ``grad`` also returns d(mean SSIM)/dx."""
+    are independent images. With ``grad`` also returns d(mean SSIM)/dx.
+
+    ``mx`` and ``my`` are the ``_local_moments`` of x and y when the caller
+    already has them; only the cross moment is always filtered here.
+    """
     h, w = x.shape[-2:]
     if min(h, w) < _SSIM_TAPS.size:
         raise DimensionError(f"ssim needs dims >= {_SSIM_TAPS.size}, got {h}x{w}")
-    mu1, mu2, s1, s2, s12 = _moments(x, y, _SSIM_TAPS)
+    mu1, s1 = _local_moments(x, _SSIM_TAPS) if mx is None else mx
+    mu2, s2 = _local_moments(y, _SSIM_TAPS) if my is None else my
+    s12 = separable_filter(x * y, _SSIM_TAPS) - mu1 * mu2
     a1 = 2.0 * mu1 * mu2 + _SSIM_C1
     a2 = 2.0 * s12 + _SSIM_C2
+    del s12
     b1 = mu1 * mu1 + mu2 * mu2 + _SSIM_C1
     b2 = s1 + s2 + _SSIM_C2
     smap = (a1 * a2) / (b1 * b2)
@@ -126,10 +139,27 @@ def _ssim(x: np.ndarray, y: np.ndarray, grad: bool = False):
     return value, dx
 
 
+def ssim_pool(sources: list[ImageGray], fused: list[ImageGray]) -> np.ndarray:
+    """SSIM of every fused image against every source, shaped
+    (len(fused), len(sources)); entry [i, j] equals ``ssim(sources[j], fused[i])``.
+
+    Each image's local moments are filtered once for the whole pool.
+    """
+    _pool_shape(sources, fused)
+    out = np.empty((len(fused), len(sources)))
+    if not fused:
+        return out
+    src = [(s.data, _local_moments(s.data, _SSIM_TAPS)) for s in sources]
+    for i, img in enumerate(fused):
+        mf = _local_moments(img.data, _SSIM_TAPS)
+        for j, (x, mx) in enumerate(src):
+            out[i, j] = _ssim(x, img.data, mx=mx, my=mf)
+    return out
+
+
 def ssim(x: ImageGray, y: ImageGray) -> float:
     """Mean structural similarity, 11x11 Gaussian window sigma=1.5 on [0, 1]."""
-    _require_same_dims(x, y)
-    return float(_ssim(x.data, y.data))
+    return float(ssim_pool([x], [y])[0, 0])
 
 
 def psnr(x: ImageGray, y: ImageGray) -> float:
@@ -142,15 +172,119 @@ def psnr(x: ImageGray, y: ImageGray) -> float:
     return min(10.0 * math.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
+def mutual_information_pool(sources: list[ImageGray], fused: list[ImageGray]):
+    """MI of every fused image with every source, shaped (len(fused),
+    len(sources)), and the entropy of every fused image.
+
+    Entry [i, j] equals ``mutual_information(sources[j], fused[i])``; each
+    image's levels and marginal entropy are computed once for the pool.
+    """
+    _pool_shape(sources, fused)
+    mi = np.empty((len(fused), len(sources)))
+    en = np.empty(len(fused))
+    if not fused:
+        return mi, en
+    src = []
+    for s in sources:
+        q = _levels(s)
+        src.append((q * 256, _hist_entropy(q, 256)))
+    for i, img in enumerate(fused):
+        q = _levels(img)
+        en[i] = hf = _hist_entropy(q, 256)
+        for j, (q256, hs) in enumerate(src):
+            mi[i, j] = max(hs + hf - _hist_entropy(q256 + q, 65536), 0.0)
+    return mi, en
+
+
 def mutual_information(x: ImageGray, y: ImageGray) -> float:
     """MI in bits: H(x) + H(y) - H(x, y) over the 256x256 joint histogram."""
-    _require_same_dims(x, y)
-    qx = quantize8(x.data).astype(np.int64)
-    qy = quantize8(y.data).astype(np.int64)
-    hx = _hist_entropy(qx, 256)
-    hy = _hist_entropy(qy, 256)
-    hxy = _hist_entropy(qx * 256 + qy, 65536)
-    return max(hx + hy - hxy, 0.0)
+    return float(mutual_information_pool([x], [y])[0][0, 0])
+
+
+def _vif_information(s12: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> float:
+    """Information in the fused channel at one scale, summed over pixels.
+
+    ``s1`` and ``s2`` are the clipped local variances of the reference and
+    the fused image, ``s1`` zeroed where the reference is flat, and ``s12``
+    their local covariance. The scalar-GSM model gives the per-pixel gain g
+    and residual variance sv. The arithmetic runs in place and overwrites
+    ``s12``, since a pool holds several images' statistics at once.
+    """
+    g = s1 + _VIF_EPS
+    np.divide(s12, g, out=g)
+    sv = s12
+    sv *= g
+    np.subtract(s2, sv, out=sv)
+    flat = s1 < _VIF_EPS
+    g[flat] = 0.0
+    sv[flat] = s2[flat]
+    g[s2 < _VIF_EPS] = 0.0
+    sv[s2 < _VIF_EPS] = 0.0
+    sv[g < 0.0] = s2[g < 0.0]
+    g[g < 0.0] = 0.0
+    np.maximum(sv, _VIF_EPS, out=sv)
+    # log10(1 + g*g*s1 / (sv + noise))
+    g *= g
+    g *= s1
+    sv += _VIF_NOISE_VAR
+    g /= sv
+    g += 1.0
+    return float(np.log10(g, out=g).sum())
+
+
+def _vif_reference(r: np.ndarray):
+    """Local mean, variance (zeroed where flat) and information of a reference."""
+    mu, s = _local_moments(r, _VIF_TAPS)
+    s = np.clip(s, 0.0, None)
+    s[s < _VIF_EPS] = 0.0
+    return mu, s, float(np.log10(1.0 + s / _VIF_NOISE_VAR).sum())
+
+
+def _vif_fused(d: np.ndarray, stats, unit: float):
+    """One fused image at one scale against every reference's (image, mean,
+    variance) in ``stats``: the information terms and the next scale's image."""
+    d = d * unit
+    mu2, s2 = _local_moments(d, _VIF_TAPS)
+    s2 = np.clip(s2, 0.0, None)
+    terms = [
+        _vif_information(separable_filter(r * unit * d, _VIF_TAPS) - mu1 * mu2, s1, s2)
+        for r, mu1, s1 in stats
+    ]
+    # the next scale is this scale's local mean, decimated by 2
+    return terms, mu2[::2, ::2].copy()
+
+
+def viff_pool(refs: list[ImageGray], fused: list[ImageGray]) -> np.ndarray:
+    """VIFF of every fused image given every reference, shaped (len(fused),
+    len(refs)); entry [i, j] equals ``viff(refs[j], fused[i])``.
+
+    Scale by scale, each reference's statistics and information are computed
+    once for the pool, and each fused image's once for all references.
+    """
+    shape = _pool_shape(refs, fused)
+    if min(shape) < 32:
+        raise DimensionError(f"viff needs dims >= 32 for 4 scales, got {shape}")
+    num = np.zeros((len(fused), len(refs)))
+    if not fused:
+        return num
+    den = np.zeros(len(refs))
+    rs = [ref.data for ref in refs]
+    ds = [img.data for img in fused]
+    for level in range(_VIF_SCALES):
+        # scale 0 works on 255-scaled intensities; a scaled reference is made
+        # again where it is read, not held for the whole pool
+        unit = 255.0 if level == 0 else 1.0
+        stats = []
+        for j, r in enumerate(rs):
+            mu1, s1, info = _vif_reference(r * unit)
+            den[j] += info
+            stats.append((r, mu1, s1))
+        for i, d in enumerate(ds):
+            terms, ds[i] = _vif_fused(d, stats, unit)
+            num[i] += terms
+        rs = [mu1[::2, ::2] for _, mu1, _ in stats]
+    # a constant reference carries no information; fidelity is trivially full
+    return np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
 
 
 def viff(ref: ImageGray, fused: ImageGray) -> float:
@@ -161,37 +295,7 @@ def viff(ref: ImageGray, fused: ImageGray) -> float:
     variance; the score is the ratio of information in the fused channel to
     information in the reference channel summed over all scales.
     """
-    _require_same_dims(ref, fused)
-    if min(ref.shape) < 32:
-        raise DimensionError(f"viff needs dims >= 32 for 4 scales, got {ref.shape}")
-    r = ref.data * 255.0
-    d = fused.data * 255.0
-    num = 0.0
-    den = 0.0
-    for _ in range(_VIF_SCALES):
-        mu1, mu2, s1, s2, s12 = _moments(r, d, _VIF_TAPS)
-        s1 = np.clip(s1, 0.0, None)
-        s2 = np.clip(s2, 0.0, None)
-
-        g = s12 / (s1 + _VIF_EPS)
-        sv = s2 - g * s12
-        g[s1 < _VIF_EPS] = 0.0
-        sv[s1 < _VIF_EPS] = s2[s1 < _VIF_EPS]
-        s1 = np.where(s1 < _VIF_EPS, 0.0, s1)
-        g[s2 < _VIF_EPS] = 0.0
-        sv[s2 < _VIF_EPS] = 0.0
-        sv[g < 0.0] = s2[g < 0.0]
-        g[g < 0.0] = 0.0
-        sv = np.maximum(sv, _VIF_EPS)
-
-        num += float(np.log10(1.0 + g * g * s1 / (sv + _VIF_NOISE_VAR)).sum())
-        den += float(np.log10(1.0 + s1 / _VIF_NOISE_VAR).sum())
-        # the next scale is this scale's local mean, decimated by 2
-        r, d = mu1[::2, ::2], mu2[::2, ::2]
-    if den == 0.0:
-        # constant reference carries no information; fidelity is trivially full
-        return 1.0
-    return num / den
+    return float(viff_pool([ref], [fused])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +324,11 @@ def _metric_columns(candidates: list[QualityScores]) -> dict[str, np.ndarray]:
     out = {}
     for key, values in cols.items():
         col = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(col)):
-            raise ValueError(f"non-finite values in metric column {key!r}")
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise RangeError(
+                f"non-finite value {col[bad[0]]} in metric column {key!r} of candidate {bad[0]}"
+            )
         out[key] = col
     return out
 

@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import DimensionError, FormatError, IoError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
-from .arch import ArchSpec, _path_backward, _path_forward, builtin_spec, count_groups
+from .arch import ArchSpec, _path_backward, _path_forward, builtin_spec, count_groups, count_state
 
 
 @dataclass
@@ -201,6 +201,13 @@ def load_weights(path, spec: ArchSpec | None = None) -> NetParams:
             spec = builtin_spec(name, in_channels=in_channels, groups=groups)
         except SpecError as exc:
             raise FormatError(f"header describes no valid built-in: {exc}") from exc
+    # every state value is a 4-byte float: a header whose network cannot fit
+    # in the rest of the file fails before that network is allocated
+    need = 4 * sum(count_state(spec))
+    if need > len(blob) - pos:
+        raise TruncationError(
+            f"spec {spec.name!r} needs {need} payload bytes, the file has {len(blob) - pos} after its header"
+        )
     params = build_network(spec, seed=0)
     targets = state_arrays(params)
     (n_arrays,) = unpack("<I")

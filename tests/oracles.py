@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from evofuse.image import gaussian_taps
+from evofuse import metrics
+from evofuse.image import gaussian_taps, quantize8, separable_filter
 from evofuse.net import layers
 from evofuse.net.arch import (
     BatchNorm,
@@ -22,6 +23,7 @@ from evofuse.net.arch import (
     UpsampleNearest2,
     _fold_bn,
 )
+from evofuse.niqe import niqe_score
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -198,3 +200,80 @@ def finite_diff_grad(fn, arr, h=1e-3):
 def relative_err(a, b, floor=1e-6):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.max(np.abs(a - b) / denom)
+
+
+# ---------------------------------------------------------------------------
+# Candidate scoring one metric call at a time: every local statistic of
+# SSIM and VIFF and every histogram of MI is computed anew for each
+# (source, candidate) pair, with the same float operations in the same
+# order as the pooled kernels in evofuse.metrics, so their results must be
+# equal, not merely close.
+# ---------------------------------------------------------------------------
+
+
+def _moments_unshared(a, b, taps):
+    mu1 = separable_filter(a, taps)
+    mu2 = separable_filter(b, taps)
+    s1 = separable_filter(a * a, taps) - mu1 * mu1
+    s2 = separable_filter(b * b, taps) - mu2 * mu2
+    s12 = separable_filter(a * b, taps) - mu1 * mu2
+    return mu1, mu2, s1, s2, s12
+
+
+def ssim_unshared(x, y) -> float:
+    mu1, mu2, s1, s2, s12 = _moments_unshared(x.data, y.data, metrics._SSIM_TAPS)
+    a1 = 2.0 * mu1 * mu2 + metrics._SSIM_C1
+    a2 = 2.0 * s12 + metrics._SSIM_C2
+    b1 = mu1 * mu1 + mu2 * mu2 + metrics._SSIM_C1
+    b2 = s1 + s2 + metrics._SSIM_C2
+    return float(((a1 * a2) / (b1 * b2)).mean(axis=(-2, -1)))
+
+
+def mutual_information_unshared(x, y) -> float:
+    qx = quantize8(x.data).astype(np.int64)
+    qy = quantize8(y.data).astype(np.int64)
+    ent = metrics._hist_entropy
+    return max(ent(qx, 256) + ent(qy, 256) - ent(qx * 256 + qy, 65536), 0.0)
+
+
+def viff_unshared(ref, fused) -> float:
+    eps, noise = metrics._VIF_EPS, metrics._VIF_NOISE_VAR
+    r = ref.data * 255.0
+    d = fused.data * 255.0
+    num = 0.0
+    den = 0.0
+    for _ in range(metrics._VIF_SCALES):
+        mu1, mu2, s1, s2, s12 = _moments_unshared(r, d, metrics._VIF_TAPS)
+        s1 = np.clip(s1, 0.0, None)
+        s2 = np.clip(s2, 0.0, None)
+        g = s12 / (s1 + eps)
+        sv = s2 - g * s12
+        g[s1 < eps] = 0.0
+        sv[s1 < eps] = s2[s1 < eps]
+        s1 = np.where(s1 < eps, 0.0, s1)
+        g[s2 < eps] = 0.0
+        sv[s2 < eps] = 0.0
+        sv[g < 0.0] = s2[g < 0.0]
+        g[g < 0.0] = 0.0
+        sv = np.maximum(sv, eps)
+        num += float(np.log10(1.0 + g * g * s1 / (sv + noise)).sum())
+        den += float(np.log10(1.0 + s1 / noise).sum())
+        r, d = mu1[::2, ::2], mu2[::2, ::2]
+    return 1.0 if den == 0.0 else num / den
+
+
+def score_candidate_oracle(pair, fused, niqe_model):
+    """Raw scores of one fused image, every metric called on its own."""
+    return metrics.QualityScores(
+        en=metrics.entropy(fused),
+        ag=metrics.avg_gradient(fused),
+        brenner=metrics.brenner(fused),
+        ssim_a=ssim_unshared(pair.a, fused),
+        ssim_b=ssim_unshared(pair.b, fused),
+        psnr_a=metrics.psnr(pair.a, fused),
+        psnr_b=metrics.psnr(pair.b, fused),
+        mi_a=mutual_information_unshared(pair.a, fused),
+        mi_b=mutual_information_unshared(pair.b, fused),
+        viff=(viff_unshared(pair.a, fused) + viff_unshared(pair.b, fused)) / 2.0,
+        niqe=niqe_score(fused, niqe_model) if niqe_model is not None else None,
+    )

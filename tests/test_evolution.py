@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from evofuse import metrics, niqe
 from evofuse.errors import DimensionError, EmptyInputError, NotEvaluatedError, ParseError
 from evofuse.evolution import (
     SolutionBank,
@@ -17,8 +18,10 @@ from evofuse.evolution import (
 from evofuse.fusion import FusionCandidate, run_bank
 from evofuse.image import ImageGray, ImagePair, filter2_same
 from evofuse.metrics import combined_score
+from evofuse.synth import toy_pairs
 
 from conftest import random_pair
+from oracles import score_candidate_oracle
 
 
 def scored_pool(pair, niqe_model, algos=None):
@@ -53,6 +56,88 @@ class TestEvaluate:
         cands = evaluate_candidates(pair, run_bank(pair, ["avg", "lp"]), None)
         assert all(c.scores.niqe is None for c in cands)
         assert all(np.isfinite(c.scores.combined) for c in cands)
+
+
+def raw_scores(scores):
+    return {k: v for k, v in dataclasses.asdict(scores).items() if k != "combined"}
+
+
+def assert_scores_equal_oracle(pair, candidates, niqe_model):
+    for cand in candidates:
+        want = raw_scores(score_candidate_oracle(pair, cand.fused, niqe_model))
+        assert raw_scores(cand.scores) == want, cand.algo_id
+
+
+class TestPoolScoring:
+    """Pool scoring shares each source's statistics across the candidates;
+    its raw scores must equal per-candidate scoring exactly."""
+
+    def test_toy_pools_equal_oracle(self, niqe_model):
+        for pair in toy_pairs(n=2, size=96, seed=3):
+            assert_scores_equal_oracle(pair, scored_pool(pair, niqe_model), niqe_model)
+
+    def test_odd_sized_pair_equals_oracle(self, rng, niqe_model):
+        # odd sides exercise the VIFF decimation at every scale
+        pair = random_pair(rng, 97, 131)
+        assert_scores_equal_oracle(pair, scored_pool(pair, niqe_model, ["avg", "lp", "expw"]), niqe_model)
+
+    def test_flat_sources_equal_oracle(self, rng, niqe_model):
+        # a constant source carries no VIFF information, so its half of the
+        # VIFF score is 1; a half-flat one mixes flat and textured windows
+        noise = rng.random((96, 100))
+        half = noise.copy()
+        half[:, :50] = 0.4
+        for a in (np.full(noise.shape, 0.4), half):
+            pair = ImagePair(ImageGray(a), ImageGray(noise[::-1]), "flat")
+            cands = run_bank(pair, ["avg", "absmax", "gradsel"]) + [FusionCandidate("copy-a", pair.a)]
+            evaluate_candidates(pair, cands, niqe_model)
+            assert_scores_equal_oracle(pair, cands, niqe_model)
+            if a is not half:
+                assert all(metrics.viff(pair.a, c.fused) == 1.0 for c in cands)
+
+    def test_candidate_equal_to_source_equals_oracle(self, rng, niqe_model):
+        pair = random_pair(rng, 96, 96)
+        cands = [FusionCandidate("copy-a", pair.a), FusionCandidate("copy-b", pair.b)]
+        cands += run_bank(pair, ["avg"])
+        evaluate_candidates(pair, cands, niqe_model)
+        assert_scores_equal_oracle(pair, cands, niqe_model)
+        assert cands[0].scores.mi_a == cands[0].scores.en
+
+    def test_only_unscored_candidates_are_scored(self, rng, niqe_model):
+        pair = random_pair(rng, 96, 96)
+        cands = run_bank(pair, ["avg", "lp"])
+        evaluate_candidates(pair, cands[:1], niqe_model)
+        first = cands[0].scores
+        evaluate_candidates(pair, cands, niqe_model)
+        assert cands[0].scores is first
+        assert_scores_equal_oracle(pair, cands, niqe_model)
+
+    def test_contest_with_unscored_incumbent_equals_oracle(self, tmp_path, rng, niqe_model):
+        pair = random_pair(rng, 96, 96)
+        save_bank(init_bank([pair], niqe_model), tmp_path / "bank")
+        bank = load_bank(tmp_path / "bank")
+        incumbent = bank.entries[pair.pair_id]
+        assert incumbent.scores is None
+        challenger = FusionCandidate("sharp", unsharp(incumbent.fused))
+        update_bank(bank, pair.pair_id, challenger, pair, niqe_model)
+        assert_scores_equal_oracle(pair, [incumbent, challenger], niqe_model)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_filter_passes_per_pool(self, monkeypatch, niqe_model, n):
+        # scored one at a time, each candidate costs 54 image passes; shared
+        # source statistics leave 20 per pool plus 24 per candidate
+        passes = []
+
+        def counting(a, taps):
+            passes.append(int(np.prod(a.shape[:-2])))
+            return filter_(a, taps)
+
+        filter_ = metrics.separable_filter
+        monkeypatch.setattr(metrics, "separable_filter", counting)
+        monkeypatch.setattr(niqe, "separable_filter", counting)
+        pair = toy_pairs(n=1, size=96, seed=4)[0]
+        scored_pool(pair, niqe_model, ["avg", "absmax", "gradsel", "lp", "expw"][:n])
+        assert sum(passes) <= 20 + 24 * n
 
 
 class TestSelect:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuse.errors import DimensionError, EmptyInputError
+from evofuse.errors import DimensionError, EmptyInputError, EvoFuseError, RangeError
 from evofuse.image import ImageGray
 from evofuse.metrics import (
     QualityScores,
@@ -25,8 +25,11 @@ from oracles import (
     brenner_oracle,
     entropy_oracle,
     mutual_information_oracle,
+    mutual_information_unshared,
     psnr_oracle,
     ssim_oracle,
+    ssim_unshared,
+    viff_unshared,
 )
 
 # frozen once from this suite's own evaluation (seed 123, sigma 0.01 noise)
@@ -227,6 +230,15 @@ class TestCombinedScore:
         with pytest.raises(EmptyInputError):
             combined_score([])
 
+    @pytest.mark.parametrize(
+        "field,column", [("ssim_b", "ssim"), ("viff", "viff"), ("niqe", "niqe_inv"), ("en", "en")]
+    )
+    def test_non_finite_score_is_range_error(self, field, column):
+        pool = [make_scores(), make_scores(en=6.0), make_scores(**{field: float("nan")})]
+        with pytest.raises(RangeError, match=f"column '{column}' of candidate 2") as info:
+            combined_score(pool)
+        assert isinstance(info.value, EvoFuseError)
+
     def test_weights_override(self):
         a = make_scores(en=4.0)
         b = make_scores(en=6.0)
@@ -273,6 +285,17 @@ class TestCombinedScore:
     def test_determinism(self, rng):
         pool = [make_scores(en=rng.uniform(0, 8)) for _ in range(3)]
         assert combined_score(pool) == combined_score(pool)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (45, 77)])
+def test_scalar_metrics_equal_unshared_oracles(rng, shape):
+    # the public scalars are pools of one; each must reproduce the metric's
+    # stand-alone arithmetic exactly
+    x, y = random_image(rng, *shape), random_image(rng, *shape)
+    y = ImageGray(np.clip(x.data + 0.2 * (y.data - 0.5), 0.0, 1.0))
+    assert ssim(x, y) == ssim_unshared(x, y)
+    assert viff(x, y) == viff_unshared(x, y)
+    assert mutual_information(x, y) == mutual_information_unshared(x, y)
 
 
 def test_all_metrics_bit_deterministic(rng):

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,23 @@ class TestWeightFiles:
         path.write_bytes(bytes(blob))
         with pytest.raises((FormatError, TruncationError), match=match):
             load_weights(path)
+
+    def test_forged_network_size_fails_before_allocating(self, tmp_path):
+        # in_channels 65535 describes a 64x65535x3x3 alpha weight (about 720 MiB
+        # in float64) that a seed-0 gcb file cannot hold
+        path = tmp_path / "w.aenw"
+        save_weights(build_network("gcb", seed=0), path)
+        blob = bytearray(path.read_bytes())
+        blob[13:15] = struct.pack("<H", 65535)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncationError, match="payload bytes"):
+                load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_in_channels_preserved(self, tmp_path):
         params = build_network(builtin_spec("gcb", in_channels=6), seed=1)
