@@ -14,6 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as _gamma_fn
 
 from .errors import (
@@ -23,13 +24,15 @@ from .errors import (
     IoError,
     TruncationError,
 )
-from .image import ImageGray, gaussian_taps, separable_filter, tile_grid
+from .image import ImageGray, gaussian_taps, separable_filter
 
 FEATURE_DIM = 36
 DEFAULT_PATCH = 96
 
 _MSCN_TAPS = gaussian_taps(7, 7.0 / 6.0)
 _MSCN_STABILIZER = 1.0 / 255.0
+# [0, 1] pixels: flat windows leave |a - mu| of 1 ulp of 1.0, 8-bit steps >= 6e-7
+_FLAT_EPS = 1e-12
 
 # shape-parameter grid for the moment-matching AGGD fit
 _ALPHA_GRID = np.arange(0.2, 10.0 + 1e-9, 0.001)
@@ -48,6 +51,8 @@ class NiqeModel:
     feature_dim: int = FEATURE_DIM
 
     def __post_init__(self):
+        if self.patch_size < 2:
+            raise DimensionError(f"patch_size must be >= 2, got {self.patch_size}")
         self.mu_ref = np.asarray(self.mu_ref, dtype=np.float64)
         self.cov_ref = np.asarray(self.cov_ref, dtype=np.float64)
         d = self.feature_dim
@@ -59,47 +64,59 @@ class NiqeModel:
             raise FormatError("covariance is not symmetric")
 
 
-def _aggd_fit(vec: np.ndarray) -> tuple[float, float, float]:
-    """Asymmetric generalized Gaussian (alpha, beta_left, beta_right) by moments."""
-    vec = vec.ravel()
-    sq = vec * vec
-    left = sq[vec < 0]
-    right = sq[vec > 0]
-    lstd = float(np.sqrt(left.mean())) if left.size else 0.0
-    rstd = float(np.sqrt(right.mean())) if right.size else 0.0
-    if lstd == 0.0 and rstd == 0.0:
-        return float(_ALPHA_GRID[0]), 0.0, 0.0
-    gam_hat = lstd / max(rstd, 1e-12)
-    mean_sq = float(sq.mean())
-    r_hat = float(np.abs(vec).mean()) ** 2 / mean_sq
-    r_hat_norm = r_hat * ((gam_hat**3 + 1.0) * (gam_hat + 1.0)) / ((gam_hat**2 + 1.0) ** 2)
-    alpha = float(_ALPHA_GRID[np.argmin((_R_GAM - r_hat_norm) ** 2)])
+def _alpha(r: np.ndarray) -> np.ndarray:
+    """Grid alpha whose _R_GAM value lies nearest r, the lower one on a tie:
+    _R_GAM increases strictly, so this is argmin((_R_GAM - r) ** 2)."""
+    hi = np.clip(np.searchsorted(_R_GAM, r), 1, _R_GAM.size - 1)
+    return _ALPHA_GRID[np.where((_R_GAM[hi - 1] - r) ** 2 <= (_R_GAM[hi] - r) ** 2, hi - 1, hi)]
+
+
+def _aggd_fit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Asymmetric generalized Gaussian (alpha, beta_left, beta_right) of each
+    row of ``v`` by moments; an all-zero row gives (0.2, 0, 0)."""
+    part = np.maximum(v, 0.0)
+    n_r, s_r = np.count_nonzero(part, axis=1), part.sum(axis=1)
+    q_r = np.einsum("ij,ij->i", part, part)
+    np.minimum(v, 0.0, out=part)
+    n_l, s_l = np.count_nonzero(part, axis=1), part.sum(axis=1)
+    q_l = np.einsum("ij,ij->i", part, part)
+    lstd, rstd = np.sqrt(q_l / np.maximum(n_l, 1)), np.sqrt(q_r / np.maximum(n_r, 1))
+    gam_hat = lstd / np.maximum(rstd, 1e-12)
+    n = max(v.shape[1], 1)
+    mean_sq = (q_l + q_r) / n
+    r_hat = ((s_r - s_l) / n) ** 2 / np.where(mean_sq > 0.0, mean_sq, 1.0)
+    alpha = _alpha(r_hat * ((gam_hat**3 + 1.0) * (gam_hat + 1.0)) / ((gam_hat**2 + 1.0) ** 2))
     ratio = np.sqrt(_gamma_fn(1.0 / alpha) / _gamma_fn(3.0 / alpha))
     return alpha, lstd * ratio, rstd * ratio
 
 
-def _field_features(field: np.ndarray) -> np.ndarray:
-    """18 AGGD features: MSCN fit plus H/V/D1/D2 paired-product fits."""
-    alpha, bl, br = _aggd_fit(field)
+def _field_features(m: np.ndarray, s: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(P, 18) AGGD features of the s x s tiles of m at corners ys x xs: MSCN
+    fit plus H/V/D1/D2 paired-product fits, each fit over all P tiles."""
+    t = sliding_window_view(m, (s, s))[np.ix_(ys, xs)].reshape(-1, s, s)
+    alpha, bl, br = _aggd_fit(t.reshape(len(t), -1))
     feats = [alpha, (bl + br) / 2.0]
-    products = (
-        field[:, :-1] * field[:, 1:],      # horizontal
-        field[:-1, :] * field[1:, :],      # vertical
-        field[:-1, :-1] * field[1:, 1:],   # main diagonal
-        field[:-1, 1:] * field[1:, :-1],   # anti diagonal
+    pairs = (
+        (t[:, :, :-1], t[:, :, 1:]),      # horizontal
+        (t[:, :-1, :], t[:, 1:, :]),      # vertical
+        (t[:, :-1, :-1], t[:, 1:, 1:]),   # main diagonal
+        (t[:, :-1, 1:], t[:, 1:, :-1]),   # anti diagonal
     )
-    for prod in products:
-        alpha, bl, br = _aggd_fit(prod)
+    for u, w in pairs:
+        alpha, bl, br = _aggd_fit((u * w).reshape(len(t), -1))
         eta = (br - bl) * (_gamma_fn(2.0 / alpha) / _gamma_fn(1.0 / alpha))
         feats.extend([alpha, eta, bl, br])
-    return np.asarray(feats, dtype=np.float64)
+    return np.stack(feats, axis=1)
 
 
 def _mscn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-subtracted contrast-normalized field and the local deviation map."""
+    """Mean-subtracted contrast-normalized field and the local deviation map;
+    |a - mu| <= _FLAT_EPS is rounding, set to 0, so flat gives 0 at any level."""
     mu = separable_filter(a, _MSCN_TAPS)
     sigma = np.sqrt(np.clip(separable_filter(a * a, _MSCN_TAPS) - mu * mu, 0.0, None))
-    return (a - mu) / (sigma + _MSCN_STABILIZER), sigma
+    d = a - mu
+    d[np.abs(d) <= _FLAT_EPS] = 0.0
+    return d / (sigma + _MSCN_STABILIZER), sigma
 
 
 def _halve(a: np.ndarray) -> np.ndarray:
@@ -110,21 +127,17 @@ def _halve(a: np.ndarray) -> np.ndarray:
 
 
 def _image_features(a: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-patch 36-feature rows at two scales plus per-patch sharpness."""
+    """Per-patch 36-feature rows at two scales plus per-patch sharpness over
+    the aligned tiling; a half-scale tile (side patch // 2) starts at the corner halved."""
     h, w = a.shape
     if h < patch or w < patch:
         raise DimensionError(f"image {h}x{w} smaller than {patch}x{patch} patch")
+    ys, xs = np.arange(0, h - patch + 1, patch), np.arange(0, w - patch + 1, patch)
     m1, sigma = _mscn(a)
-    m2, _ = _mscn(_halve(a))
-    half = patch // 2
-    rows = []
-    sharp = []
-    for y, x in tile_grid(h, w, patch, patch):
-        f1 = _field_features(m1[y : y + patch, x : x + patch])
-        f2 = _field_features(m2[y // 2 : y // 2 + half, x // 2 : x // 2 + half])
-        rows.append(np.concatenate([f1, f2]))
-        sharp.append(float(sigma[y : y + patch, x : x + patch].mean()))
-    return np.asarray(rows), np.asarray(sharp)
+    sharp = np.array([sigma[y : y + patch, x : x + patch].mean() for y in ys for x in xs])
+    f1 = _field_features(m1, patch, ys, xs)
+    f2 = _field_features(_mscn(_halve(a))[0], patch // 2, ys // 2, xs // 2)
+    return np.concatenate([f1, f2], axis=1), sharp
 
 
 def fit_niqe_model(pristine: list[ImageGray], patch_size: int = DEFAULT_PATCH) -> NiqeModel:
@@ -133,6 +146,8 @@ def fit_niqe_model(pristine: list[ImageGray], patch_size: int = DEFAULT_PATCH) -
     Patches are sharpness-filtered corpus-wide: only the top 75% by mean
     local deviation enter the fit.
     """
+    if patch_size < 2:
+        raise DimensionError(f"patch_size must be >= 2, got {patch_size}")
     if len(pristine) < 20:
         raise InsufficientDataError(f"need >= 20 pristine images, got {len(pristine)}")
     feats = []

@@ -8,9 +8,10 @@ oracles for the fast implementations.
 import math
 
 import numpy as np
+from scipy.special import gamma as gamma_fn
 
 from evofuse import metrics
-from evofuse.image import gaussian_taps, quantize8, separable_filter
+from evofuse.image import gaussian_taps, quantize8, separable_filter, tile_grid
 from evofuse.net import layers
 from evofuse.net.arch import (
     BatchNorm,
@@ -23,7 +24,7 @@ from evofuse.net.arch import (
     UpsampleNearest2,
     _fold_bn,
 )
-from evofuse.niqe import niqe_score
+from evofuse.niqe import _ALPHA_GRID, _R_GAM, _halve, _mscn, niqe_score
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
@@ -277,3 +278,56 @@ def score_candidate_oracle(pair, fused, niqe_model):
         viff=(viff_unshared(pair.a, fused) + viff_unshared(pair.b, fused)) / 2.0,
         niqe=niqe_score(fused, niqe_model) if niqe_model is not None else None,
     )
+
+
+def aggd_fit_oracle(vec) -> tuple[float, float, float]:
+    """Asymmetric generalized Gaussian (alpha, beta_left, beta_right) of one
+    field by moments: boolean sign splits and a full-grid argmin for alpha."""
+    vec = vec.ravel()
+    sq = vec * vec
+    left = sq[vec < 0]
+    right = sq[vec > 0]
+    lstd = float(np.sqrt(left.mean())) if left.size else 0.0
+    rstd = float(np.sqrt(right.mean())) if right.size else 0.0
+    if lstd == 0.0 and rstd == 0.0:
+        return float(_ALPHA_GRID[0]), 0.0, 0.0
+    gam_hat = lstd / max(rstd, 1e-12)
+    mean_sq = float(sq.mean())
+    r_hat = float(np.abs(vec).mean()) ** 2 / mean_sq
+    r_hat_norm = r_hat * ((gam_hat**3 + 1.0) * (gam_hat + 1.0)) / ((gam_hat**2 + 1.0) ** 2)
+    alpha = float(_ALPHA_GRID[np.argmin((_R_GAM - r_hat_norm) ** 2)])
+    ratio = np.sqrt(gamma_fn(1.0 / alpha) / gamma_fn(3.0 / alpha))
+    return alpha, lstd * ratio, rstd * ratio
+
+
+def _field_features_oracle(field) -> list[float]:
+    alpha, bl, br = aggd_fit_oracle(field)
+    feats = [alpha, (bl + br) / 2.0]
+    products = (
+        field[:, :-1] * field[:, 1:],      # horizontal
+        field[:-1, :] * field[1:, :],      # vertical
+        field[:-1, :-1] * field[1:, 1:],   # main diagonal
+        field[:-1, 1:] * field[1:, :-1],   # anti diagonal
+    )
+    for prod in products:
+        alpha, bl, br = aggd_fit_oracle(prod)
+        eta = (br - bl) * (gamma_fn(2.0 / alpha) / gamma_fn(1.0 / alpha))
+        feats.extend([alpha, eta, bl, br])
+    return feats
+
+
+def niqe_features_oracle(a, patch: int):
+    """Per-patch 36-feature rows and sharpness, one patch and one field at a
+    time: the aligned tiling at full scale, the half-scale tile at
+    (y // 2, x // 2) of side patch // 2."""
+    m1, sigma = _mscn(a)
+    m2, _ = _mscn(_halve(a))
+    half = patch // 2
+    rows = []
+    sharp = []
+    for y, x in tile_grid(*a.shape, patch, patch):
+        f1 = _field_features_oracle(m1[y : y + patch, x : x + patch])
+        f2 = _field_features_oracle(m2[y // 2 : y // 2 + half, x // 2 : x // 2 + half])
+        rows.append(f1 + f2)
+        sharp.append(float(sigma[y : y + patch, x : x + patch].mean()))
+    return np.asarray(rows), np.asarray(sharp)
