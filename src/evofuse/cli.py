@@ -96,9 +96,6 @@ def cmd_niqe_fit(args) -> int:
 
 
 def cmd_train(args) -> int:
-    pairs = load_pairs(args.data, Task(args.task))
-    if not pairs:
-        raise EvoFuseError(f"no *_a.pgm/*_b.pgm pairs under {args.data}")
     phases = ((args.lr1, args.epochs1), (args.lr2, args.epochs2))
     cfg = TrainConfig(
         phases=phases,
@@ -109,6 +106,9 @@ def cmd_train(args) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
     )
+    pairs = load_pairs(args.data, Task(args.task))
+    if not pairs:
+        raise EvoFuseError(f"no *_a.pgm/*_b.pgm pairs under {args.data}")
     curve = []
     params, bank = evolve(
         _resolve_spec(args.spec),

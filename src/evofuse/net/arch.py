@@ -15,6 +15,7 @@ caps the final output to (0, 1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,15 +244,15 @@ class Branch(Block):
 
     def forward(self, p, x, mode):
         runs = [_path_forward(path, pp, x, mode) for path, pp in zip(self.paths, p)]
-        ys = [y for y, _ in runs]
+        ys = [y for y, _, _ in runs]
         y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
-        return y, ([part.shape[1] for part in ys], [caches for _, caches in runs])
+        return y, ([part.shape[1] for part in ys], [caches for _, _, caches in runs])
 
     def backward(self, p, cache, gy):
         widths, path_caches = cache
         gx, grads, start = None, [], 0
         for path, pp, caches, width in zip(self.paths, p, path_caches, widths):
-            g, path_grads = _path_backward(path, pp, caches, gy[:, start : start + width])
+            g, path_grads, _ = _path_backward(path, pp, caches, gy[:, start : start + width])
             gx = g if gx is None else gx + g
             grads += path_grads
             start += width
@@ -395,32 +396,54 @@ def _fold_bn(blocks, plist, sources):
     return plist, folded
 
 
-def _epilogue(blocks, i, done, sources):
+def _epilogue(blocks, i, done, sources, relu=True):
     """(shuffle, relu) after the conv at i, past folded BNs, that its tap loop
-    runs (added to done); a block whose input a SkipConcat reads stops it."""
-    fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False}
+    runs (added to done); a block whose input a SkipConcat reads stops it,
+    and so does a ReLU unless ``relu``."""
+    fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False if relu else None}
     for j in range(i + 1, len(blocks)):
         if j - 1 in sources or not (j in done or fused.get(blocks[j]) is False):
             break
         if j not in done:
             fused[blocks[j]] = True
             done.update(range(i + 1, j + 1))
-    return tuple(fused.values())
+    return tuple(bool(v) for v in fused.values())
+
+
+_FUSED = "fused"  # the cache of a block that the block before it ran
+
+
+def _skips(blocks) -> dict:
+    return {i: blk.source for i, blk in enumerate(blocks) if isinstance(blk, SkipConcat)}
+
+
+def _conv_grads(p, groups, xf, shuffle, g, flat, want_x):
+    """Backward of a conv run by _conv_padded: (grad_x or None, its buffer, grads)."""
+    gx, gw, gb = layers._conv_backward(xf, p.weight, g, *g.shape[2:], 1, 1, groups, shuffle, want_x)
+    return None if gx is None else layers._interior(gx, *g.shape[2:]), gx, [gw, gb]
+
+
+def _bn_grads(p, cache, g, flat, want_x):
+    """Backward of a BN (and the ReLU it ran) on a buffer, as _conv_grads."""
+    flat = layers._flat(g, 3, 1) if flat is None else flat
+    gx, gscale, gshift = layers.batchnorm_backward(flat, p.scale, cache)
+    return layers._interior(gx, *g.shape[2:]), gx, [gscale, gshift]
 
 
 def _path_forward(blocks, plist, x, mode, keep=True, flat=None):
-    """Returns (out, caches); caches hold whatever backward needs. A block's
-    output is held only while the path runs and only when a later
-    SkipConcat reads it.
+    """Returns (out, flat, caches): flat is out's padded-flat buffer (as
+    ``layers._flat(out, 3, 1)``) or None, as it is for x; caches, kept with
+    ``keep``, hold what backward needs. A block's output is held only while
+    the path runs and only when a later SkipConcat reads it.
 
-    An inference pass (eval without ``keep``) returns (out, flat) instead,
-    ``flat`` being out's padded-flat buffer (as ``layers._flat(out, 3, 1)``)
-    or None, as for x. It runs foldable BNs in their convs (``_fold_bn``, on
-    every call so that parameter updates count). A 3x3 stride-1 conv reads
-    x's buffer and writes a new one, running the shuffle and ReLU after it
-    in its tap loop (``_epilogue``). An upsample writes a new buffer, leaving
-    room for the SkipConcat after it; other blocks read views."""
-    skips = {i: blk.source for i, blk in enumerate(blocks) if isinstance(blk, SkipConcat)}
+    A 3x3 stride-1 conv reads x's buffer and writes a new one, running the
+    shuffle after it in its tap loop (``_epilogue``). Inference passes (eval
+    without ``keep``) fuse the ReLU after it too, fold BNs into convs
+    (``_fold_bn``, on every call so that parameter updates count) and let an
+    upsample leave room for the SkipConcat after it. Keep passes run a BN
+    on a buffer into a new one, with the ReLU after it. Other blocks read
+    views."""
+    skips = _skips(blocks)
     sources = set(skips.values())
     infer, done = mode == "eval" and not keep, set()
     if infer:
@@ -429,10 +452,17 @@ def _path_forward(blocks, plist, x, mode, keep=True, flat=None):
     caches = [] if keep else None
     for i, (blk, p) in enumerate(zip(blocks, plist)):
         if i in done:
-            pass  # the conv before it already ran this block
-        elif infer and isinstance(blk, ConvBlock) and blk.k == 3 and blk.stride == 1:
-            shuffle, relu = _epilogue(blocks, i, done, sources)
+            cache = _FUSED
+        elif isinstance(blk, ConvBlock) and blk.k == 3 and blk.stride == 1:
+            flat = layers._flat(x, 3, 1) if flat is None else flat
+            shuffle, relu = _epilogue(blocks, i, done, sources, relu=infer)
+            cache = functools.partial(_conv_grads, p, blk.groups, flat, shuffle)
             flat, x = layers._conv_padded(x, flat, p.weight, p.bias, blk.groups, shuffle, relu)
+        elif keep and flat is not None and isinstance(blk, BatchNorm):
+            relu = i not in sources and blocks[i + 1 : i + 2] == (ReLU(),)
+            flat, bn = layers.batchnorm_forward(flat, *blk.arrays(p, True), mode, x.shape[2:], relu)
+            x, cache = layers._interior(flat, *x.shape[2:]), functools.partial(_bn_grads, p, bn)
+            done.update(range(i + 1, i + 1 + relu))
         elif i in skips:
             src = outs[blk.source]
             if src.shape[2:] != x.shape[2:]:
@@ -454,32 +484,33 @@ def _path_forward(blocks, plist, x, mode, keep=True, flat=None):
             caches.append(cache)
         if i in sources:
             outs[i] = x
-    return x, caches if keep else flat
+    return x, flat, caches
 
 
-def _path_backward(blocks, plist, caches, grad_y):
+def _path_backward(blocks, plist, caches, grad_y, flat=None, want_x=True):
     """Walk blocks in reverse, routing skip-concat gradients to their sources.
 
-    Returns (grad wrt path input, per-block grads flattened in forward order).
+    Returns (grad wrt path input, per-block grads flattened in forward order,
+    its buffer or None); flat is grad_y's buffer or None, its padding
+    ignored. Without ``want_x``, a first conv on buffers leaves out grad_x.
     """
-    g = grad_y
+    g, skips = grad_y, _skips(blocks)
     routed = {}  # block index -> grad that later skips sent to its output
     grads = []
     for i in range(len(blocks) - 1, -1, -1):
         if i in routed:
-            g = g + routed.pop(i)
-        blk = blocks[i]
-        if isinstance(blk, SkipConcat):
-            split = caches[i]
-            src_grad = g[:, split:]
-            if blk.source in routed:
-                src_grad = routed[blk.source] + src_grad
-            routed[blk.source] = src_grad
-            g = g[:, :split]
-        else:
-            g, block_grads = blk.backward(plist[i], caches[i], g)
+            g, flat = g + routed.pop(i), None
+        cache, s = caches[i], skips.get(i)
+        if s is not None:
+            routed[s] = routed[s] + g[:, cache:] if s in routed else g[:, cache:]
+            g, flat = g[:, :cache], None
+        elif callable(cache):
+            g, flat, block_grads = cache(g, flat, want_x or i > 0)
             grads[:0] = block_grads
-    return g, grads
+        elif cache is not _FUSED:
+            (g, block_grads), flat = blocks[i].backward(plist[i], cache, g), None
+            grads[:0] = block_grads
+    return g, grads, flat
 
 
 # ---------------------------------------------------------------------------

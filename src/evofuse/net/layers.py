@@ -6,13 +6,14 @@ taps on the zero-padded image flattened over rows (the padded-flat
 layout), where each k x k tap is a contiguous offset, one cache-sized
 column block at a time. Thin inputs (few channels per group) stack all
 k * k tap slices of a block and run one matmul; wider ones run one per
-tap. The input gradient is that same forward on the flipped, transposed
-taps; the weight gradient takes one matmul per block. On inference passes
-a 3 x 3 stride-1 conv writes into the next one's padded-flat input, adding
-its bias and running a following shuffle and ReLU per column block
-(``_conv_padded``), with eval-mode batch norm folded in (``arch._fold_bn``).
-Train-mode batch norm takes two passes (mean, then centred variance). Max
-pooling keeps no argmax: its backward finds each window's max again.
+tap. The backward shifts the gradient in one such loop: the input
+gradient is the forward of the flipped, transposed taps, and the weight
+gradient multiplies the same slices by the input. A 3 x 3 stride-1 conv
+can write into the next one's padded-flat input, adding its bias and
+running a following shuffle and ReLU per column block (``_conv_padded``);
+batch norm runs on such buffers too. Train-mode batch norm takes two
+passes (mean, then centred variance). Max pooling keeps no argmax: its
+backward finds each window's max again.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def _tap_blocks(src, k, wp, span, rows, stacked):
     """Column blocks [start, stop) of the flat span with the slices of src
     (n, groups, c, length) that the k * k taps read, at offset u * wp + v
     for tap (u, v). Stacked, the slices are copied into one buffer laid out
-    as _taps lays out the weights. A block's largest operand, the other
-    side's rows or the stack, holds about _BLOCK_ELEMS elements."""
+    as _taps lays out the weights. A block's largest operand, the stack or
+    the rows of the other operands together, holds about _BLOCK_ELEMS
+    elements."""
     n, groups, c, _ = src.shape
     offs = [(t // k) * wp + t % k for t in range(k * k)]
     stack_rows = n * groups * c * k * k if stacked else 0
@@ -116,20 +118,29 @@ def _tap_blocks(src, k, wp, span, rows, stacked):
         yield start, stop, views
 
 
-def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False):
+def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None, grad=None):
     """acc[..., j] = the sum over taps of tap @ src[..., j + offset], j < span,
-    in acc or a new array; per column block, + bias and ReLU when given."""
-    n, groups = src.shape[:2]
-    acc = np.empty((n, groups, taps.shape[2], span)) if acc is None else acc
-    for start, stop, views in _tap_blocks(src, k, wp, span, acc[..., 0].size, len(taps) < k * k):
-        blk = acc[..., start:stop]
-        np.matmul(taps[0], views[0], out=blk)
-        for tap, view in zip(taps[1:], views[1:]):
-            blk += tap @ view
-        if bias is not None:
-            blk += bias
-        if relu:
-            np.maximum(blk, 0.0, out=blk)
+    in acc or a new array (none without taps); per column block, + bias and
+    ReLU when given. With other, grad[t] += the sum over samples of tap t's
+    slice of src @ other[..., j].T, from the same slices."""
+    n, groups, c, _ = src.shape
+    if taps is not None and acc is None:
+        acc = np.empty((n, groups, taps.shape[2], span))
+    rows = sum(a[..., 0].size for a in (acc, other) if a is not None)
+    for start, stop, views in _tap_blocks(src, k, wp, span, rows, k > 1 and c < _STACK_BELOW):
+        if taps is not None:
+            blk = acc[..., start:stop]
+            np.matmul(taps[0], views[0], out=blk)
+            for tap, view in zip(taps[1:], views[1:]):
+                blk += tap @ view
+            if bias is not None:
+                blk += bias
+            if relu:
+                np.maximum(blk, 0.0, out=blk)
+        if other is not None:
+            part = other[..., start:stop].swapaxes(-1, -2)
+            for out, view in zip(grad, views):
+                out += np.matmul(view, part).sum(axis=0)
     return acc
 
 
@@ -151,51 +162,81 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
 
 
 def _conv_padded(x, xf, weight, bias, groups, shuffle, relu):
-    """3 x 3, pad 1, stride 1 conv2d_forward, then optional channel_shuffle(groups)
-    and ReLU: (out's buffer laid out as _flat(out, 3, 1), out); xf is x's such
-    buffer or None. Sums land at offset wp + 1, through the shuffled view with
-    shuffle; each row's two wrap columns land on the padding and are zeroed."""
+    """3 x 3, pad 1, stride 1 conv2d_forward of x, read from its buffer xf
+    (as _flat(x, 3, 1)), then optional channel_shuffle(groups) and ReLU:
+    (out's buffer laid out as xf, out). Sums land at offset wp + 1, through
+    the shuffled view with shuffle; each row's two wrap columns land on the
+    padding and are zeroed."""
     n, cin, h, w, cout, k, _, _ = _conv_shapes(x, weight, 1, 1, groups)
     wp, span = w + 2, h * (w + 2)
     flat, out = _padded(n, cout, h, w)
     acc = flat[..., wp + 1 : wp + 1 + span]
     dest = (acc.reshape(n, -1, groups, span).swapaxes(1, 2) if shuffle
             else acc.reshape(n, groups, -1, span))
-    xf = (_flat(x, k, 1) if xf is None else xf).reshape(n, groups, cin // groups, -1)
+    xf = xf.reshape(n, groups, cin // groups, -1)
     _tap_sum(xf, _taps(weight, groups), k, wp, span, dest, bias.reshape(groups, -1, 1), relu)
     acc.reshape(n, cout, h, wp)[..., w:] = 0.0
     return _finite(flat), out
 
 
-def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
-    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias).
+def _zero_border(flat, h, w):
+    """Zero the padding of a buffer laid out as _flat(x, 3, 1), in place."""
+    wp = w + 2
+    flat[..., : wp + 1] = flat[..., (h + 1) * wp + 1 :] = 0.0
+    flat[..., wp + 1 : (h + 1) * wp + 1].reshape(*flat.shape[:2], h, wp)[..., w:] = 0.0
 
-    grad_out goes on the forward's stride-1 grid at padded width, after
-    (k - 1) * (wp + 1) zeros. grad_input is the forward of the flipped,
-    transposed taps over that buffer; grad_weight multiplies each column
-    block of the grid by the (stacked) input slices the forward read there.
-    """
+
+def _flip(weight, groups):
+    """Per group, the weight transposed over channels and reversed over taps:
+    the conv that carries gradients back to the input; its own inverse."""
+    cout, cin_g, k, _ = weight.shape
+    per_group = weight.reshape(groups, cout // groups, cin_g, k * k).swapaxes(1, 2)
+    return per_group[..., ::-1].reshape(groups * cin_g, cout // groups, k, k)
+
+
+def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
+    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
     n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
     if grad_out.shape != (n, cout, out_h, out_w):
         raise SpecError(f"grad_out shape {grad_out.shape} != {(n, cout, out_h, out_w)}")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    cin_g, cout_g = cin // groups, cout // groups
+    gx, gw, gb = _conv_backward(_flat(x, k, pad), weight, grad_out, h, w, stride, pad, groups)
+    return _interior(gx, h, w, pad), gw, gb
+
+
+def _conv_backward(xf, weight, grad_out, h, w, stride=1, pad=1, groups=1, shuffle=False,
+                   want_x=True):
+    """conv2d_backward from x's buffer xf (as _flat(x, k, pad)): grad_input's
+    buffer in that layout, padding not zeroed (None without want_x),
+    grad_weight, grad_bias; with shuffle, grad_out is the gradient of
+    channel_shuffle(out, groups). grad_out goes on the forward's stride-1
+    grid at padded width after (k - 1) * (wp + 1) zeros, and one tap loop
+    over its shifted slices forms grad_input (the forward of _flip's taps)
+    and grad_weight (the same slices times the unshifted input). Without
+    grad_input, the loop shifts the side with fewer channels per group."""
+    n, cin = xf.shape[:2]
+    cout, cin_g, k, _ = weight.shape
+    cout_g, hp, wp = cout // groups, h + 2 * pad, w + 2 * pad
     span, lead = (hp - k + 1) * wp, (k - 1) * (wp + 1)
-    gf = np.zeros((n, cout, (hp + k - 1) * wp + k - 1))
+    gf = np.zeros((n, groups, cout_g, (hp + k - 1) * wp + k - 1))
     g1 = gf[..., lead : lead + span]
-    g1.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride] = grad_out
-    gf, g1 = gf.reshape(n, groups, cout_g, -1), g1.reshape(n, groups, cout_g, span)
-    flipped = weight.reshape(groups, cout_g, cin_g, k * k).swapaxes(1, 2)[..., ::-1]
-    gx = _tap_sum(gf, _taps(flipped.reshape(cin, cout_g, k, k), groups), k, wp, hp * wp)
-    grad_x = gx.reshape(n, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
-    grad_taps = np.zeros_like(_taps(weight, groups))
-    xf = _flat(x, k, pad).reshape(n, groups, cin_g, -1)
-    stacked = len(grad_taps) < k * k
-    for start, stop, views in _tap_blocks(xf, k, wp, span, g1[..., 0].size, stacked):
-        for grad_tap, view in zip(grad_taps, views):
-            grad_tap += np.matmul(g1[..., start:stop], view.swapaxes(-1, -2)).sum(axis=0)
-    grad_w = grad_taps.transpose(1, 2, 3, 0).reshape(weight.shape)
-    return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
+    out_hw = grad_out.shape[2:]
+    gv = (grad_out.reshape(n, cout_g, groups, *out_hw).swapaxes(1, 2) if shuffle
+          else grad_out.reshape(n, groups, cout_g, *out_hw))
+    g1.reshape(n, groups, cout_g, -1, wp)[..., ::stride, : wp - k + 1 : stride] = gv
+    shift_g = want_x or cout_g <= cin_g
+    oriented = _flip(weight, groups) if shift_g else weight
+    taps, gx = _taps(oriented, groups), None
+    grad = np.zeros(taps.swapaxes(-1, -2).shape)
+    if want_x:
+        gx = np.empty((n, groups, cin_g, hp * wp + k - 1))
+        gx[..., hp * wp :] = 0.0
+    xf = xf.reshape(n, groups, cin_g, -1)
+    src, other = (gf, xf) if shift_g else (xf, g1)
+    _tap_sum(src, taps if want_x else None, k, wp, hp * wp if shift_g else span,
+             None if gx is None else gx[..., : hp * wp], other=other, grad=grad)
+    grad_w = grad.transpose(1, 3, 2, 0).reshape(oriented.shape)
+    grad_w = _flip(grad_w, groups) if shift_g else grad_w
+    return None if gx is None else gx.reshape(n, cin, -1), grad_w, gv.sum(axis=(0, 3, 4)).ravel()
 
 
 def channel_shuffle(x, groups):
@@ -220,48 +261,67 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval"):
+def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", hw=None,
+                      relu=False):
     """Per-channel normalization.
 
     Train mode normalizes with batch statistics (two passes: the mean, then
     the variance of the centred copy) and updates the running mean/var in
     place (momentum 0.9); eval mode uses the running stats. Returns
-    (out, cache); the cache feeds batchnorm_backward in train mode.
+    (out, cache); the cache, which holds the centred copy, feeds
+    batchnorm_backward. With hw = (h, w), x is a buffer laid out as
+    _flat(., 3, 1) with zero padding: the statistics cover its interior and
+    out's padding is zeroed. With relu, ReLU runs on out in place and the
+    cache keeps out as its mask.
     """
+    col, ax = (slice(None),) + (None,) * (x.ndim - 2), "nchw"[: x.ndim]
+    m = x.size // x.shape[1] if hw is None else len(x) * hw[0] * hw[1]
     if mode == "train":
-        m = x.size // x.shape[1]
-        mu = np.einsum("nchw->c", x) / m
-        xhat = x - mu[None, :, None, None]
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+        mu = np.einsum(f"{ax}->c", x) / m
+        xc = x - mu[col]
+        if hw is not None:
+            _zero_border(xc, *hw)
+        var = np.einsum(f"{ax},{ax}->c", xc, xc) / m
         running_mean *= BN_MOMENTUM
         running_mean += (1.0 - BN_MOMENTUM) * mu
         running_var *= BN_MOMENTUM
         running_var += (1.0 - BN_MOMENTUM) * var
     elif mode == "eval":
-        xhat = x - running_mean[None, :, None, None]
+        xc = x - running_mean[col]
         var = running_var
     else:
         raise ValueError(f"unknown mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std[None, :, None, None]
-    out = scale[None, :, None, None] * xhat + shift[None, :, None, None]
-    return _finite(out), (xhat, inv_std, mode)
+    out = xc * (scale * inv_std)[col]
+    out += shift[col]
+    if hw is not None:
+        _zero_border(out, *hw)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return _finite(out), (xc, inv_std, mode, m, hw, out if relu else None)
 
 
 def batchnorm_backward(grad_out, scale, cache):
-    """(grad_input, grad_scale, grad_shift) for the cached forward pass."""
-    xhat, inv_std, mode = cache
-    grad_scale = np.einsum("nchw,nchw->c", grad_out, xhat)
-    grad_shift = np.einsum("nchw->c", grad_out)
+    """(grad_input, grad_scale, grad_shift) for the cached forward pass, in
+    the forward's layout. In the padded one, grad_out's padding counts as 0
+    (it is zeroed in place unless a ReLU mask covers it) and grad_input's is
+    not zeroed."""
+    xc, inv_std, mode, m, hw, relu_out = cache
+    col, ax = (slice(None),) + (None,) * (xc.ndim - 2), "nchw"[: xc.ndim]
+    if relu_out is not None:
+        grad_out = grad_out * (relu_out > 0.0)
+    elif hw is not None:
+        _zero_border(grad_out, *hw)
+    grad_scale = np.einsum(f"{ax},{ax}->c", grad_out, xc) * inv_std
+    grad_shift = np.einsum(f"{ax}->c", grad_out)
     if mode == "eval":
-        return grad_out * (scale * inv_std)[None, :, None, None], grad_scale, grad_shift
-    # with c = scale * inv_std / m per channel:
+        return grad_out * (scale * inv_std)[col], grad_scale, grad_shift
+    # with c = scale * inv_std / m and xhat = xc * inv_std per channel:
     # grad_x = c * (m * grad_out - grad_shift - xhat * grad_scale)
-    m = grad_out.size // grad_out.shape[1]
     c = scale * inv_std / m
-    grad_x = grad_out * (m * c)[None, :, None, None]
-    grad_x -= (c * grad_shift)[None, :, None, None]
-    grad_x -= xhat * (c * grad_scale)[None, :, None, None]
+    grad_x = np.multiply(grad_out, (m * c)[col], out=None if relu_out is None else grad_out)
+    grad_x -= (c * grad_shift)[col]
+    grad_x -= xc * (c * grad_scale * inv_std)[col]
     return grad_x, grad_scale, grad_shift
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DimensionError, FormatError, IoError, SpecError, TruncationError
+from ..errors import DimensionError, FormatError, IoError, RangeError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
 from .arch import ArchSpec, _path_backward, _path_forward, builtin_spec, count_groups, count_state
@@ -41,6 +41,8 @@ def state_arrays(params: NetParams) -> list[np.ndarray]:
 
 def build_network(spec: ArchSpec | str, seed: int = 0, in_channels: int = 2) -> NetParams:
     """He-normal (fan-in) seeded initialization; BN scale 1, shift 0."""
+    if seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
     if isinstance(spec, str):
         spec = builtin_spec(spec, in_channels=in_channels)
     rng = np.random.default_rng(seed)
@@ -59,17 +61,18 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
 
 
 def _trunk(params: NetParams, x: np.ndarray, mode: str, keep: bool):
-    """alpha(x) + beta(alpha(x)) under the residual rule, with the (alpha,
-    beta) caches when ``keep`` is set, else its padded-flat buffer or None."""
+    """alpha(x) + beta(alpha(x)) under the residual rule: (out, its padded-flat
+    buffer or None, the (alpha, beta) caches when ``keep`` is set)."""
     spec = params.spec
-    h1, a = _path_forward(spec.alpha, params.alpha, x, mode, keep)
-    m, b = _path_forward(spec.beta, params.beta, h1, mode, keep, None if keep else a)
+    h1, a, ac = _path_forward(spec.alpha, params.alpha, x, mode, keep)
+    m, b, bc = _path_forward(spec.beta, params.beta, h1, mode, keep, a)
     if not spec.residual:
-        return m, (a, b) if keep else b
-    if keep or a is None or b is None:
-        return h1 + m, (a, b) if keep else None
-    b += a  # m is b's interior; the borders add 0 + 0
-    return m, b
+        return m, b, (ac, bc)
+    if a is None or b is None:
+        return h1 + m, None, (ac, bc)
+    # the borders add 0 + 0; a keep pass must not overwrite b, a ReLU's mask
+    b = b + a if keep else np.add(b, a, out=b)
+    return layers._interior(b, *m.shape[2:]), b, (ac, bc)
 
 
 def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
@@ -79,8 +82,8 @@ def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
         raise DimensionError(
             f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
         )
-    z, trunk = _trunk(params, x, mode, keep)
-    y, g = _path_forward(spec.gamma, params.gamma, z, mode, keep, None if keep else trunk)
+    z, zf, trunk = _trunk(params, x, mode, keep)
+    y, _, g = _path_forward(spec.gamma, params.gamma, z, mode, keep, zf)
     out = layers.sigmoid(y)
     return out, ((*trunk, g, out) if keep else None)
 
@@ -107,16 +110,18 @@ def net_forward(params: NetParams, inputs, mode: str = "eval") -> np.ndarray:
     return _forward(params, x, mode, keep=False)[0]
 
 
-def net_backward(params: NetParams, cache, grad_out: np.ndarray):
-    """(grads aligned with trainable_arrays order, grad wrt input)."""
+def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bool = True):
+    """(grads aligned with trainable_arrays order, grad wrt input); without
+    ``_input_grad`` the input gradient may be skipped and returned as None."""
     spec = params.spec
     a_caches, b_caches, g_caches, out = cache
     gy = layers.sigmoid_backward(grad_out, out)
-    gz, g_grads = _path_backward(spec.gamma, params.gamma, g_caches, gy)
-    gh1, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz)
-    if spec.residual:
-        gh1 = gh1 + gz
-    gx, a_grads = _path_backward(spec.alpha, params.alpha, a_caches, gh1)
+    gz, g_grads, zf = _path_backward(spec.gamma, params.gamma, g_caches, gy)
+    gh1, b_grads, hf = _path_backward(spec.beta, params.beta, b_caches, gz, zf)
+    if spec.residual:  # hf is a new buffer unless beta has no blocks
+        hf = None if hf is None or zf is None else np.add(hf, zf, out=None if hf is zf else hf)
+        gh1 = gh1 + gz if hf is None else layers._interior(hf, *gh1.shape[2:])
+    gx, a_grads, _ = _path_backward(spec.alpha, params.alpha, a_caches, gh1, hf, _input_grad)
     return a_grads + b_grads + g_grads, gx
 
 

@@ -62,6 +62,12 @@ class TrainConfig:
             raise RangeError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss_kind not in ("to_optimal", "supervised"):
             raise RangeError(f"unknown loss_kind {self.loss_kind!r}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
+        if self.checkpoint_every < 0:
+            raise RangeError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
+        if self.checkpoint_every and not self.checkpoint_dir:
+            raise RangeError(f"checkpoint_every={self.checkpoint_every} needs a checkpoint_dir")
 
 
 @dataclass
@@ -226,12 +232,12 @@ def _train_params(params: NetParams, dataset, bank, cfg: TrainConfig) -> list[Cu
                 tb = None if targets is None else targets[idx]
                 out, cache = net_forward_cached(params, xb, mode="train")
                 loss, grad_out = _batch_loss(out, xb, tb, cfg)
-                grads, _ = net_backward(params, cache, grad_out)
+                grads, _ = net_backward(params, cache, grad_out, _input_grad=False)
                 adam_step(arrays, grads, state, lr)
                 total += loss * len(idx)
             mean_loss = total / n
             curve.append(CurvePoint(epoch, phase_no, lr, mean_loss))
-            if cfg.checkpoint_every and cfg.checkpoint_dir and epoch % cfg.checkpoint_every == 0:
+            if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
                 ckpt_dir = Path(cfg.checkpoint_dir)
                 ckpt_dir.mkdir(parents=True, exist_ok=True)
                 save_weights(params, ckpt_dir / f"epoch_{epoch:04d}.aenw")
@@ -328,7 +334,7 @@ def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray
             raise RangeError("task must be named when several heads are stored")
         task = next(iter(tw.unique))
     gamma = tw.unique[task]
-    y, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval", keep=False)
+    y, _, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval", keep=False)
     return layers.sigmoid(y)
 
 
@@ -368,10 +374,10 @@ def adapt_task(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 zb = feats[idx]
-                y, caches = _path_forward(gamma_blocks, gamma, zb, "train")
+                y, _, caches = _path_forward(gamma_blocks, gamma, zb, "train")
                 out = layers.sigmoid(y)
                 _, grad_out = _batch_loss(out, inputs[idx], None if targets is None else targets[idx], cfg)
                 gy = layers.sigmoid_backward(grad_out, out)
-                _, grads = _path_backward(gamma_blocks, gamma, caches, gy)
+                _, grads, _ = _path_backward(gamma_blocks, gamma, caches, gy, want_x=False)
                 adam_step(arrays, grads, state, lr)
     return tw

@@ -141,6 +141,33 @@ def conv2d_oracle(x, weight, bias, stride=1, pad=0, groups=1) -> np.ndarray:
     return out
 
 
+def conv2d_backward_two_loops(x, weight, grad_out, stride=1, pad=0, groups=1):
+    """conv2d_backward as two tap loops over the library's column blocks:
+    grad_input is the forward of the flipped, transposed taps over grad_out
+    placed on the stride-1 grid at padded width after (k - 1) * (wp + 1)
+    zeros; grad_weight multiplies each column block of that grid by the
+    (stacked) input slices the forward read there."""
+    n, cin, h, w, cout, k, out_h, out_w = layers._conv_shapes(x, weight, stride, pad, groups)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    cin_g, cout_g = cin // groups, cout // groups
+    span, lead = (hp - k + 1) * wp, (k - 1) * (wp + 1)
+    gf = np.zeros((n, cout, (hp + k - 1) * wp + k - 1))
+    g1 = gf[..., lead : lead + span]
+    g1.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride] = grad_out
+    gf, g1 = gf.reshape(n, groups, cout_g, -1), g1.reshape(n, groups, cout_g, span)
+    flipped = weight.reshape(groups, cout_g, cin_g, k * k).swapaxes(1, 2)[..., ::-1]
+    gx = layers._tap_sum(gf, layers._taps(flipped.reshape(cin, cout_g, k, k), groups), k, wp, hp * wp)
+    grad_x = gx.reshape(n, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+    grad_taps = np.zeros_like(layers._taps(weight, groups))
+    xf = layers._flat(x, k, pad).reshape(n, groups, cin_g, -1)
+    stacked = len(grad_taps) < k * k
+    for start, stop, views in layers._tap_blocks(xf, k, wp, span, g1[..., 0].size, stacked):
+        for grad_tap, view in zip(grad_taps, views):
+            grad_tap += np.matmul(g1[..., start:stop], view.swapaxes(-1, -2)).sum(axis=0)
+    grad_w = grad_taps.transpose(1, 2, 3, 0).reshape(weight.shape)
+    return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
+
+
 def eval_replay(params, x) -> np.ndarray:
     """net_forward(params, x) in eval mode, replayed one block at a time with
     the public layer primitives on the parameters ``_fold_bn`` folds: a
@@ -181,6 +208,91 @@ def eval_replay(params, x) -> np.ndarray:
     h1 = path(spec.alpha, params.alpha, x)
     m = path(spec.beta, params.beta, h1)
     return layers.sigmoid(path(spec.gamma, params.gamma, h1 + m if spec.residual else m))
+
+
+def train_replay(params, x, grad_out, relu_inputs=None):
+    """net_forward_cached(params, x, "train") then net_backward(params,
+    cache, grad_out), replayed one block at a time with the public layer
+    primitives on plain arrays and with conv2d_backward_two_loops: (out,
+    grads in trainable_arrays order, grad wrt x). BN running statistics move
+    as in the forward; each ReLU's input is appended to relu_inputs."""
+
+    def forward(blocks, plist, x):
+        tape = []
+        for blk, p in zip(blocks, plist):
+            cache = None
+            if isinstance(blk, ConvBlock):
+                y = layers.conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
+            elif isinstance(blk, ChannelShuffle):
+                y = layers.channel_shuffle(x, blk.groups)
+            elif isinstance(blk, BatchNorm):
+                y, cache = layers.batchnorm_forward(
+                    x, p.scale, p.shift, p.running_mean, p.running_var, "train"
+                )
+            elif isinstance(blk, ReLU):
+                y = layers.relu(x)
+                if relu_inputs is not None:
+                    relu_inputs.append(x)
+            elif isinstance(blk, MaxPool2):
+                y = layers.maxpool2_forward(x)
+            elif isinstance(blk, UpsampleNearest2):
+                y = layers.upsample_nearest(x)
+            elif isinstance(blk, SkipConcat):
+                y = np.concatenate([x, tape[blk.source][1]], axis=1)
+            elif isinstance(blk, Branch):
+                cache = [forward(path, pp, x) for path, pp in zip(blk.paths, p)]
+                y = np.concatenate([out for out, _ in cache], axis=1)
+            else:
+                raise TypeError(f"no replay for {blk!r}")
+            tape.append((x, y, cache))
+            x = y
+        return x, tape
+
+    def backward(blocks, plist, tape, g):
+        routed, grads = {}, []
+        for i in range(len(blocks) - 1, -1, -1):
+            if i in routed:
+                g = g + routed.pop(i)
+            blk, p, (x, _, cache) = blocks[i], plist[i], tape[i]
+            if isinstance(blk, ConvBlock):
+                g, gw, gb = conv2d_backward_two_loops(x, p.weight, g, blk.stride, blk.k // 2, blk.groups)
+                grads[:0] = [gw, gb]
+            elif isinstance(blk, ChannelShuffle):
+                g = layers.channel_shuffle_backward(g, blk.groups)
+            elif isinstance(blk, BatchNorm):
+                g, gscale, gshift = layers.batchnorm_backward(g, p.scale, cache)
+                grads[:0] = [gscale, gshift]
+            elif isinstance(blk, ReLU):
+                g = layers.relu_backward(g, x)
+            elif isinstance(blk, MaxPool2):
+                g = layers.maxpool2_backward(g, x)
+            elif isinstance(blk, UpsampleNearest2):
+                g = layers.upsample_nearest_backward(g)
+            elif isinstance(blk, SkipConcat):
+                c = x.shape[1]
+                src = g[:, c:]
+                routed[blk.source] = routed[blk.source] + src if blk.source in routed else src
+                g = g[:, :c]
+            else:  # Branch
+                gx, branch_grads, start = 0.0, [], 0
+                for path, pp, (out, path_tape) in zip(blk.paths, p, cache):
+                    width = out.shape[1]
+                    gp, path_grads = backward(path, pp, path_tape, g[:, start : start + width])
+                    gx, start = gx + gp, start + width
+                    branch_grads += path_grads
+                g = gx
+                grads[:0] = branch_grads
+        return g, grads
+
+    spec = params.spec
+    h1, alpha_tape = forward(spec.alpha, params.alpha, x)
+    m, beta_tape = forward(spec.beta, params.beta, h1)
+    y, gamma_tape = forward(spec.gamma, params.gamma, h1 + m if spec.residual else m)
+    out = layers.sigmoid(y)
+    gz, gamma_grads = backward(spec.gamma, params.gamma, gamma_tape, layers.sigmoid_backward(grad_out, out))
+    gh1, beta_grads = backward(spec.beta, params.beta, beta_tape, gz)
+    gx, alpha_grads = backward(spec.alpha, params.alpha, alpha_tape, gh1 + gz if spec.residual else gh1)
+    return out, alpha_grads + beta_grads + gamma_grads, gx
 
 
 def finite_diff_grad(fn, arr, h=1e-3):

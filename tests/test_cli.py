@@ -129,6 +129,30 @@ def test_train_cli_rejects_patch_below_ssim_window_first(tmp_path, capsys, monke
     assert not (tmp_path / "net.aenw").exists()
 
 
+@pytest.mark.parametrize(
+    "flags,match",
+    [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--checkpoint-every", "-1"], "checkpoint_every must be >= 0"),
+        (["--checkpoint-every", "2"], "checkpoint_every=2 needs a checkpoint_dir"),
+    ],
+)
+def test_train_cli_rejects_bad_settings_first(tmp_path, capsys, monkeypatch, flags, match):
+    data = tmp_path / "data"
+    data.mkdir()
+    for pair in toy_pairs(n=2, size=96, seed=4):
+        save_pgm(pair.a, data / f"{pair.pair_id}_a.pgm")
+        save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
+    monkeypatch.setattr("evofuse.training.init_bank", lambda *a, **k: pytest.fail("bank built"))
+    rc = main([
+        "train", "--spec", "gcb", "--data", str(data), "--rounds", "1",
+        "--out", str(tmp_path / "net.aenw"), "--patch", "32", *flags,
+    ])
+    assert rc == 3
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "net.aenw").exists()
+
+
 def test_bench_cli(tmp_path, niqe_file, capsys):
     out = tmp_path / "bench"
     rc = main(["bench", "--methods", "avg,absmax", "--size", "32", "--trials", "2",

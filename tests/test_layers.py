@@ -7,7 +7,7 @@ from evofuse.errors import DimensionError, SpecError
 from evofuse.net import layers
 from evofuse.net.arch import ConvParams, fire, inception, separable
 
-from oracles import conv2d_oracle, finite_diff_grad, relative_err
+from oracles import conv2d_backward_two_loops, conv2d_oracle, finite_diff_grad, relative_err
 
 GRAD_TOL = 1e-3
 FD_H = 1e-3
@@ -142,9 +142,9 @@ class TestConvBackward:
     def test_adjoint_identity_across_column_blocks(
         self, rng, monkeypatch, partial_blocks, groups, stride
     ):
-        """The adjoint identity against the naive oracle's forward, with both
-        backward loops (grad_x and grad_w) split into >= 3 column blocks, the
-        last one partial."""
+        """The adjoint identity against the naive oracle's forward, with the
+        one backward loop (grad_x and grad_w together) split into >= 3 column
+        blocks, the last one partial."""
         for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((2, 4, 7, 6))
             w = rng.standard_normal((8, 4 // groups, k, k))
@@ -154,7 +154,29 @@ class TestConvBackward:
             lhs = (out * g).sum()
             assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
             assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
-        assert len(partial_blocks) == 4 * len(KERNEL_PADS)
+        assert len(partial_blocks) == 2 * len(KERNEL_PADS)
+        assert all(split for _, split in partial_blocks)
+
+
+    @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
+    def test_weight_gradient_alone_matches_two_loops(self, rng, monkeypatch, partial_blocks,
+                                                     groups, stride):
+        """Without grad_x, the one loop shifts the side with fewer channels
+        per group (the input at 4 -> 8 channels, the gradient at 8 -> 4);
+        grad_w and grad_b still equal the two-loop reference."""
+        for k, pad in both_stackings(monkeypatch):
+            for cin, cout in ((4, 8), (8, 4)):
+                x = rng.standard_normal((2, cin, 7, 6))
+                w = rng.standard_normal((cout, cin // groups, k, k))
+                out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
+                g = rng.standard_normal(out.shape)
+                _, want_w, want_b = conv2d_backward_two_loops(x, w, g, stride, pad, groups)
+                gx, gw, gb = layers._conv_backward(
+                    layers._flat(x, k, pad), w, g, 7, 6, stride, pad, groups, want_x=False
+                )
+                assert gx is None
+                np.testing.assert_allclose(gw, want_w, rtol=1e-12, atol=1e-12, err_msg=str((k, pad)))
+                np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
         assert all(split for _, split in partial_blocks)
 
 

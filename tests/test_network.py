@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import struct
 import tracemalloc
@@ -31,10 +32,11 @@ from evofuse.net.network import (
     trunk_forward,
     weight_file_bytes,
 )
-from evofuse.training import make_task_weights, task_forward
+from evofuse.training import TrainConfig, make_task_weights, task_forward, train
 
 from conftest import random_pair
-from oracles import eval_replay
+from oracles import eval_replay, relative_err, train_replay
+from test_layers import FD_H, GRAD_TOL
 
 
 class TestBuild:
@@ -107,7 +109,7 @@ class TestForward:
     def test_inception_block_equals_primitive_composition(self, rng):
         params = build_network("inception", seed=8)
         x = pair_tensor(random_pair(rng, 16, 16))
-        h1, _ = _path_forward(params.spec.alpha, params.alpha, x, "eval")
+        h1, _, _ = _path_forward(params.spec.alpha, params.alpha, x, "eval")
         blk = params.spec.beta[0]
         assert blk == inception(64, 16, 32, 16)
         (b1,), (b3,), (b5,) = params.beta[0]
@@ -279,11 +281,7 @@ class TestInferenceLayout:
 
     def check_replay(self, tmp_path, shape):
         x = np.random.default_rng(5).random(shape)
-        layout_specs = []
-        for name, text in (("selfcat", SELF_CAT_ARCH), ("mixed", MIXED_ARCH)):
-            (tmp_path / f"{name}.arch").write_text(text)
-            layout_specs.append(parse_arch_file(tmp_path / f"{name}.arch"))
-        for spec in fold_specs(tmp_path) + layout_specs:
+        for spec in layout_specs(tmp_path):
             params = build_network(spec, seed=1)
             randomize_bn(params, seed=2)
             got, want = net_forward(params, x), eval_replay(params, x)
@@ -322,6 +320,154 @@ class TestInferenceLayout:
         monkeypatch.setattr(layers, "CHECK_FINITE", True)
         with pytest.raises(FloatingPointError):
             net_forward(params, rng.random((1, 2, 16, 16)))
+
+
+# BNs with no ReLU after them, whose gradients reach them on the padded grid
+# from a conv (alpha's BN) and from gamma's conv (beta's last BN)
+BN_ARCH = """
+name bnonly
+stage alpha
+conv 2 8 3
+bn 8
+stage beta
+conv 8 8 3
+bn 8
+relu
+conv 8 8 3 2
+bn 8
+stage gamma
+conv 8 1 3
+"""
+
+
+def layout_specs(tmp_path):
+    """Every built-in spec, FOLD_ARCH, SELF_CAT_ARCH, MIXED_ARCH and BN_ARCH."""
+    specs = fold_specs(tmp_path)
+    for name, text in (("selfcat", SELF_CAT_ARCH), ("mixed", MIXED_ARCH), ("bnonly", BN_ARCH)):
+        (tmp_path / f"{name}.arch").write_text(text)
+        specs.append(parse_arch_file(tmp_path / f"{name}.arch"))
+    return specs
+
+
+TRAIN_REL = 1e-12
+
+
+class TestTrainLayout:
+    """Train passes keep activations and gradients in the padded-flat layout
+    between 3x3 convs, fuse shuffles into convs and ReLUs into BNs, and run
+    one tap loop per conv backward; they must equal the block-by-block
+    replay on plain arrays."""
+
+    def check_replay(self, tmp_path, shape):
+        rng = np.random.default_rng(6)
+        x = rng.random(shape)
+        for spec in layout_specs(tmp_path):
+            params = build_network(spec, seed=1)
+            randomize_bn(params, seed=2)
+            twin, trio = copy.deepcopy(params), copy.deepcopy(params)
+            out, cache = net_forward_cached(params, x, mode="train")
+            grad_out = rng.standard_normal(out.shape)
+            grads, gx = net_backward(params, cache, grad_out)
+            want_out, want_grads, want_gx = train_replay(twin, x, grad_out)
+            # as training runs it: the first conv forms its weight gradient alone
+            lean, no_gx = net_backward(trio, net_forward_cached(trio, x, "train")[1], grad_out, False)
+            assert no_gx is None, spec.name
+            np.testing.assert_allclose(out, want_out, rtol=TRAIN_REL, atol=0.0, err_msg=spec.name)
+            # conv biases ahead of a train-mode BN have zero gradient up to
+            # rounding: the floor is TRAIN_REL times the largest gradient entry
+            floor = TRAIN_REL * max(np.abs(g).max() for g in want_grads + [want_gx])
+            for i, (got, want) in enumerate(zip(grads + [gx], want_grads + [want_gx], strict=True)):
+                np.testing.assert_allclose(got, want, rtol=TRAIN_REL, atol=floor, err_msg=f"{spec.name} {i}")
+            for got, want in zip(lean, want_grads, strict=True):
+                np.testing.assert_allclose(got, want, rtol=TRAIN_REL, atol=floor, err_msg=spec.name)
+            # a running mean near 0 gets the same floor, per array
+            for got, want in zip(state_arrays(params), state_arrays(twin), strict=True):
+                atol = TRAIN_REL * np.abs(want).max()
+                np.testing.assert_allclose(got, want, rtol=TRAIN_REL, atol=atol, err_msg=spec.name)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 24, 40), (1, 2, 4, 8)])
+    def test_equals_train_replay(self, tmp_path, shape):
+        self.check_replay(tmp_path, shape)
+
+    def test_equals_train_replay_with_blocks_ending_mid_row(self, tmp_path, partial_blocks):
+        self.check_replay(tmp_path, (2, 2, 24, 40))
+        assert any(split for _, split in partial_blocks)
+
+
+def test_train_step_traffic(monkeypatch):
+    """One gcb train step, as train runs it: the network input is the only
+    array padded with _flat, no shuffle runs apart from its conv, each conv
+    backward runs one tap loop, and the first conv skips grad_x."""
+    calls = {"flat": 0, "loops": 0}
+    backwards = []
+    real_flat, real_blocks, real_backward = layers._flat, layers._tap_blocks, layers._conv_backward
+
+    def flat(*args):
+        calls["flat"] += 1
+        return real_flat(*args)
+
+    def tap_blocks(*args):
+        calls["loops"] += 1
+        return real_blocks(*args)
+
+    def conv_backward(*args):
+        before = calls["loops"]
+        result = real_backward(*args)
+        backwards.append((calls["loops"] - before, result[0] is None))
+        return result
+
+    monkeypatch.setattr(layers, "_flat", flat)
+    monkeypatch.setattr(layers, "_tap_blocks", tap_blocks)
+    monkeypatch.setattr(layers, "_conv_backward", conv_backward)
+    monkeypatch.setattr(layers, "channel_shuffle", lambda *a: pytest.fail("shuffle ran"))
+    pair = random_pair(np.random.default_rng(3), 16, 16)
+    train("gcb", [pair], None, TrainConfig(phases=((1e-3, 1),), batch_size=1, patch=16,
+                                          loss_kind="supervised"))
+    assert calls["flat"] == 1
+    assert backwards == [(1, False), (1, False), (1, True)]
+    assert calls["loops"] == 6
+
+
+def test_train_gradients_match_finite_differences():
+    """net_backward after a train-mode forward against central differences
+    of <out, t>, on up to 3 sampled entries of every gcb gradient and of the
+    input. The draw is kink-safe: no sampled +-FD_H step flips a ReLU
+    decision (BN shifts of +-2 keep the ReLU inputs away from 0)."""
+
+    def loss():
+        return float((net_forward_cached(params, x, mode="train")[0] * t).sum())
+
+    def relu_signs():
+        inputs = []
+        train_replay(copy.deepcopy(params), x, t, inputs)
+        return [np.sign(v) for v in inputs]
+
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        params = build_network("gcb", seed=seed)
+        for blk, p in zip(params.spec.sequence.paths[0], params.alpha + params.beta + params.gamma):
+            if isinstance(blk, BatchNorm):
+                p.scale[...] = rng.uniform(0.5, 1.5, p.scale.shape)
+                p.shift[...] = rng.choice([-2.0, 2.0], p.shift.shape)
+        x, t = rng.random((1, 2, 8, 8)), rng.standard_normal((1, 1, 8, 8))
+        out, cache = net_forward_cached(params, x, mode="train")
+        grads, gx = net_backward(params, cache, t)
+        signs, kink, fd, exact = relu_signs(), False, [], []
+        for arr, grad in zip(trainable_arrays(params) + [x], grads + [gx], strict=True):
+            flat = arr.reshape(-1)
+            for j in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                orig, vals = flat[j], []
+                for step in (FD_H, -FD_H):
+                    flat[j] = orig + step
+                    vals.append(loss())
+                    kink = kink or any(np.any(a != b) for a, b in zip(relu_signs(), signs))
+                flat[j] = orig
+                fd.append((vals[0] - vals[1]) / (2.0 * FD_H))
+                exact.append(grad.reshape(-1)[j])
+        if not kink:
+            assert relative_err(np.array(fd), np.array(exact)) < GRAD_TOL
+            return
+    raise AssertionError("no kink-safe draw found")
 
 
 GOLDEN_AENW_SHA256 = {

@@ -187,6 +187,26 @@ class TestTrain:
         assert lines[1].startswith("1,1,0.5")
 
 
+class TestSettings:
+    """Bad settings fail with RangeError, naming the field, before any work."""
+
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"checkpoint_every": -2}, "checkpoint_every must be >= 0"),
+            ({"checkpoint_every": 1}, "needs a checkpoint_dir"),
+        ],
+    )
+    def test_config_rejects(self, kw, match):
+        with pytest.raises(RangeError, match=match):
+            small_cfg(**kw)
+
+    def test_build_network_rejects_negative_seed(self):
+        with pytest.raises(RangeError, match="seed must be >= 0"):
+            build_network("gcb", seed=-1)
+
+
 class TestEvolve:
     def test_rounds_zero_equals_classical(self, rng, niqe_model):
         pairs = toy_pairs(n=2, size=96, seed=8)
