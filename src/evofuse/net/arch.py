@@ -2,10 +2,12 @@
 built-in variants, analytic cost counting and arch files.
 
 Each block type is a frozen dataclass owning its channel rule, seeded init,
-forward/backward, parameter arrays, costs and group count. ``Branch`` runs
-several paths (tuples of blocks) on one input and concatenates their
-outputs, so separable, Fire and Inception modules are macros returning one
-``Branch`` of convolutions.
+its one forward and one backward route, parameter arrays, costs and group
+count. Every route reads and writes padded-flat buffers (``layers.Grid``),
+whose border is the widest conv padding in the network. ``Branch`` runs
+several paths (tuples of blocks) on one input, each writing its channels of
+one output buffer, so separable, Fire and Inception modules are macros
+returning one ``Branch`` of convolutions.
 
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
@@ -15,7 +17,6 @@ caps the final output to (0, 1).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from ..errors import DimensionError, IoError, SpecError
 from . import layers
+from .layers import Grid
 
 
 @dataclass
@@ -41,8 +43,16 @@ class BNParams:
 
 class Block:
     """Defaults for a shape-preserving block without parameters or MACs.
-    Subclasses define ``forward(p, x, mode) -> (y, cache)`` and
-    ``backward(p, cache, gy) -> (grad_x, grads in arrays() order)``."""
+
+    Subclasses define the block's route on padded-flat buffers:
+    ``forward(p, x, g, out, mode, keep)`` writes the block's output for the
+    input buffer x (grid g) into the buffer out and returns what backward
+    needs; ``backward(p, cache, gy, want_x)`` takes the output gradient's
+    buffer and returns (the input gradient's buffer, grads in arrays()
+    order)."""
+
+    inplace = False  # out may be the input buffer itself
+    holds_output = False  # the cache holds the output buffer
 
     def out_channels(self, cin: int, outs: list[int]) -> int:
         """Output channels given the input channels and the earlier outputs
@@ -66,7 +76,13 @@ class Block:
     def group_count(self) -> int:
         return 1
 
-    _into = None  # inference: _into(x, out) writes forward's output into out
+    def border(self) -> int:
+        """The widest conv padding (k // 2) in the block."""
+        return 0
+
+    def fuse(self, blocks, i, done, sources, infer) -> tuple:
+        """Flags for forward of the blocks after it (at i) that it runs."""
+        return ()
 
 
 @dataclass(frozen=True)
@@ -102,16 +118,13 @@ class ConvBlock(Block):
         weight = rng.normal(0.0, std, size=(self.cout, cin_g, self.k, self.k))
         return ConvParams(weight.astype(np.float32).astype(np.float64), np.zeros(self.cout))
 
-    def forward(self, p, x, mode):
-        y = layers.conv2d_forward(
-            x, p.weight, p.bias, stride=self.stride, pad=self.k // 2, groups=self.groups
-        )
-        return y, x
+    def forward(self, p, x, g, out, mode, keep, shuffle=False, relu=False):
+        layers._conv(x, p.weight, p.bias, g, self.stride, self.groups, shuffle, relu, out)
+        return x, g, shuffle
 
-    def backward(self, p, x, gy):
-        gx, gw, gb = layers.conv2d_backward(
-            x, p.weight, gy, stride=self.stride, pad=self.k // 2, groups=self.groups
-        )
+    def backward(self, p, cache, gy, want_x):
+        x, g, shuffle = cache
+        gx, gw, gb = layers._conv_backward(x, gy, p.weight, g, self.stride, self.groups, shuffle, want_x)
         return gx, [gw, gb]
 
     def arrays(self, p, with_running):
@@ -129,6 +142,12 @@ class ConvBlock(Block):
         # a depthwise conv (one input channel per group) counts as ungrouped
         return self.groups if self.cin > self.groups else 1
 
+    def border(self):
+        return self.k // 2
+
+    def fuse(self, blocks, i, done, sources, infer):
+        return _epilogue(blocks, i, done, sources, relu=infer)
+
 
 @dataclass(frozen=True)
 class ChannelShuffle(Block):
@@ -143,16 +162,17 @@ class ChannelShuffle(Block):
             raise SpecError(f"shuffle groups={self.groups} must divide {cin}")
         return cin
 
-    def forward(self, p, x, mode):
-        return layers.channel_shuffle(x, self.groups), None
+    def forward(self, p, x, g, out, mode, keep):
+        layers.channel_shuffle(x, self.groups, out)
 
-    def backward(self, p, cache, gy):
+    def backward(self, p, cache, gy, want_x):
         return layers.channel_shuffle_backward(gy, self.groups), []
 
 
 @dataclass(frozen=True)
 class BatchNorm(Block):
     channels: int
+    inplace = True
 
     def out_channels(self, cin, outs):
         if self.channels != cin:
@@ -163,13 +183,14 @@ class BatchNorm(Block):
         c = self.channels
         return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
-    def forward(self, p, x, mode):
-        return layers.batchnorm_forward(
-            x, p.scale, p.shift, p.running_mean, p.running_var, mode
-        )
+    def forward(self, p, x, g, out, mode, keep):
+        args = (g.inner(x), p.scale, p.shift, p.running_mean, p.running_var, mode, g.inner(out))
+        return layers.batchnorm_forward(*args)[1], g
 
-    def backward(self, p, cache, gy):
-        gx, gscale, gshift = layers.batchnorm_backward(gy, p.scale, cache)
+    def backward(self, p, cache, gy, want_x):
+        bn, g = cache
+        gx = g.zeros(*gy.shape[:2])
+        _, gscale, gshift = layers.batchnorm_backward(g.inner(gy), p.scale, bn, g.inner(gx))
         return gx, [gscale, gshift]
 
     def arrays(self, p, with_running):
@@ -183,20 +204,26 @@ class BatchNorm(Block):
 
 @dataclass(frozen=True)
 class ReLU(Block):
-    def forward(self, p, x, mode):
-        return layers.relu(x), x
+    inplace = holds_output = True  # the output is the backward's mask
 
-    def backward(self, p, x, gy):
-        return layers.relu_backward(gy, x), []
+    def forward(self, p, x, g, out, mode, keep):
+        return layers.relu(x, out)
+
+    def backward(self, p, y, gy, want_x):
+        return layers.relu_backward(gy, y), []
 
 
 @dataclass(frozen=True)
 class MaxPool2(Block):
-    def forward(self, p, x, mode):
-        return layers.maxpool2_forward(x), x
+    def forward(self, p, x, g, out, mode, keep):
+        layers.maxpool2_forward(g.inner(x), Grid(g.h // 2, g.w // 2, g.p).inner(out))
+        return x, g
 
-    def backward(self, p, x, gy):
-        return layers.maxpool2_backward(gy, x), []
+    def backward(self, p, cache, gy, want_x):
+        x, g = cache
+        gx = g.zeros(*gy.shape[:2])
+        layers.maxpool2_backward(Grid(g.h // 2, g.w // 2, g.p).inner(gy), g.inner(x), g.inner(gx))
+        return gx, []
 
     def costs(self, h, w):
         return 0, h // 2, w // 2
@@ -204,14 +231,14 @@ class MaxPool2(Block):
 
 @dataclass(frozen=True)
 class UpsampleNearest2(Block):
-    def forward(self, p, x, mode):
-        return layers.upsample_nearest(x), None
+    def forward(self, p, x, g, out, mode, keep):
+        layers.upsample_nearest(g.inner(x), Grid(2 * g.h, 2 * g.w, g.p).inner(out))
+        return g
 
-    def backward(self, p, cache, gy):
-        return layers.upsample_nearest_backward(gy), []
-
-    def _into(self, x, out):
-        return layers._upsample_into(x, out)
+    def backward(self, p, g, gy, want_x):
+        gx = g.zeros(*gy.shape[:2])
+        layers.upsample_nearest_backward(Grid(2 * g.h, 2 * g.w, g.p).inner(gy), g.inner(gx))
+        return gx, []
 
     def costs(self, h, w):
         return 0, 2 * h, 2 * w
@@ -219,14 +246,20 @@ class UpsampleNearest2(Block):
 
 @dataclass(frozen=True)
 class SkipConcat(Block):
-    """Concat the output of an earlier block of the same path (the driver does it)."""
+    """Concat the output of an earlier block of the same path: the driver has
+    the source and the block before write into the two channel ranges of
+    this block's output buffer."""
 
     source: int
+    holds_output = True  # its source's reader may hold the source's part
 
     def out_channels(self, cin, outs):
         if not 0 <= self.source < len(outs):
             raise SpecError(f"skip source {self.source} out of range")
         return cin + outs[self.source]
+
+    def forward(self, p, x, g, out, mode, keep):
+        return x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -235,6 +268,7 @@ class Branch(Block):
     the outputs on channels; a single path is a plain sequence."""
 
     paths: tuple
+    holds_output = True  # a path's last block may hold its part
 
     def out_channels(self, cin, outs):
         return sum(_path_channels(path, cin) for path in self.paths)
@@ -242,20 +276,23 @@ class Branch(Block):
     def init(self, rng):
         return [[blk.init(rng) for blk in path] for path in self.paths]
 
-    def forward(self, p, x, mode):
-        runs = [_path_forward(path, pp, x, mode) for path, pp in zip(self.paths, p)]
-        ys = [y for y, _, _ in runs]
-        y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
-        return y, ([part.shape[1] for part in ys], [caches for _, _, caches in runs])
-
-    def backward(self, p, cache, gy):
-        widths, path_caches = cache
-        gx, grads, start = None, [], 0
-        for path, pp, caches, width in zip(self.paths, p, path_caches, widths):
-            g, path_grads, _ = _path_backward(path, pp, caches, gy[:, start : start + width])
-            gx = g if gx is None else gx + g
-            grads += path_grads
+    def forward(self, p, x, g, out, mode, keep):
+        """Each path writes its channels of out."""
+        _, h, w = self.costs(g.h, g.w)
+        caches, start = [], 0
+        for path, pp in zip(self.paths, p):
+            width = _path_channels(path, x.shape[1])
+            part = (out[:, start : start + width], Grid(h, w, g.p))
+            caches.append((width, _path_forward(path, pp, x, g, mode, keep, part)[2]))
             start += width
+        return caches
+
+    def backward(self, p, cache, gy, want_x):
+        gx, grads, start = 0.0, [], 0
+        for path, pp, (width, caches) in zip(self.paths, p, cache):
+            g, path_grads = _path_backward(path, pp, caches, gy[:, start : start + width])
+            gx, start = gx + g, start + width
+            grads += path_grads
         return gx, grads
 
     def arrays(self, p, with_running):
@@ -276,6 +313,9 @@ class Branch(Block):
 
     def group_count(self):
         return max([1] + [blk.group_count() for path in self.paths for blk in path])
+
+    def border(self):
+        return max([0] + [blk.border() for path in self.paths for blk in path])
 
 
 FEATURE_CHANNELS = 64
@@ -349,16 +389,20 @@ class ArchSpec:
 # ---------------------------------------------------------------------------
 
 
-def _path_channels(blocks, cin: int) -> int:
-    """Output channels of a path; raises SpecError naming the block."""
+def _path_outs(blocks, cin: int) -> list[int]:
+    """Output channels of each block of a path; raises SpecError naming the block."""
     outs: list[int] = []
     for i, blk in enumerate(blocks):
         try:
-            cin = blk.out_channels(cin, outs)
+            outs.append(blk.out_channels(outs[-1] if outs else cin, outs))
         except SpecError as exc:
             raise SpecError(f"block {i}: {exc}") from None
-        outs.append(cin)
-    return cin
+    return outs
+
+
+def _path_channels(blocks, cin: int) -> int:
+    """Output channels of a path."""
+    return ([cin] + _path_outs(blocks, cin))[-1]
 
 
 def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
@@ -417,100 +461,88 @@ def _skips(blocks) -> dict:
     return {i: blk.source for i, blk in enumerate(blocks) if isinstance(blk, SkipConcat)}
 
 
-def _conv_grads(p, groups, xf, shuffle, g, flat, want_x):
-    """Backward of a conv run by _conv_padded: (grad_x or None, its buffer, grads)."""
-    gx, gw, gb = layers._conv_backward(xf, p.weight, g, *g.shape[2:], 1, 1, groups, shuffle, want_x)
-    return None if gx is None else layers._interior(gx, *g.shape[2:]), gx, [gw, gb]
+def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
+    """Run a path on the padded-flat buffer x of grid g: (the output's buffer,
+    its grid, the caches backward needs, kept with ``keep``). out = (buffer,
+    grid), when given, receives the output.
 
+    Each block writes into a buffer the driver hands it: its input, for an
+    in-place block whose input nothing else reads; its part of a
+    SkipConcat's buffer; or a new one. A SkipConcat's buffer is made when
+    its source runs: the source writes its channels [c:] and the block
+    before the SkipConcat its channels [:c], so the concat copies nothing
+    (any other copy of the source is written when the source has run).
 
-def _bn_grads(p, cache, g, flat, want_x):
-    """Backward of a BN (and the ReLU it ran) on a buffer, as _conv_grads."""
-    flat = layers._flat(g, 3, 1) if flat is None else flat
-    gx, gscale, gshift = layers.batchnorm_backward(flat, p.scale, cache)
-    return layers._interior(gx, *g.shape[2:]), gx, [gscale, gshift]
-
-
-def _path_forward(blocks, plist, x, mode, keep=True, flat=None):
-    """Returns (out, flat, caches): flat is out's padded-flat buffer (as
-    ``layers._flat(out, 3, 1)``) or None, as it is for x; caches, kept with
-    ``keep``, hold what backward needs. A block's output is held only while
-    the path runs and only when a later SkipConcat reads it.
-
-    A 3x3 stride-1 conv reads x's buffer and writes a new one, running the
-    shuffle after it in its tap loop (``_epilogue``). Inference passes (eval
-    without ``keep``) fuse the ReLU after it too, fold BNs into convs
-    (``_fold_bn``, on every call so that parameter updates count) and let an
-    upsample leave room for the SkipConcat after it. Keep passes run a BN
-    on a buffer into a new one, with the ReLU after it. Other blocks read
-    views."""
-    skips = _skips(blocks)
+    Inference passes (eval without ``keep``) fold BNs into convs
+    (``_fold_bn``, on every call so that parameter updates count); a conv
+    runs the shuffle after it in its tap loop (``_epilogue``), and on
+    inference passes the ReLU after it too."""
+    n, chans, skips = len(x), _path_outs(blocks, x.shape[1]), _skips(blocks)
     sources = set(skips.values())
-    infer, done = mode == "eval" and not keep, set()
-    if infer:
-        plist, done = _fold_bn(blocks, plist, sources)
-    outs = {}
-    caches = [] if keep else None
+    infer = mode == "eval" and not keep
+    plist, done = _fold_bn(blocks, plist, sources) if infer else (plist, set())
+    dest = {} if out is None else {len(blocks) - 1: out}  # index -> (buffer, grid) for its output
+    cats, caches = {}, []  # SkipConcat index -> its buffer, made when its source runs
     for i, (blk, p) in enumerate(zip(blocks, plist)):
         if i in done:
-            cache = _FUSED
-        elif isinstance(blk, ConvBlock) and blk.k == 3 and blk.stride == 1:
-            flat = layers._flat(x, 3, 1) if flat is None else flat
-            shuffle, relu = _epilogue(blocks, i, done, sources, relu=infer)
-            cache = functools.partial(_conv_grads, p, blk.groups, flat, shuffle)
-            flat, x = layers._conv_padded(x, flat, p.weight, p.bias, blk.groups, shuffle, relu)
-        elif keep and flat is not None and isinstance(blk, BatchNorm):
-            relu = i not in sources and blocks[i + 1 : i + 2] == (ReLU(),)
-            flat, bn = layers.batchnorm_forward(flat, *blk.arrays(p, True), mode, x.shape[2:], relu)
-            x, cache = layers._interior(flat, *x.shape[2:]), functools.partial(_bn_grads, p, bn)
-            done.update(range(i + 1, i + 1 + relu))
-        elif i in skips:
-            src = outs[blk.source]
-            if src.shape[2:] != x.shape[2:]:
-                raise DimensionError(f"skip source spatial {src.shape[2:]} != current {x.shape[2:]}")
-            cache = c = x.shape[1]
-            if infer and flat is not None and flat.shape[1] > c:  # _into left room for src
-                x = layers._interior(flat, *x.shape[2:])
-                x[:, c:] = src
-            else:
-                x, flat = np.concatenate([x, src], axis=1), None
-        elif infer and blk._into:
-            _, h, w = blk.costs(*x.shape[2:])
-            room = outs[skips[i + 1]].shape[1] if skips.get(i + 1) in outs else 0
-            flat, inner = layers._padded(len(x), x.shape[1] + room, h, w)
-            x = blk._into(x, inner[:, : x.shape[1]])
-        else:
-            (x, cache), flat = blk.forward(p, x, mode), None
+            caches.append(_FUSED)
+            continue
+        fused = blk.fuse(blocks, i, done, sources, infer)
+        last = i  # the block whose output this one's is: fused and folded ones follow
+        while last + 1 in done:
+            last += 1
+        g2 = Grid(*blk.costs(g.h, g.w)[1:], g.p)
+        y, copies = _take(dest, last, g2), []
+        if i in cats:  # a SkipConcat: its source and the block before wrote its buffer
+            y, copies = cats.pop(i), ([] if y is None else [y])
+        for r in sorted((r for r, s in skips.items() if s == last), reverse=True):
+            cat = _take(dest, r, g2)
+            cats[r] = cat = g2.zeros(n, chans[r]) if cat is None else cat
+            c = chans[r - 1]
+            parts = [cat[:, c:]] + ([cat[:, :c]] if r - 1 == last else [])
+            if r - 1 != last:
+                dest[r - 1] = (cat[:, :c], g2)
+            y = parts.pop(0) if y is None else y
+            copies += parts
+        if y is None:
+            own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
+            y = x if blk.inplace and own else g2.zeros(n, chans[last])
+        cache = blk.forward(p, x, g, y, mode, keep, *fused)
+        for part in copies:
+            part[...] = y
         if keep:
             caches.append(cache)
-        if i in sources:
-            outs[i] = x
-    return x, flat, caches
+        x, g = y, g2
+    return x, g, caches
 
 
-def _path_backward(blocks, plist, caches, grad_y, flat=None, want_x=True):
+def _take(dest, i, g):
+    """The buffer dest holds for block i's output (removed) or None, after
+    checking its grid against g, the output's."""
+    buf, want = dest.pop(i, (None, g))
+    if want != g:
+        raise DimensionError(f"skip source spatial {(want.h, want.w)} != current {(g.h, g.w)}")
+    return buf
+
+
+def _path_backward(blocks, plist, caches, gy, want_x=True):
     """Walk blocks in reverse, routing skip-concat gradients to their sources.
 
-    Returns (grad wrt path input, per-block grads flattened in forward order,
-    its buffer or None); flat is grad_y's buffer or None, its padding
-    ignored. Without ``want_x``, a first conv on buffers leaves out grad_x.
-    """
-    g, skips = grad_y, _skips(blocks)
-    routed = {}  # block index -> grad that later skips sent to its output
-    grads = []
+    Returns (the gradient buffer of the path input, per-block grads flattened
+    in forward order); without ``want_x`` a first conv leaves out its input
+    gradient (None)."""
+    skips, routed, grads = _skips(blocks), {}, []
     for i in range(len(blocks) - 1, -1, -1):
-        if i in routed:
-            g, flat = g + routed.pop(i), None
+        if i in routed:  # gradient that later skips sent to this output
+            gy = gy + routed.pop(i)
         cache, s = caches[i], skips.get(i)
         if s is not None:
-            routed[s] = routed[s] + g[:, cache:] if s in routed else g[:, cache:]
-            g, flat = g[:, :cache], None
-        elif callable(cache):
-            g, flat, block_grads = cache(g, flat, want_x or i > 0)
-            grads[:0] = block_grads
+            routed[s] = routed[s] + gy[:, cache:] if s in routed else gy[:, cache:]
+            gy = gy[:, :cache]
         elif cache is not _FUSED:
-            (g, block_grads), flat = blocks[i].backward(plist[i], cache, g), None
+            gy, block_grads = blocks[i].backward(plist[i], cache, gy, want_x or i > 0)
             grads[:0] = block_grads
-    return g, grads, flat
+    return gy, grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,29 @@
-"""Layer forward/backward primitives on (n, c, h, w) float tensors.
+"""Layer primitives and the padded-flat activation layout.
 
-Backward passes are hand-written per layer and checked against finite
-differences. Convolutions are grouped cross-correlations summed over the
-taps on the zero-padded image flattened over rows (the padded-flat
-layout), where each k x k tap is a contiguous offset, one cache-sized
-column block at a time. Thin inputs (few channels per group) stack all
-k * k tap slices of a block and run one matmul; wider ones run one per
-tap. The backward shifts the gradient in one such loop: the input
-gradient is the forward of the flipped, transposed taps, and the weight
-gradient multiplies the same slices by the input. A 3 x 3 stride-1 conv
-can write into the next one's padded-flat input, adding its bias and
-running a following shuffle and ReLU per column block (``_conv_padded``);
-batch norm runs on such buffers too. Train-mode batch norm takes two
-passes (mean, then centred variance). Max pooling keeps no argmax: its
-backward finds each window's max again.
+The public primitives (convolution, batch norm, ReLU, pooling, upsampling,
+channel shuffle, sigmoid) take (n, c, h, w) arrays, strided views included,
+and write into ``out`` when it is given; the tests replay networks with
+them. Backward passes are hand-written per layer and checked against finite
+differences.
+
+Inside a network every activation and gradient is one layout (``Grid``):
+the image zero-padded by a border p, flattened over rows, with 2p spare
+zeros at the end, so each tap of a k x k conv (k <= 2p + 1) reads a
+contiguous slice. A conv sums its taps one cache-sized column block at a
+time (thin inputs stack all k * k tap slices of a block and run one matmul;
+wider ones run one per tap), writes the sums at pixel (0, 0) of the output's
+buffer, adds its bias and runs a following shuffle and ReLU per column block
+(``_conv``); each row's wrap columns land on the padding and are zeroed. Its
+backward is one such loop over the output gradient's buffer: the input
+gradient is the conv of the flipped, transposed taps, and the weight
+gradient multiplies the same slices by the input (``_conv_backward``).
+Train-mode batch norm takes two passes (mean, then centred variance). Max
+pooling keeps no argmax: its backward finds each window's max again.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -51,6 +58,43 @@ def _conv_shapes(x, weight, stride, pad, groups):
     return n, cin, h, w, cout, kh, out_h, out_w
 
 
+@dataclass(frozen=True)
+class Grid:
+    """An (h, w) image in the padded-flat layout of border p: zero-padded by p
+    on every side, flattened over rows, with 2p spare zeros at the end (as
+    ``_flat(x, 2 * p + 1, p)``). Pixel (r, c) sits at start + r * wp + c, so
+    tap (u, v) of a k x k conv (k // 2 <= p) reads pixel (r, c)'s input at
+    offset skew(k) + u * wp + v of the slice that starts at r * wp + c."""
+
+    h: int
+    w: int
+    p: int
+
+    @property
+    def wp(self) -> int:
+        return self.w + 2 * self.p
+
+    @property
+    def start(self) -> int:
+        return self.p * (self.wp + 1)
+
+    @property
+    def span(self) -> int:
+        """Pixel rows, each with its 2p wrap columns."""
+        return self.h * self.wp
+
+    def skew(self, k: int) -> int:
+        return (self.p - k // 2) * (self.wp + 1)
+
+    def zeros(self, n: int, c: int) -> np.ndarray:
+        return np.zeros((n, c, (self.h + 2 * self.p) * self.wp + 2 * self.p))
+
+    def inner(self, flat: np.ndarray) -> np.ndarray:
+        """The (n, c, h, w) image of a buffer, as a view."""
+        rows = flat[..., : (self.h + 2 * self.p) * self.wp].reshape(*flat.shape[:2], -1, self.wp)
+        return rows[:, :, self.p : self.p + self.h, self.p : self.p + self.w]
+
+
 def _flat(x, k, pad):
     """Zero-padded x flattened over rows, (n, c, hp * wp + k - 1).
 
@@ -58,22 +102,14 @@ def _flat(x, k, pad):
     the k - 1 spare zeros keep the last tap's slice in bounds.
     """
     n, c, h, w = x.shape
-    if k == 1 and pad == 0:
-        return x.reshape(n, c, h * w)
-    flat, inner = _padded(n, c, h, w, pad, k)
-    inner[...] = x
+    flat = np.zeros((n, c, (h + 2 * pad) * (w + 2 * pad) + k - 1))
+    Grid(h, w, pad).inner(flat)[...] = x
     return flat
 
 
-def _padded(n, c, h, w, pad=1, k=3):
-    """A zero buffer in the layout of _flat and its (n, c, h, w) interior."""
-    flat = np.zeros((n, c, (h + 2 * pad) * (w + 2 * pad) + k - 1))
-    return flat, _interior(flat, h, w, pad)
-
-
 def _interior(flat, h, w, pad=1):
-    inner = flat[..., : (h + 2 * pad) * (w + 2 * pad)].reshape(*flat.shape[:2], h + 2 * pad, -1)
-    return inner[:, :, pad : pad + h, pad : pad + w]
+    """The (n, c, h, w) image of a network's output buffer, as a view."""
+    return Grid(h, w, pad).inner(flat)
 
 
 # elements of the largest operand per column block of the tap loop (4 MiB);
@@ -130,9 +166,7 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
     for start, stop, views in _tap_blocks(src, k, wp, span, rows, k > 1 and c < _STACK_BELOW):
         if taps is not None:
             blk = acc[..., start:stop]
-            np.matmul(taps[0], views[0], out=blk)
-            for tap, view in zip(taps[1:], views[1:]):
-                blk += tap @ view
+            _tap_products(taps, views, blk)
             if bias is not None:
                 blk += bias
             if relu:
@@ -144,46 +178,56 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
     return acc
 
 
-def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
-    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1).
+def _tap_products(taps, views, out):
+    """out = the sum over taps of tap @ view, in tap order. OpenBLAS rounds
+    a partial tile of trailing columns its own way, so the last width % 8
+    columns go through a zero-padded copy 8 columns wide: then a column's sum
+    does not depend on the block's width, nor on the layout around it."""
+    body, tail = divmod(out.shape[-1], 8)
+    body *= 8
+    np.matmul(taps[0], views[0][..., :body], out=out[..., :body])
+    for tap, view in zip(taps[1:], views[1:]):
+        out[..., :body] += tap @ view[..., :body]
+    if tail:
+        wide = np.zeros(views[0].shape[:-1] + (8,))
+        for t, (tap, view) in enumerate(zip(taps, views)):
+            wide[..., :tail] = view[..., body:]
+            part = (tap @ wide)[..., :tail]
+            if t:
+                out[..., body:] += part
+            else:
+                out[..., body:] = part
 
-    The taps are summed on the stride-1 grid at padded width; the
-    padded-width columns are cropped and a stride above 1 subsamples the
-    result.
-    """
-    n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
-    wp = w + 2 * pad
-    xf = _flat(x, k, pad).reshape(n, groups, cin // groups, -1)
-    acc = _tap_sum(xf, _taps(weight, groups), k, wp, (h + 2 * pad - k + 1) * wp)
-    out = acc.reshape(n, cout, -1, wp)[:, :, ::stride, : wp - k + 1 : stride]
-    if bias is not None:
-        out = out + bias[None, :, None, None]
+
+def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
+    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1)."""
+    xf, g, _, crop = _same(x, weight, stride, pad, groups)
+    bias = np.zeros(len(weight)) if bias is None else bias
+    return g.inner(_conv(xf, weight, bias, g, 1, groups, False, False, g.zeros(len(x), len(weight))))[crop]
+
+
+def _conv(x, weight, bias, g, stride, groups, shuffle, relu, out):
+    """The conv (pad k // 2, k // 2 <= g.p) of the image in buffer x of grid
+    g, written into out, its output's buffer; bias, then an optional
+    channel_shuffle(groups) and ReLU, run per column block. Sums land at
+    pixel (0, 0) of the stride-1 output's buffer (through the shuffled view
+    with shuffle); a stride above 1 subsamples that buffer into out."""
+    n, cin = x.shape[:2]
+    cout, _, k, _ = weight.shape
+    full = out if stride == 1 else g.zeros(n, cout)
+    acc = full[..., g.start : g.start + g.span]
+    dest = (acc.reshape(n, -1, groups, g.span).swapaxes(1, 2) if shuffle
+            else acc.reshape(n, groups, -1, g.span))
+    src = x[..., g.skew(k) :].reshape(n, groups, cin // groups, -1)
+    _tap_sum(src, _taps(weight, groups), k, g.wp, g.span, dest, bias.reshape(groups, -1, 1), relu)
+    acc.reshape(n, cout, g.h, g.wp)[..., g.w :] = 0.0
+    if stride > 1:
+        _strided(g, stride).inner(out)[...] = g.inner(full)[..., ::stride, ::stride]
     return _finite(out)
 
 
-def _conv_padded(x, xf, weight, bias, groups, shuffle, relu):
-    """3 x 3, pad 1, stride 1 conv2d_forward of x, read from its buffer xf
-    (as _flat(x, 3, 1)), then optional channel_shuffle(groups) and ReLU:
-    (out's buffer laid out as xf, out). Sums land at offset wp + 1, through
-    the shuffled view with shuffle; each row's two wrap columns land on the
-    padding and are zeroed."""
-    n, cin, h, w, cout, k, _, _ = _conv_shapes(x, weight, 1, 1, groups)
-    wp, span = w + 2, h * (w + 2)
-    flat, out = _padded(n, cout, h, w)
-    acc = flat[..., wp + 1 : wp + 1 + span]
-    dest = (acc.reshape(n, -1, groups, span).swapaxes(1, 2) if shuffle
-            else acc.reshape(n, groups, -1, span))
-    xf = xf.reshape(n, groups, cin // groups, -1)
-    _tap_sum(xf, _taps(weight, groups), k, wp, span, dest, bias.reshape(groups, -1, 1), relu)
-    acc.reshape(n, cout, h, wp)[..., w:] = 0.0
-    return _finite(flat), out
-
-
-def _zero_border(flat, h, w):
-    """Zero the padding of a buffer laid out as _flat(x, 3, 1), in place."""
-    wp = w + 2
-    flat[..., : wp + 1] = flat[..., (h + 1) * wp + 1 :] = 0.0
-    flat[..., wp + 1 : (h + 1) * wp + 1].reshape(*flat.shape[:2], h, wp)[..., w:] = 0.0
+def _strided(g, stride):
+    return Grid((g.h - 1) // stride + 1, (g.w - 1) // stride + 1, g.p)
 
 
 def _flip(weight, groups):
@@ -196,59 +240,73 @@ def _flip(weight, groups):
 
 def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
     """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
-    n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
-    if grad_out.shape != (n, cout, out_h, out_w):
-        raise SpecError(f"grad_out shape {grad_out.shape} != {(n, cout, out_h, out_w)}")
-    gx, gw, gb = _conv_backward(_flat(x, k, pad), weight, grad_out, h, w, stride, pad, groups)
-    return _interior(gx, h, w, pad), gw, gb
+    return _conv2d_backward(x, weight, grad_out, stride, pad, groups, True)
 
 
-def _conv_backward(xf, weight, grad_out, h, w, stride=1, pad=1, groups=1, shuffle=False,
-                   want_x=True):
-    """conv2d_backward from x's buffer xf (as _flat(x, k, pad)): grad_input's
-    buffer in that layout, padding not zeroed (None without want_x),
-    grad_weight, grad_bias; with shuffle, grad_out is the gradient of
-    channel_shuffle(out, groups). grad_out goes on the forward's stride-1
-    grid at padded width after (k - 1) * (wp + 1) zeros, and one tap loop
-    over its shifted slices forms grad_input (the forward of _flip's taps)
-    and grad_weight (the same slices times the unshifted input). Without
-    grad_input, the loop shifts the side with fewer channels per group."""
-    n, cin = xf.shape[:2]
+def _conv2d_backward(x, weight, grad_out, stride, pad, groups, want_x):
+    """conv2d_backward, with grad_input None without want_x."""
+    xf, g, d, crop = _same(x, weight, stride, pad, groups)
+    gf = g.zeros(len(x), len(weight))
+    if grad_out.shape != g.inner(gf)[crop].shape:
+        raise SpecError(f"grad_out shape {grad_out.shape} != {g.inner(gf)[crop].shape}")
+    g.inner(gf)[crop] = grad_out
+    gx, gw, gb = _conv_backward(xf, gf, weight, g, 1, groups, False, want_x)
+    return (g.inner(gx)[..., d : d + x.shape[2], d : d + x.shape[3]] if want_x else None), gw, gb
+
+
+def _same(x, weight, stride, pad, groups):
+    """A pad-p conv of x as a same-size conv (pad k // 2) on a buffer: of x
+    zero-padded by d = p - k // 2 more, or cropped by k // 2 - p rows and
+    columns per side. (x's buffer, its grid, d, the output's crop)."""
+    _, _, h, w, _, k, _, _ = _conv_shapes(x, weight, stride, pad, groups)
+    d, e = max(pad - k // 2, 0), max(k // 2 - pad, 0)
+    g = Grid(h + 2 * d, w + 2 * d, k // 2)
+    return _flat(x, k, k // 2 + d), g, d, (..., slice(e, g.h - e, stride), slice(e, g.w - e, stride))
+
+
+def _conv_backward(x, gy, weight, g, stride, groups, shuffle, want_x):
+    """Gradients of _conv from the buffers of its input x and of its output
+    gradient gy (zero padding): (grad_input's buffer, None without want_x,
+    grad_weight, grad_bias); with shuffle, gy is the gradient of
+    channel_shuffle(out, groups). One tap loop over the slices of the
+    stride-1 gradient's buffer forms grad_input (the conv of _flip's taps)
+    and grad_weight (the same slices times the input); without grad_input,
+    the loop shifts the side with fewer channels per group."""
+    n, cin = x.shape[:2]
     cout, cin_g, k, _ = weight.shape
-    cout_g, hp, wp = cout // groups, h + 2 * pad, w + 2 * pad
-    span, lead = (hp - k + 1) * wp, (k - 1) * (wp + 1)
-    gf = np.zeros((n, groups, cout_g, (hp + k - 1) * wp + k - 1))
-    g1 = gf[..., lead : lead + span]
-    out_hw = grad_out.shape[2:]
-    gv = (grad_out.reshape(n, cout_g, groups, *out_hw).swapaxes(1, 2) if shuffle
-          else grad_out.reshape(n, groups, cout_g, *out_hw))
-    g1.reshape(n, groups, cout_g, -1, wp)[..., ::stride, : wp - k + 1 : stride] = gv
+    cout_g, at = cout // groups, slice(g.start, g.start + g.span)
+    if stride > 1:
+        full = g.zeros(n, cout)
+        g.inner(full)[..., ::stride, ::stride] = _strided(g, stride).inner(gy)
+        gy = full
+    gv = (gy.reshape(n, cout_g, groups, -1).swapaxes(1, 2) if shuffle
+          else gy.reshape(n, groups, cout_g, -1))
     shift_g = want_x or cout_g <= cin_g
     oriented = _flip(weight, groups) if shift_g else weight
-    taps, gx = _taps(oriented, groups), None
+    taps, gx = _taps(oriented, groups), g.zeros(n, cin) if want_x else None
     grad = np.zeros(taps.swapaxes(-1, -2).shape)
+    xv = x.reshape(n, groups, cin_g, -1)
+    src, other = (gv, xv) if shift_g else (xv, gv)
+    _tap_sum(src[..., g.skew(k) :], taps if want_x else None, k, g.wp, g.span,
+             gx[..., at].reshape(n, groups, cin_g, -1) if want_x else None,
+             other=other[..., at], grad=grad)
     if want_x:
-        gx = np.empty((n, groups, cin_g, hp * wp + k - 1))
-        gx[..., hp * wp :] = 0.0
-    xf = xf.reshape(n, groups, cin_g, -1)
-    src, other = (gf, xf) if shift_g else (xf, g1)
-    _tap_sum(src, taps if want_x else None, k, wp, hp * wp if shift_g else span,
-             None if gx is None else gx[..., : hp * wp], other=other, grad=grad)
+        gx[..., at].reshape(n, cin, g.h, g.wp)[..., g.w :] = 0.0
     grad_w = grad.transpose(1, 3, 2, 0).reshape(oriented.shape)
     grad_w = _flip(grad_w, groups) if shift_g else grad_w
-    return None if gx is None else gx.reshape(n, cin, -1), grad_w, gv.sum(axis=(0, 3, 4)).ravel()
+    return gx, grad_w, gv.sum(axis=(0, 3)).ravel()
 
 
-def channel_shuffle(x, groups):
+def channel_shuffle(x, groups, out=None):
     """Permute channels by reshaping (g, c/g) and transposing."""
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     if c % groups != 0:
         raise SpecError(f"groups={groups} must divide channels={c}")
-    return (
-        x.reshape(n, groups, c // groups, h, w)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(n, c, h, w)
-    )
+    y = x.reshape(n, groups, c // groups, -1).swapaxes(1, 2)
+    if out is None:
+        return y.reshape(x.shape)
+    out.reshape(n, c // groups, groups, -1)[...] = y
+    return out
 
 
 def channel_shuffle_backward(grad_out, groups):
@@ -261,27 +319,21 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", hw=None,
-                      relu=False):
-    """Per-channel normalization.
+def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", out=None):
+    """Per-channel normalization of x, written into out when given.
 
     Train mode normalizes with batch statistics (two passes: the mean, then
     the variance of the centred copy) and updates the running mean/var in
     place (momentum 0.9); eval mode uses the running stats. Returns
     (out, cache); the cache, which holds the centred copy, feeds
-    batchnorm_backward. With hw = (h, w), x is a buffer laid out as
-    _flat(., 3, 1) with zero padding: the statistics cover its interior and
-    out's padding is zeroed. With relu, ReLU runs on out in place and the
-    cache keeps out as its mask.
+    batchnorm_backward.
     """
-    col, ax = (slice(None),) + (None,) * (x.ndim - 2), "nchw"[: x.ndim]
-    m = x.size // x.shape[1] if hw is None else len(x) * hw[0] * hw[1]
+    col = (slice(None), None, None)
+    m = x.size // x.shape[1]
     if mode == "train":
-        mu = np.einsum(f"{ax}->c", x) / m
+        mu = np.einsum("nchw->c", x) / m
         xc = x - mu[col]
-        if hw is not None:
-            _zero_border(xc, *hw)
-        var = np.einsum(f"{ax},{ax}->c", xc, xc) / m
+        var = np.einsum("nchw,nchw->c", xc, xc) / m
         running_mean *= BN_MOMENTUM
         running_mean += (1.0 - BN_MOMENTUM) * mu
         running_var *= BN_MOMENTUM
@@ -292,41 +344,31 @@ def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", h
     else:
         raise ValueError(f"unknown mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    out = xc * (scale * inv_std)[col]
+    out = np.multiply(xc, (scale * inv_std)[col], out=out)
     out += shift[col]
-    if hw is not None:
-        _zero_border(out, *hw)
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    return _finite(out), (xc, inv_std, mode, m, hw, out if relu else None)
+    return _finite(out), (xc, inv_std, mode, m)
 
 
-def batchnorm_backward(grad_out, scale, cache):
-    """(grad_input, grad_scale, grad_shift) for the cached forward pass, in
-    the forward's layout. In the padded one, grad_out's padding counts as 0
-    (it is zeroed in place unless a ReLU mask covers it) and grad_input's is
-    not zeroed."""
-    xc, inv_std, mode, m, hw, relu_out = cache
-    col, ax = (slice(None),) + (None,) * (xc.ndim - 2), "nchw"[: xc.ndim]
-    if relu_out is not None:
-        grad_out = grad_out * (relu_out > 0.0)
-    elif hw is not None:
-        _zero_border(grad_out, *hw)
-    grad_scale = np.einsum(f"{ax},{ax}->c", grad_out, xc) * inv_std
-    grad_shift = np.einsum(f"{ax}->c", grad_out)
+def batchnorm_backward(grad_out, scale, cache, out=None):
+    """(grad_input, grad_scale, grad_shift) for the cached forward pass;
+    grad_input is written into out when given."""
+    xc, inv_std, mode, m = cache
+    col = (slice(None), None, None)
+    grad_scale = np.einsum("nchw,nchw->c", grad_out, xc) * inv_std
+    grad_shift = np.einsum("nchw->c", grad_out)
     if mode == "eval":
-        return grad_out * (scale * inv_std)[col], grad_scale, grad_shift
+        return np.multiply(grad_out, (scale * inv_std)[col], out=out), grad_scale, grad_shift
     # with c = scale * inv_std / m and xhat = xc * inv_std per channel:
     # grad_x = c * (m * grad_out - grad_shift - xhat * grad_scale)
     c = scale * inv_std / m
-    grad_x = np.multiply(grad_out, (m * c)[col], out=None if relu_out is None else grad_out)
+    grad_x = np.multiply(grad_out, (m * c)[col], out=out)
     grad_x -= (c * grad_shift)[col]
     grad_x -= xc * (c * grad_scale * inv_std)[col]
     return grad_x, grad_scale, grad_shift
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(grad_out, x):
@@ -341,42 +383,40 @@ def sigmoid_backward(grad_out, y):
     return grad_out * y * (1.0 - y)
 
 
-def maxpool2_forward(x):
+def maxpool2_forward(x, out=None):
     """2x2 stride-2 max: the elementwise max of the four strided views."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"pooling needs even spatial dims, got {h}x{w}")
-    top = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    top = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
     return np.maximum(top, np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]), out=top)
 
 
-def maxpool2_backward(grad_out, x):
-    """Routes each window's gradient to its max in the forward input x;
-    ties go to the first max in row-major order (top-left first)."""
-    out = maxpool2_forward(x)
-    grad_x = np.zeros_like(x)
-    free = np.ones(out.shape, dtype=bool)
+def maxpool2_backward(grad_out, x, out=None):
+    """Routes each window's gradient to its max in the forward input x,
+    written into out (zeros) when given; ties go to the first max in
+    row-major order (top-left first)."""
+    top = maxpool2_forward(x)
+    grad_x = np.zeros_like(x) if out is None else out
+    free = np.ones(top.shape, dtype=bool)
     for dy in (0, 1):
         for dx in (0, 1):
-            hit = free & (x[:, :, dy::2, dx::2] == out)
+            hit = free & (x[:, :, dy::2, dx::2] == top)
             grad_x[:, :, dy::2, dx::2] = grad_out * hit
             free &= ~hit
     return grad_x
 
 
-def upsample_nearest(x):
-    """Double both spatial dims by pixel replication."""
+def upsample_nearest(x, out=None):
+    """Double both spatial dims by pixel replication: one strided write per
+    column parity."""
     n, c, h, w = x.shape
-    return _upsample_into(x, np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype))
-
-
-def _upsample_into(x, out):
-    """upsample_nearest(x) written into out, one strided write per column parity."""
-    for col in out.reshape(*x.shape[:3], 2, x.shape[3], 2).transpose(5, 0, 1, 2, 3, 4):
+    out = np.empty((n, c, 2 * h, 2 * w)) if out is None else out
+    for col in out.reshape(n, c, h, 2, w, 2).transpose(5, 0, 1, 2, 3, 4):
         col[...] = x[:, :, :, None]
     return out
 
 
-def upsample_nearest_backward(grad_out):
+def upsample_nearest_backward(grad_out, out=None):
     n, c, h, w = grad_out.shape
-    return grad_out.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    return np.sum(grad_out.reshape(n, c, h // 2, 2, w // 2, 2), axis=(3, 5), out=out)

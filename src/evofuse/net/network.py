@@ -3,6 +3,8 @@
 A network is three block stages (alpha / beta / gamma). With ``residual``
 set the beta output is added to its own input before gamma, and every
 output passes through a final sigmoid so fused intensities stay in (0, 1).
+The input is padded into the padded-flat layout once and the output read
+back from it once; every stage runs on that layout in between.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import numpy as np
 from ..errors import DimensionError, FormatError, IoError, RangeError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
-from .arch import ArchSpec, _path_backward, _path_forward, builtin_spec, count_groups, count_state
+from .arch import (
+    ArchSpec,
+    _path_backward,
+    _path_channels,
+    _path_forward,
+    builtin_spec,
+    count_groups,
+    count_state,
+)
 
 
 @dataclass
@@ -60,38 +70,57 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
     return np.stack([pair.a.data, pair.b.data])[None]
 
 
-def _trunk(params: NetParams, x: np.ndarray, mode: str, keep: bool):
-    """alpha(x) + beta(alpha(x)) under the residual rule: (out, its padded-flat
-    buffer or None, the (alpha, beta) caches when ``keep`` is set)."""
+def _enter(params: NetParams, x: np.ndarray, mode: str):
+    """x's padded-flat buffer and grid, whose border is the spec's widest conv
+    padding, after checking the input and mode."""
     spec = params.spec
-    h1, a, ac = _path_forward(spec.alpha, params.alpha, x, mode, keep)
-    m, b, bc = _path_forward(spec.beta, params.beta, h1, mode, keep, a)
-    if not spec.residual:
-        return m, b, (ac, bc)
-    if a is None or b is None:
-        return h1 + m, None, (ac, bc)
-    # the borders add 0 + 0; a keep pass must not overwrite b, a ReLU's mask
-    b = b + a if keep else np.add(b, a, out=b)
-    return layers._interior(b, *m.shape[2:]), b, (ac, bc)
+    if mode not in ("train", "eval"):
+        raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if x.ndim != 4 or x.shape[1] != spec.in_channels:
+        raise DimensionError(
+            f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
+        )
+    if 0 in x.shape:
+        raise DimensionError(f"input needs a batch and sides of at least 1, got {x.shape}")
+    pad = spec.sequence.border()
+    return layers._flat(x, 2 * pad + 1, pad), layers.Grid(*x.shape[2:], pad)
+
+
+def _trunk(params: NetParams, x: np.ndarray, g, mode: str, keep: bool):
+    """alpha(x) + beta(alpha(x)) under the residual rule on x's buffer: (out's
+    buffer, its grid, the (alpha, beta) caches when ``keep`` is set)."""
+    spec = params.spec
+    a, g, ac = _path_forward(spec.alpha, params.alpha, x, g, mode, keep)
+    b, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep)
+    if spec.residual:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
+        b = np.add(b, a, out=None if keep or b is a else b)
+    return b, g, (ac, bc)
 
 
 def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
     """Full forward pass; (out, caches for net_backward or None)."""
     spec = params.spec
-    if x.ndim != 4 or x.shape[1] != spec.in_channels:
-        raise DimensionError(
-            f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
-        )
-    z, zf, trunk = _trunk(params, x, mode, keep)
-    y, _, g = _path_forward(spec.gamma, params.gamma, z, mode, keep, zf)
-    out = layers.sigmoid(y)
-    return out, ((*trunk, g, out) if keep else None)
+    xf, g_in = _enter(params, x, mode)
+    z, g, trunk = _trunk(params, xf, g_in, mode, keep)
+    y, g, gc = _path_forward(spec.gamma, params.gamma, z, g, mode, keep)
+    out = layers.sigmoid(layers._interior(y, g.h, g.w, g.p))
+    return out, ((*trunk, gc, out, g, g_in) if keep else None)
 
 
 def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule;
     an inference pass that keeps no block caches."""
-    return np.ascontiguousarray(_trunk(params, x, mode, keep=False)[0])
+    z, g, _ = _trunk(params, *_enter(params, x, mode), mode, keep=False)
+    return np.ascontiguousarray(layers._interior(z, g.h, g.w, g.p))
+
+
+def head_params(params: NetParams, gamma: list) -> NetParams:
+    """The output stage alone, with parameters ``gamma``, as a network whose
+    input is the trunk's features (see trunk_forward)."""
+    spec = params.spec
+    c = _path_channels(spec.beta, _path_channels(spec.alpha, spec.in_channels))
+    head = ArchSpec(spec.name, c, spec.out_channels, (), (), spec.gamma, residual=False)
+    return NetParams(head, [], [], gamma)
 
 
 def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):
@@ -112,16 +141,17 @@ def net_forward(params: NetParams, inputs, mode: str = "eval") -> np.ndarray:
 
 def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bool = True):
     """(grads aligned with trainable_arrays order, grad wrt input); without
-    ``_input_grad`` the input gradient may be skipped and returned as None."""
+    ``_input_grad`` the input gradient is skipped and returned as None."""
     spec = params.spec
-    a_caches, b_caches, g_caches, out = cache
-    gy = layers.sigmoid_backward(grad_out, out)
-    gz, g_grads, zf = _path_backward(spec.gamma, params.gamma, g_caches, gy)
-    gh1, b_grads, hf = _path_backward(spec.beta, params.beta, b_caches, gz, zf)
-    if spec.residual:  # hf is a new buffer unless beta has no blocks
-        hf = None if hf is None or zf is None else np.add(hf, zf, out=None if hf is zf else hf)
-        gh1 = gh1 + gz if hf is None else layers._interior(hf, *gh1.shape[2:])
-    gx, a_grads, _ = _path_backward(spec.alpha, params.alpha, a_caches, gh1, hf, _input_grad)
+    a_caches, b_caches, g_caches, out, g, g_in = cache
+    gy = g.zeros(*out.shape[:2])
+    g.inner(gy)[...] = layers.sigmoid_backward(grad_out, out)
+    gz, g_grads = _path_backward(spec.gamma, params.gamma, g_caches, gy)
+    gh, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz)
+    if spec.residual:
+        gh = np.add(gh, gz, out=None if gh is gz else gh)
+    gx, a_grads = _path_backward(spec.alpha, params.alpha, a_caches, gh, _input_grad)
+    gx = layers._interior(gx, g_in.h, g_in.w, g_in.p) if _input_grad else None
     return a_grads + b_grads + g_grads, gx
 
 

@@ -20,11 +20,13 @@ from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
 from .image import ImageGray, ImagePair, tile_grid
 from .metrics import _SSIM_TAPS, _ssim
-from .net.arch import ArchSpec, _path_arrays, _path_backward, _path_forward, builtin_spec
+from .net.arch import ArchSpec, builtin_spec
 from .net.network import (
     NetParams,
     build_network,
+    head_params,
     net_backward,
+    net_forward,
     net_forward_cached,
     net_output_image,
     pair_tensor,
@@ -32,7 +34,6 @@ from .net.network import (
     trainable_arrays,
     trunk_forward,
 )
-from .net import layers
 from .niqe import NiqeModel
 
 MSE_WEIGHT = 0.8
@@ -333,9 +334,7 @@ def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray
         if len(tw.unique) != 1:
             raise RangeError("task must be named when several heads are stored")
         task = next(iter(tw.unique))
-    gamma = tw.unique[task]
-    y, _, _ = _path_forward(tw.common.spec.gamma, gamma, z, "eval", keep=False)
-    return layers.sigmoid(y)
+    return net_forward(head_params(tw.common, tw.unique[task]), z)
 
 
 def adapt_task(
@@ -363,8 +362,8 @@ def adapt_task(
         feats.append(beta_mix * trunk_forward(common, xb, mode="eval"))
     feats = np.concatenate(feats)
 
-    gamma_blocks = common.spec.gamma
-    arrays = _path_arrays(gamma_blocks, gamma, with_running=False)
+    head = head_params(common, gamma)
+    arrays = trainable_arrays(head)
     state = init_adam(arrays)
     rng = np.random.default_rng(cfg.seed)
     n = inputs.shape[0]
@@ -374,10 +373,8 @@ def adapt_task(
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 zb = feats[idx]
-                y, _, caches = _path_forward(gamma_blocks, gamma, zb, "train")
-                out = layers.sigmoid(y)
+                out, cache = net_forward_cached(head, zb, "train")
                 _, grad_out = _batch_loss(out, inputs[idx], None if targets is None else targets[idx], cfg)
-                gy = layers.sigmoid_backward(grad_out, out)
-                _, grads, _ = _path_backward(gamma_blocks, gamma, caches, gy, want_x=False)
+                grads, _ = net_backward(head, cache, grad_out, _input_grad=False)
                 adam_step(arrays, grads, state, lr)
     return tw

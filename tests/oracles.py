@@ -171,8 +171,8 @@ def conv2d_backward_two_loops(x, weight, grad_out, stride=1, pad=0, groups=1):
 def eval_replay(params, x) -> np.ndarray:
     """net_forward(params, x) in eval mode, replayed one block at a time with
     the public layer primitives on the parameters ``_fold_bn`` folds: a
-    folded BatchNorm is skipped, Branch and SkipConcat run as in
-    ``_path_forward``, and each primitive returns a new contiguous array."""
+    folded BatchNorm is skipped, Branch paths are replayed the same way and
+    concatenated, and each primitive returns a new array."""
 
     def path(blocks, plist, x):
         sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
@@ -197,7 +197,7 @@ def eval_replay(params, x) -> np.ndarray:
             elif isinstance(blk, SkipConcat):
                 x = np.concatenate([x, outs[blk.source]], axis=1)
             elif isinstance(blk, Branch):
-                x, _ = blk.forward(p, x, "eval")
+                x = np.concatenate([path(pb, pp, x) for pb, pp in zip(blk.paths, p)], axis=1)
             else:
                 raise TypeError(f"no replay for {blk!r}")
             if i in sources:
@@ -208,6 +208,25 @@ def eval_replay(params, x) -> np.ndarray:
     h1 = path(spec.alpha, params.alpha, x)
     m = path(spec.beta, params.beta, h1)
     return layers.sigmoid(path(spec.gamma, params.gamma, h1 + m if spec.residual else m))
+
+
+def block_forward(block, p, x, mode="eval"):
+    """One block's route, keeping its cache, on a plain (n, c, h, w) array x
+    padded by the block's border: (output, cache for block_backward)."""
+    g = layers.Grid(*x.shape[2:], block.border())
+    g2 = layers.Grid(*block.costs(g.h, g.w)[1:], g.p)
+    out = g2.zeros(len(x), block.out_channels(x.shape[1], []))
+    cache = block.forward(p, layers._flat(x, 2 * g.p + 1, g.p), g, out, mode, True)
+    return g2.inner(out).copy(), (cache, g, g2)
+
+
+def block_backward(block, p, cache, grad_out):
+    """(input gradient, grads in arrays() order) of a block_forward pass."""
+    cache, g, g2 = cache
+    gy = g2.zeros(*grad_out.shape[:2])
+    g2.inner(gy)[...] = grad_out
+    gx, grads = block.backward(p, cache, gy, True)
+    return g.inner(gx), grads
 
 
 def train_replay(params, x, grad_out, relu_inputs=None):

@@ -48,6 +48,8 @@ from evofuse.training import (
 
 from oracles import (
     avg_gradient_oracle,
+    block_backward,
+    block_forward,
     brenner_oracle,
     entropy_oracle,
     finite_diff_grad,
@@ -178,14 +180,14 @@ def _draw_fire(rng):
 
 def _check_fire(rng):
     x, block, p = _draw_fire(rng)
-    out, cache = block.forward(p, x, "eval")
+    out, cache = block_forward(block, p, x)
     t = rng.standard_normal(out.shape)
 
     def loss():
-        o, _ = block.forward(p, x, "eval")
+        o, _ = block_forward(block, p, x)
         return float((o * t).sum())
 
-    gx, grads = block.backward(p, cache, t)
+    gx, grads = block_backward(block, p, cache, t)
     worst = rel_err(finite_diff_grad(loss, x, FD_H), gx)
     for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
         worst = max(worst, rel_err(finite_diff_grad(loss, w, FD_H), gw))

@@ -7,7 +7,14 @@ from evofuse.errors import DimensionError, SpecError
 from evofuse.net import layers
 from evofuse.net.arch import ConvParams, fire, inception, separable
 
-from oracles import conv2d_backward_two_loops, conv2d_oracle, finite_diff_grad, relative_err
+from oracles import (
+    block_backward,
+    block_forward,
+    conv2d_backward_two_loops,
+    conv2d_oracle,
+    finite_diff_grad,
+    relative_err,
+)
 
 GRAD_TOL = 1e-3
 FD_H = 1e-3
@@ -171,9 +178,7 @@ class TestConvBackward:
                 out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
                 g = rng.standard_normal(out.shape)
                 _, want_w, want_b = conv2d_backward_two_loops(x, w, g, stride, pad, groups)
-                gx, gw, gb = layers._conv_backward(
-                    layers._flat(x, k, pad), w, g, 7, 6, stride, pad, groups, want_x=False
-                )
+                gx, gw, gb = layers._conv2d_backward(x, w, g, stride, pad, groups, False)
                 assert gx is None
                 np.testing.assert_allclose(gw, want_w, rtol=1e-12, atol=1e-12, err_msg=str((k, pad)))
                 np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)
@@ -363,18 +368,18 @@ class TestFire:
         x = rng.random((1, 4, 5, 5))
         zeros = lambda cout, cin_, k: (np.zeros((cout, cin_, k, k)), np.zeros(cout))
         p = fire_params(zeros(2, 4, 1), zeros(3, 2, 1), zeros(3, 2, 3))
-        out, _ = fire(4, 2, 3, 3).forward(p, x, "eval")
+        out, _ = block_forward(fire(4, 2, 3, 3), p, x)
         assert not out.any()
 
     def test_output_channels_concat(self, rng):
         p = fire_params(*self.params(rng))
-        out, _ = fire(4, 2, 3, 3).forward(p, rng.random((1, 4, 5, 5)), "eval")
+        out, _ = block_forward(fire(4, 2, 3, 3), p, rng.random((1, 4, 5, 5)))
         assert out.shape == (1, 6, 5, 5)
 
     def test_equals_primitive_composition(self, rng):
         sq, e1, e3 = self.params(rng)
         x = rng.standard_normal((2, 4, 6, 6))
-        out, _ = fire(4, 2, 3, 3).forward(fire_params(sq, e1, e3), x, "eval")
+        out, _ = block_forward(fire(4, 2, 3, 3), fire_params(sq, e1, e3), x)
         s = layers.relu(layers.conv2d_forward(x, sq[0], sq[1], pad=0))
         o1 = layers.conv2d_forward(s, e1[0], e1[1], pad=0)
         o3 = layers.conv2d_forward(s, e3[0], e3[1], pad=1)
@@ -397,11 +402,11 @@ class TestFire:
         block, p = fire(4, 2, 3, 3), fire_params(sq, e1, e3)
 
         def loss():
-            out, _ = block.forward(p, x, "eval")
+            out, _ = block_forward(block, p, x)
             return float((out * target).sum())
 
-        out, cache = block.forward(p, x, "eval")
-        gx, grads = block.backward(p, cache, target)
+        out, cache = block_forward(block, p, x)
+        gx, grads = block_backward(block, p, cache, target)
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
         for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
             assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL
@@ -414,13 +419,13 @@ def test_composite_backward_finite_differences(rng, block):
     for w in block.arrays(p, with_running=False):
         w[...] = 0.4 * rng.standard_normal(w.shape)
     x = rng.standard_normal((2, 4, 5, 5))
-    target = rng.standard_normal(block.forward(p, x, "eval")[0].shape)
+    target = rng.standard_normal(block_forward(block, p, x)[0].shape)
 
     def loss():
-        return float((block.forward(p, x, "eval")[0] * target).sum())
+        return float((block_forward(block, p, x)[0] * target).sum())
 
-    _, cache = block.forward(p, x, "eval")
-    gx, grads = block.backward(p, cache, target)
+    _, cache = block_forward(block, p, x)
+    gx, grads = block_backward(block, p, cache, target)
     assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
     for w, gw in zip(block.arrays(p, with_running=False), grads, strict=True):
         assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL

@@ -12,7 +12,7 @@ from evofuse.net.arch import (
     BUILTIN_NAMES,
     BatchNorm,
     POOLED_NAMES,
-    _path_forward,
+    Branch,
     builtin_spec,
     count_params,
     inception,
@@ -35,7 +35,7 @@ from evofuse.net.network import (
 from evofuse.training import TrainConfig, make_task_weights, task_forward, train
 
 from conftest import random_pair
-from oracles import eval_replay, relative_err, train_replay
+from oracles import block_forward, eval_replay, relative_err, train_replay
 from test_layers import FD_H, GRAD_TOL
 
 
@@ -109,7 +109,7 @@ class TestForward:
     def test_inception_block_equals_primitive_composition(self, rng):
         params = build_network("inception", seed=8)
         x = pair_tensor(random_pair(rng, 16, 16))
-        h1, _, _ = _path_forward(params.spec.alpha, params.alpha, x, "eval")
+        h1, _ = block_forward(Branch((params.spec.alpha,)), [params.alpha], x)
         blk = params.spec.beta[0]
         assert blk == inception(64, 16, 32, 16)
         (b1,), (b3,), (b5,) = params.beta[0]
@@ -117,7 +117,7 @@ class TestForward:
         y3 = layers.conv2d_forward(h1, b3.weight, b3.bias, pad=1)
         y5 = layers.conv2d_forward(h1, b5.weight, b5.bias, pad=2)
         expected = np.concatenate([y1, y3, y5], axis=1)
-        got, _ = blk.forward(params.beta[0], h1, "eval")
+        got, _ = block_forward(blk, params.beta[0], h1)
         assert np.max(np.abs(got - expected)) < 1e-6
 
     def test_eval_batch_independent(self, rng):
