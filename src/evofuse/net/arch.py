@@ -2,12 +2,10 @@
 built-in variants, analytic cost counting and arch files.
 
 Each block type is a frozen dataclass owning its channel rule, seeded init,
-its one forward and one backward route, parameter arrays, costs and group
-count. Every route reads and writes padded-flat buffers (``layers.Grid``),
-whose border is the widest conv padding in the network. ``Branch`` runs
-several paths (tuples of blocks) on one input, each writing its channels of
-one output buffer, so separable, Fire and Inception modules are macros
-returning one ``Branch`` of convolutions.
+one forward and one backward route on padded-flat buffers (``layers.Grid``),
+parameter arrays, costs and group count. ``Branch`` runs several paths
+(tuples of blocks) on one input and concatenates their outputs, so
+separable, Fire and Inception modules are macros returning one ``Branch``.
 
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
@@ -43,16 +41,13 @@ class BNParams:
 
 class Block:
     """Defaults for a shape-preserving block without parameters or MACs.
-
-    Subclasses define the block's route on padded-flat buffers:
-    ``forward(p, x, g, out, mode, keep)`` writes the block's output for the
-    input buffer x (grid g) into the buffer out and returns what backward
-    needs; ``backward(p, cache, gy, want_x)`` takes the output gradient's
-    buffer and returns (the input gradient's buffer, grads in arrays()
-    order)."""
+    ``forward(p, x, g, out, mode, keep)`` writes the output for buffer x of
+    grid g into buffer out and returns the cache; ``backward(p, cache, gy,
+    want_x)`` returns (the input gradient's buffer, grads in arrays() order)."""
 
     inplace = False  # out may be the input buffer itself
     holds_output = False  # the cache holds the output buffer
+    epilogue = False  # forward runs the shuffle (and ReLU) after it (_epilogue)
 
     def out_channels(self, cin: int, outs: list[int]) -> int:
         """Output channels given the input channels and the earlier outputs
@@ -76,19 +71,15 @@ class Block:
     def group_count(self) -> int:
         return 1
 
-    def border(self) -> int:
-        """The widest conv padding (k // 2) in the block."""
+    def border(self) -> int:  # the widest conv padding (k // 2) in the block
         return 0
-
-    def fuse(self, blocks, i, done, sources, infer) -> tuple:
-        """Flags for forward of the blocks after it (at i) that it runs."""
-        return ()
 
 
 @dataclass(frozen=True)
 class ConvBlock(Block):
     """k x k grouped cross-correlation, zero-padded by k // 2."""
 
+    epilogue = True
     cin: int
     cout: int
     k: int
@@ -144,9 +135,6 @@ class ConvBlock(Block):
 
     def border(self):
         return self.k // 2
-
-    def fuse(self, blocks, i, done, sources, infer):
-        return _epilogue(blocks, i, done, sources, relu=infer)
 
 
 @dataclass(frozen=True)
@@ -204,7 +192,7 @@ class BatchNorm(Block):
 
 @dataclass(frozen=True)
 class ReLU(Block):
-    inplace = holds_output = True  # the output is the backward's mask
+    inplace = holds_output = True  # the output is its backward's mask
 
     def forward(self, p, x, g, out, mode, keep):
         return layers.relu(x, out)
@@ -246,12 +234,10 @@ class UpsampleNearest2(Block):
 
 @dataclass(frozen=True)
 class SkipConcat(Block):
-    """Concat the output of an earlier block of the same path: the driver has
-    the source and the block before write into the two channel ranges of
-    this block's output buffer."""
+    """Concat the output of an earlier block of the same path (both written in place)."""
 
     source: int
-    holds_output = True  # its source's reader may hold the source's part
+    holds_output = True
 
     def out_channels(self, cin, outs):
         if not 0 <= self.source < len(outs):
@@ -268,7 +254,7 @@ class Branch(Block):
     the outputs on channels; a single path is a plain sequence."""
 
     paths: tuple
-    holds_output = True  # a path's last block may hold its part
+    holds_output = True
 
     def out_channels(self, cin, outs):
         return sum(_path_channels(path, cin) for path in self.paths)
@@ -276,13 +262,11 @@ class Branch(Block):
     def init(self, rng):
         return [[blk.init(rng) for blk in path] for path in self.paths]
 
-    def forward(self, p, x, g, out, mode, keep):
-        """Each path writes its channels of out."""
-        _, h, w = self.costs(g.h, g.w)
+    def forward(self, p, x, g, out, mode, keep):  # each path writes its channels of out
         caches, start = [], 0
         for path, pp in zip(self.paths, p):
             width = _path_channels(path, x.shape[1])
-            part = (out[:, start : start + width], Grid(h, w, g.p))
+            part = out[:, start : start + width]
             caches.append((width, _path_forward(path, pp, x, g, mode, keep, part)[2]))
             start += width
         return caches
@@ -462,75 +446,54 @@ def _skips(blocks) -> dict:
 
 
 def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
-    """Run a path on the padded-flat buffer x of grid g: (the output's buffer,
-    its grid, the caches backward needs, kept with ``keep``). out = (buffer,
-    grid), when given, receives the output.
-
-    Each block writes into a buffer the driver hands it: its input, for an
-    in-place block whose input nothing else reads; its part of a
-    SkipConcat's buffer; or a new one. A SkipConcat's buffer is made when
-    its source runs: the source writes its channels [c:] and the block
-    before the SkipConcat its channels [:c], so the concat copies nothing
-    (any other copy of the source is written when the source has run).
-
-    Inference passes (eval without ``keep``) fold BNs into convs
-    (``_fold_bn``, on every call so that parameter updates count); a conv
-    runs the shuffle after it in its tap loop (``_epilogue``), and on
-    inference passes the ReLU after it too."""
+    """Run a path on buffer x of grid g into out (or a new buffer): (output,
+    its grid, caches kept with ``keep``). A block writes into its input (if
+    in place and nothing else reads it), its part of a SkipConcat's buffer or
+    a new one. Inference passes (eval without ``keep``) fold BNs into convs
+    (``_fold_bn``, on every call so that parameter updates count); a conv runs
+    the shuffle, and on inference the ReLU, after it (``_epilogue``)."""
     n, chans, skips = len(x), _path_outs(blocks, x.shape[1]), _skips(blocks)
+    grids = [g]
+    for blk in blocks:
+        grids.append(Grid(*blk.costs(grids[-1].h, grids[-1].w)[1:], g.p))
+    dest, copies = ({} if out is None else {len(blocks) - 1: out}), {}  # by writer index
+    for r in sorted(skips, reverse=True):  # a later SkipConcat may hold an earlier's buffer
+        s, c = skips[r], chans[r - 1]
+        if grids[r] != grids[s + 1]:
+            raise DimensionError(f"skip source {grids[s + 1]} != current {grids[r]}")
+        buf = dest.setdefault(r, grids[r].zeros(n, chans[r]))
+        for j, part in ((s, buf[:, c:]), (r - 1, buf[:, :c])):
+            if dest.setdefault(j, part) is not part:
+                copies.setdefault(j, []).append(part)
     sources = set(skips.values())
     infer = mode == "eval" and not keep
     plist, done = _fold_bn(blocks, plist, sources) if infer else (plist, set())
-    dest = {} if out is None else {len(blocks) - 1: out}  # index -> (buffer, grid) for its output
-    cats, caches = {}, []  # SkipConcat index -> its buffer, made when its source runs
+    caches = []
     for i, (blk, p) in enumerate(zip(blocks, plist)):
         if i in done:
             caches.append(_FUSED)
             continue
-        fused = blk.fuse(blocks, i, done, sources, infer)
-        last = i  # the block whose output this one's is: fused and folded ones follow
+        fused = _epilogue(blocks, i, done, sources, relu=infer) if blk.epilogue else ()
+        last = i  # the fused and folded blocks after it end with its output
         while last + 1 in done:
             last += 1
-        g2 = Grid(*blk.costs(g.h, g.w)[1:], g.p)
-        y, copies = _take(dest, last, g2), []
-        if i in cats:  # a SkipConcat: its source and the block before wrote its buffer
-            y, copies = cats.pop(i), ([] if y is None else [y])
-        for r in sorted((r for r, s in skips.items() if s == last), reverse=True):
-            cat = _take(dest, r, g2)
-            cats[r] = cat = g2.zeros(n, chans[r]) if cat is None else cat
-            c = chans[r - 1]
-            parts = [cat[:, c:]] + ([cat[:, :c]] if r - 1 == last else [])
-            if r - 1 != last:
-                dest[r - 1] = (cat[:, :c], g2)
-            y = parts.pop(0) if y is None else y
-            copies += parts
+        y = dest.get(last)
         if y is None:
             own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
-            y = x if blk.inplace and own else g2.zeros(n, chans[last])
+            y = x if blk.inplace and own else grids[i + 1].zeros(n, chans[last])
         cache = blk.forward(p, x, g, y, mode, keep, *fused)
-        for part in copies:
+        for part in copies.get(last, ()):
             part[...] = y
         if keep:
             caches.append(cache)
-        x, g = y, g2
+        x, g = y, grids[i + 1]
     return x, g, caches
 
 
-def _take(dest, i, g):
-    """The buffer dest holds for block i's output (removed) or None, after
-    checking its grid against g, the output's."""
-    buf, want = dest.pop(i, (None, g))
-    if want != g:
-        raise DimensionError(f"skip source spatial {(want.h, want.w)} != current {(g.h, g.w)}")
-    return buf
-
-
 def _path_backward(blocks, plist, caches, gy, want_x=True):
-    """Walk blocks in reverse, routing skip-concat gradients to their sources.
-
-    Returns (the gradient buffer of the path input, per-block grads flattened
-    in forward order); without ``want_x`` a first conv leaves out its input
-    gradient (None)."""
+    """Walk blocks in reverse, routing skip-concat gradients to their sources:
+    (the path input's gradient buffer, per-block grads in forward order).
+    Without ``want_x`` a first conv leaves out its input gradient (None)."""
     skips, routed, grads = _skips(blocks), {}, []
     for i in range(len(blocks) - 1, -1, -1):
         if i in routed:  # gradient that later skips sent to this output

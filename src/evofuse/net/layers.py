@@ -1,24 +1,12 @@
-"""Layer primitives and the padded-flat activation layout.
+"""Layer primitives and the padded-flat layout (``Grid``) that every network
+activation and gradient lives in.
 
-The public primitives (convolution, batch norm, ReLU, pooling, upsampling,
-channel shuffle, sigmoid) take (n, c, h, w) arrays, strided views included,
-and write into ``out`` when it is given; the tests replay networks with
-them. Backward passes are hand-written per layer and checked against finite
-differences.
-
-Inside a network every activation and gradient is one layout (``Grid``):
-the image zero-padded by a border p, flattened over rows, with 2p spare
-zeros at the end, so each tap of a k x k conv (k <= 2p + 1) reads a
-contiguous slice. A conv sums its taps one cache-sized column block at a
-time (thin inputs stack all k * k tap slices of a block and run one matmul;
-wider ones run one per tap), writes the sums at pixel (0, 0) of the output's
-buffer, adds its bias and runs a following shuffle and ReLU per column block
-(``_conv``); each row's wrap columns land on the padding and are zeroed. Its
-backward is one such loop over the output gradient's buffer: the input
-gradient is the conv of the flipped, transposed taps, and the weight
-gradient multiplies the same slices by the input (``_conv_backward``).
-Train-mode batch norm takes two passes (mean, then centred variance). Max
-pooling keeps no argmax: its backward finds each window's max again.
+The public primitives take (n, c, h, w) arrays, strided views included, and
+write into ``out`` when given; backward passes are hand-written and checked
+against finite differences. A conv sums its taps on the padded image
+flattened over rows, one cache-sized column block at a time: thin inputs
+stack all k * k tap slices of a block into one matmul, wider ones run one
+per tap. Its backward is one such loop that also forms the weight gradient.
 """
 
 from __future__ import annotations
@@ -60,11 +48,9 @@ def _conv_shapes(x, weight, stride, pad, groups):
 
 @dataclass(frozen=True)
 class Grid:
-    """An (h, w) image in the padded-flat layout of border p: zero-padded by p
-    on every side, flattened over rows, with 2p spare zeros at the end (as
-    ``_flat(x, 2 * p + 1, p)``). Pixel (r, c) sits at start + r * wp + c, so
-    tap (u, v) of a k x k conv (k // 2 <= p) reads pixel (r, c)'s input at
-    offset skew(k) + u * wp + v of the slice that starts at r * wp + c."""
+    """An (h, w) image zero-padded by p, flattened over rows, with 2p spare
+    zeros (as _flat(x, 2p + 1, p)): pixel (r, c) sits at rows.start + r * wp
+    + c, and tap (u, v) of a k x k conv (k // 2 <= p) at skew(k) + u * wp + v."""
 
     h: int
     w: int
@@ -75,13 +61,8 @@ class Grid:
         return self.w + 2 * self.p
 
     @property
-    def start(self) -> int:
-        return self.p * (self.wp + 1)
-
-    @property
-    def span(self) -> int:
-        """Pixel rows, each with its 2p wrap columns."""
-        return self.h * self.wp
+    def rows(self) -> slice:  # the pixel rows, each with its 2p wrap columns
+        return slice(self.p * (self.wp + 1), (self.p + self.h) * self.wp + self.p)
 
     def skew(self, k: int) -> int:
         return (self.p - k // 2) * (self.wp + 1)
@@ -89,26 +70,25 @@ class Grid:
     def zeros(self, n: int, c: int) -> np.ndarray:
         return np.zeros((n, c, (self.h + 2 * self.p) * self.wp + 2 * self.p))
 
-    def inner(self, flat: np.ndarray) -> np.ndarray:
-        """The (n, c, h, w) image of a buffer, as a view."""
+    def strided(self, s: int) -> Grid:
+        return Grid((self.h - 1) // s + 1, (self.w - 1) // s + 1, self.p)
+
+    def inner(self, flat: np.ndarray) -> np.ndarray:  # the (n, c, h, w) image, a view
         rows = flat[..., : (self.h + 2 * self.p) * self.wp].reshape(*flat.shape[:2], -1, self.wp)
         return rows[:, :, self.p : self.p + self.h, self.p : self.p + self.w]
 
 
 def _flat(x, k, pad):
-    """Zero-padded x flattened over rows, (n, c, hp * wp + k - 1).
-
-    At stride 1, tap (u, v) reads the contiguous slice at offset u * wp + v;
-    the k - 1 spare zeros keep the last tap's slice in bounds.
-    """
+    """Zero-padded x flattened over rows with k - 1 spare zeros, so that
+    every tap of a k x k conv reads a slice in bounds."""
     n, c, h, w = x.shape
     flat = np.zeros((n, c, (h + 2 * pad) * (w + 2 * pad) + k - 1))
     Grid(h, w, pad).inner(flat)[...] = x
     return flat
 
 
-def _interior(flat, h, w, pad=1):
-    """The (n, c, h, w) image of a network's output buffer, as a view."""
+def _interior(flat, h, w, pad):
+    """The (n, c, h, w) image of a network output's buffer, as a view."""
     return Grid(h, w, pad).inner(flat)
 
 
@@ -179,24 +159,19 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
 
 
 def _tap_products(taps, views, out):
-    """out = the sum over taps of tap @ view, in tap order. OpenBLAS rounds
-    a partial tile of trailing columns its own way, so the last width % 8
-    columns go through a zero-padded copy 8 columns wide: then a column's sum
-    does not depend on the block's width, nor on the layout around it."""
-    body, tail = divmod(out.shape[-1], 8)
-    body *= 8
-    np.matmul(taps[0], views[0][..., :body], out=out[..., :body])
-    for tap, view in zip(taps[1:], views[1:]):
-        out[..., :body] += tap @ view[..., :body]
-    if tail:
-        wide = np.zeros(views[0].shape[:-1] + (8,))
+    """out = the sum over taps of tap @ view. OpenBLAS rounds a last partial
+    tile of columns its own way, so the last width % 8 go through a zero-padded
+    copy: a column's sum then depends on neither the block nor the layout."""
+    body = out.shape[-1] // 8 * 8
+    if body < out.shape[-1]:
+        wide, tail = np.zeros(views[0].shape[:-1] + (8,)), out.shape[-1] - body
         for t, (tap, view) in enumerate(zip(taps, views)):
             wide[..., :tail] = view[..., body:]
-            part = (tap @ wide)[..., :tail]
-            if t:
-                out[..., body:] += part
-            else:
-                out[..., body:] = part
+            np.add(out[..., body:] if t else 0.0, (tap @ wide)[..., :tail], out=out[..., body:])
+        views, out = [view[..., :body] for view in views], out[..., :body]
+    np.matmul(taps[0], views[0], out=out)
+    for tap, view in zip(taps[1:], views[1:]):
+        out += tap @ view
 
 
 def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
@@ -207,27 +182,21 @@ def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
 
 
 def _conv(x, weight, bias, g, stride, groups, shuffle, relu, out):
-    """The conv (pad k // 2, k // 2 <= g.p) of the image in buffer x of grid
-    g, written into out, its output's buffer; bias, then an optional
-    channel_shuffle(groups) and ReLU, run per column block. Sums land at
-    pixel (0, 0) of the stride-1 output's buffer (through the shuffled view
-    with shuffle); a stride above 1 subsamples that buffer into out."""
+    """Conv (pad k // 2) of buffer x of grid g into buffer out, with bias, an
+    optional channel_shuffle(groups) and ReLU per column block. The sums land
+    at the stride-1 output's pixel (0, 0), each row's wrap columns on the
+    padding (zeroed); a stride above 1 subsamples that into out."""
     n, cin = x.shape[:2]
     cout, _, k, _ = weight.shape
     full = out if stride == 1 else g.zeros(n, cout)
-    acc = full[..., g.start : g.start + g.span]
-    dest = (acc.reshape(n, -1, groups, g.span).swapaxes(1, 2) if shuffle
-            else acc.reshape(n, groups, -1, g.span))
-    src = x[..., g.skew(k) :].reshape(n, groups, cin // groups, -1)
-    _tap_sum(src, _taps(weight, groups), k, g.wp, g.span, dest, bias.reshape(groups, -1, 1), relu)
+    acc = full[..., g.rows]
+    src = _grouped(x[..., g.skew(k) :], groups)
+    _tap_sum(src, _taps(weight, groups), k, g.wp, g.h * g.wp, _grouped(acc, groups, shuffle),
+             bias.reshape(groups, -1, 1), relu)
     acc.reshape(n, cout, g.h, g.wp)[..., g.w :] = 0.0
     if stride > 1:
-        _strided(g, stride).inner(out)[...] = g.inner(full)[..., ::stride, ::stride]
+        g.strided(stride).inner(out)[...] = g.inner(full)[..., ::stride, ::stride]
     return _finite(out)
-
-
-def _strided(g, stride):
-    return Grid((g.h - 1) // stride + 1, (g.w - 1) // stride + 1, g.p)
 
 
 def _flip(weight, groups):
@@ -240,24 +209,18 @@ def _flip(weight, groups):
 
 def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
     """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
-    return _conv2d_backward(x, weight, grad_out, stride, pad, groups, True)
-
-
-def _conv2d_backward(x, weight, grad_out, stride, pad, groups, want_x):
-    """conv2d_backward, with grad_input None without want_x."""
     xf, g, d, crop = _same(x, weight, stride, pad, groups)
     gf = g.zeros(len(x), len(weight))
     if grad_out.shape != g.inner(gf)[crop].shape:
         raise SpecError(f"grad_out shape {grad_out.shape} != {g.inner(gf)[crop].shape}")
     g.inner(gf)[crop] = grad_out
-    gx, gw, gb = _conv_backward(xf, gf, weight, g, 1, groups, False, want_x)
-    return (g.inner(gx)[..., d : d + x.shape[2], d : d + x.shape[3]] if want_x else None), gw, gb
+    gx, gw, gb = _conv_backward(xf, gf, weight, g, 1, groups, False, True)
+    return g.inner(gx)[..., d : d + x.shape[2], d : d + x.shape[3]], gw, gb
 
 
 def _same(x, weight, stride, pad, groups):
-    """A pad-p conv of x as a same-size conv (pad k // 2) on a buffer: of x
-    zero-padded by d = p - k // 2 more, or cropped by k // 2 - p rows and
-    columns per side. (x's buffer, its grid, d, the output's crop)."""
+    """A pad-p conv of x as the same-size conv of x padded by d = p - k // 2
+    more: (x's buffer, its grid, d, the crop to the pad-p conv's output)."""
     _, _, h, w, _, k, _, _ = _conv_shapes(x, weight, stride, pad, groups)
     d, e = max(pad - k // 2, 0), max(k // 2 - pad, 0)
     g = Grid(h + 2 * d, w + 2 * d, k // 2)
@@ -265,31 +228,25 @@ def _same(x, weight, stride, pad, groups):
 
 
 def _conv_backward(x, gy, weight, g, stride, groups, shuffle, want_x):
-    """Gradients of _conv from the buffers of its input x and of its output
-    gradient gy (zero padding): (grad_input's buffer, None without want_x,
-    grad_weight, grad_bias); with shuffle, gy is the gradient of
-    channel_shuffle(out, groups). One tap loop over the slices of the
-    stride-1 gradient's buffer forms grad_input (the conv of _flip's taps)
-    and grad_weight (the same slices times the input); without grad_input,
-    the loop shifts the side with fewer channels per group."""
+    """(grad_input's buffer or None without want_x, grad_weight, grad_bias) of
+    _conv. One tap loop forms grad_input (the conv of the output gradient gy
+    with _flip's taps) and grad_weight (the same slices times x); without
+    grad_input it shifts the side with fewer channels per group."""
     n, cin = x.shape[:2]
     cout, cin_g, k, _ = weight.shape
-    cout_g, at = cout // groups, slice(g.start, g.start + g.span)
+    cout_g, at = cout // groups, g.rows
     if stride > 1:
         full = g.zeros(n, cout)
-        g.inner(full)[..., ::stride, ::stride] = _strided(g, stride).inner(gy)
+        g.inner(full)[..., ::stride, ::stride] = g.strided(stride).inner(gy)
         gy = full
-    gv = (gy.reshape(n, cout_g, groups, -1).swapaxes(1, 2) if shuffle
-          else gy.reshape(n, groups, cout_g, -1))
+    gv = _grouped(gy, groups, shuffle)
     shift_g = want_x or cout_g <= cin_g
     oriented = _flip(weight, groups) if shift_g else weight
     taps, gx = _taps(oriented, groups), g.zeros(n, cin) if want_x else None
     grad = np.zeros(taps.swapaxes(-1, -2).shape)
-    xv = x.reshape(n, groups, cin_g, -1)
-    src, other = (gv, xv) if shift_g else (xv, gv)
-    _tap_sum(src[..., g.skew(k) :], taps if want_x else None, k, g.wp, g.span,
-             gx[..., at].reshape(n, groups, cin_g, -1) if want_x else None,
-             other=other[..., at], grad=grad)
+    src, other = (gv, _grouped(x, groups)) if shift_g else (_grouped(x, groups), gv)
+    _tap_sum(src[..., g.skew(k) :], taps if want_x else None, k, g.wp, g.h * g.wp,
+             _grouped(gx[..., at], groups) if want_x else None, other=other[..., at], grad=grad)
     if want_x:
         gx[..., at].reshape(n, cin, g.h, g.wp)[..., g.w :] = 0.0
     grad_w = grad.transpose(1, 3, 2, 0).reshape(oriented.shape)
@@ -302,11 +259,18 @@ def channel_shuffle(x, groups, out=None):
     n, c = x.shape[:2]
     if c % groups != 0:
         raise SpecError(f"groups={groups} must divide channels={c}")
-    y = x.reshape(n, groups, c // groups, -1).swapaxes(1, 2)
-    if out is None:
-        return y.reshape(x.shape)
-    out.reshape(n, c // groups, groups, -1)[...] = y
+    out = np.empty_like(x) if out is None else out
+    _grouped(out, c // groups)[...] = _grouped(x, groups).swapaxes(1, 2)
     return out
+
+
+def _grouped(buf, groups, shuffled=False):
+    """buf (n, c, ...) as (n, groups, c / groups, length), a view; shuffled,
+    the groups of channel_shuffle(buf, groups)'s input."""
+    n, c = buf.shape[:2]
+    if shuffled:
+        return buf.reshape(n, c // groups, groups, -1).swapaxes(1, 2)
+    return buf.reshape(n, groups, c // groups, -1)
 
 
 def channel_shuffle_backward(grad_out, groups):
@@ -320,14 +284,11 @@ BN_MOMENTUM = 0.9
 
 
 def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", out=None):
-    """Per-channel normalization of x, written into out when given.
-
-    Train mode normalizes with batch statistics (two passes: the mean, then
-    the variance of the centred copy) and updates the running mean/var in
-    place (momentum 0.9); eval mode uses the running stats. Returns
-    (out, cache); the cache, which holds the centred copy, feeds
-    batchnorm_backward.
-    """
+    """Per-channel normalization of x into out (or a new array): (out, the
+    cache for batchnorm_backward, which holds the centred copy). Train mode
+    uses batch statistics (two passes: the mean, then the variance of the
+    centred copy) and updates the running mean/var in place (momentum 0.9);
+    eval mode uses the running stats."""
     col = (slice(None), None, None)
     m = x.size // x.shape[1]
     if mode == "train":

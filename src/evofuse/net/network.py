@@ -3,8 +3,6 @@
 A network is three block stages (alpha / beta / gamma). With ``residual``
 set the beta output is added to its own input before gamma, and every
 output passes through a final sigmoid so fused intensities stay in (0, 1).
-The input is padded into the padded-flat layout once and the output read
-back from it once; every stage runs on that layout in between.
 """
 
 from __future__ import annotations
@@ -18,15 +16,8 @@ import numpy as np
 from ..errors import DimensionError, FormatError, IoError, RangeError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
-from .arch import (
-    ArchSpec,
-    _path_backward,
-    _path_channels,
-    _path_forward,
-    builtin_spec,
-    count_groups,
-    count_state,
-)
+from .arch import ArchSpec, _path_backward, _path_channels, _path_forward, builtin_spec, count_groups
+from .arch import count_state
 
 
 @dataclass
@@ -70,57 +61,38 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
     return np.stack([pair.a.data, pair.b.data])[None]
 
 
-def _enter(params: NetParams, x: np.ndarray, mode: str):
-    """x's padded-flat buffer and grid, whose border is the spec's widest conv
-    padding, after checking the input and mode."""
-    spec = params.spec
+def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool, head: bool = True):
+    """Full forward pass: (out, caches for net_backward or None), or without
+    ``head`` the pre-gamma features. The input is padded by the spec's widest
+    conv padding once and the output read back once."""
+    spec, pad = params.spec, params.spec.sequence.border()
     if mode not in ("train", "eval"):
         raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim != 4 or x.shape[1] != spec.in_channels:
-        raise DimensionError(
-            f"expected (n, {spec.in_channels}, h, w) input, got {x.shape}"
-        )
-    if 0 in x.shape:
-        raise DimensionError(f"input needs a batch and sides of at least 1, got {x.shape}")
-    pad = spec.sequence.border()
-    return layers._flat(x, 2 * pad + 1, pad), layers.Grid(*x.shape[2:], pad)
-
-
-def _trunk(params: NetParams, x: np.ndarray, g, mode: str, keep: bool):
-    """alpha(x) + beta(alpha(x)) under the residual rule on x's buffer: (out's
-    buffer, its grid, the (alpha, beta) caches when ``keep`` is set)."""
-    spec = params.spec
-    a, g, ac = _path_forward(spec.alpha, params.alpha, x, g, mode, keep)
-    b, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep)
+    if x.ndim != 4 or x.shape[1] != spec.in_channels or 0 in x.shape:
+        raise DimensionError(f"expected (n, {spec.in_channels}, h, w) input, n, h, w >= 1, got {x.shape}")
+    xf, g_in = layers._flat(x, 2 * pad + 1, pad), layers.Grid(*x.shape[2:], pad)
+    a, g, ac = _path_forward(spec.alpha, params.alpha, xf, g_in, mode, keep)
+    z, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep)
     if spec.residual:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
-        b = np.add(b, a, out=None if keep or b is a else b)
-    return b, g, (ac, bc)
-
-
-def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool):
-    """Full forward pass; (out, caches for net_backward or None)."""
-    spec = params.spec
-    xf, g_in = _enter(params, x, mode)
-    z, g, trunk = _trunk(params, xf, g_in, mode, keep)
+        z = np.add(z, a, out=None if keep or z is a else z)
+    if not head:
+        return np.ascontiguousarray(layers._interior(z, g.h, g.w, g.p))
     y, g, gc = _path_forward(spec.gamma, params.gamma, z, g, mode, keep)
     out = layers.sigmoid(layers._interior(y, g.h, g.w, g.p))
-    return out, ((*trunk, gc, out, g, g_in) if keep else None)
+    return out, ((ac, bc, gc, out, g, g_in) if keep else None)
 
 
 def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Pre-gamma features alpha(x) + beta(alpha(x)) under the residual rule;
     an inference pass that keeps no block caches."""
-    z, g, _ = _trunk(params, *_enter(params, x, mode), mode, keep=False)
-    return np.ascontiguousarray(layers._interior(z, g.h, g.w, g.p))
+    return _forward(params, x, mode, keep=False, head=False)
 
 
 def head_params(params: NetParams, gamma: list) -> NetParams:
-    """The output stage alone, with parameters ``gamma``, as a network whose
-    input is the trunk's features (see trunk_forward)."""
+    """The output stage with parameters ``gamma`` as a network on trunk_forward's features."""
     spec = params.spec
     c = _path_channels(spec.beta, _path_channels(spec.alpha, spec.in_channels))
-    head = ArchSpec(spec.name, c, spec.out_channels, (), (), spec.gamma, residual=False)
-    return NetParams(head, [], [], gamma)
+    return NetParams(ArchSpec(spec.name, c, spec.out_channels, (), (), spec.gamma, False), [], [], gamma)
 
 
 def net_forward_cached(params: NetParams, x: np.ndarray, mode: str = "eval"):

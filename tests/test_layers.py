@@ -178,7 +178,10 @@ class TestConvBackward:
                 out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
                 g = rng.standard_normal(out.shape)
                 _, want_w, want_b = conv2d_backward_two_loops(x, w, g, stride, pad, groups)
-                gx, gw, gb = layers._conv2d_backward(x, w, g, stride, pad, groups, False)
+                xf, grid, _, crop = layers._same(x, w, stride, pad, groups)
+                gf = grid.zeros(2, cout)
+                grid.inner(gf)[crop] = g
+                gx, gw, gb = layers._conv_backward(xf, gf, w, grid, 1, groups, False, False)
                 assert gx is None
                 np.testing.assert_allclose(gw, want_w, rtol=1e-12, atol=1e-12, err_msg=str((k, pad)))
                 np.testing.assert_allclose(gb, want_b, rtol=1e-12, atol=1e-12)

@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from evofuse.errors import FormatError, TruncationError
-from evofuse.net import layers
+from evofuse.errors import DimensionError, FormatError, RangeError, TruncationError
+from evofuse.net import arch, layers, network
 from evofuse.net.arch import (
     BUILTIN_NAMES,
+    ArchSpec,
     BatchNorm,
     POOLED_NAMES,
     Branch,
+    ConvBlock,
     builtin_spec,
     count_params,
     inception,
@@ -67,6 +69,21 @@ class TestForward:
         params.gamma[0].bias[...] = 0.0
         out = net_forward(params, random_pair(rng, 16, 16))
         np.testing.assert_allclose(out, 0.5)
+
+    @pytest.mark.parametrize("run", [net_forward, net_forward_cached, trunk_forward])
+    @pytest.mark.parametrize("shape,mode,error", [
+        ((0, 2, 8, 8), "eval", DimensionError),
+        ((1, 2, 0, 8), "train", DimensionError),
+        ((1, 2, 8, 0), "eval", DimensionError),
+        ((1, 3, 8, 8), "eval", DimensionError),
+        ((1, 2, 8, 8), "bogus", RangeError),
+    ])
+    def test_bad_input_fails_at_entry(self, run, shape, mode, error):
+        """With BN (gcb) and without it, before any block runs."""
+        no_bn = ArchSpec("nobn", 2, 1, (ConvBlock(2, 4, 3),), (), (ConvBlock(4, 1, 3),), False)
+        for spec in ("gcb", no_bn):
+            with pytest.raises(error):
+                run(build_network(spec), np.zeros(shape), mode)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_output_shape_and_range(self, rng, name):
@@ -392,6 +409,35 @@ class TestTrainLayout:
     def test_equals_train_replay_with_blocks_ending_mid_row(self, tmp_path, partial_blocks):
         self.check_replay(tmp_path, (2, 2, 24, 40))
         assert any(split for _, split in partial_blocks)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_one_layout_conversion_each_way(monkeypatch, name):
+    """net_forward and a train step pad the input into the padded-flat
+    layout once and read the output back once; inference runs every path,
+    Branch paths included, without keeping block caches."""
+    calls = {"_flat": 0, "_interior": 0}
+    for fn, real in [(fn, getattr(layers, fn)) for fn in calls]:
+        def counted(*args, fn=fn, real=real):
+            calls[fn] += 1
+            return real(*args)
+        monkeypatch.setattr(layers, fn, counted)
+    keeps, real_path = [], arch._path_forward
+
+    def path(blocks, plist, x, g, mode, keep=True, out=None):
+        keeps.append(keep)
+        return real_path(blocks, plist, x, g, mode, keep, out)
+
+    monkeypatch.setattr(arch, "_path_forward", path)
+    monkeypatch.setattr(network, "_path_forward", path)
+    params, x = build_network(name, seed=0), np.random.default_rng(0).random((2, 2, 16, 16))
+    net_forward(params, x)
+    assert calls == {"_flat": 1, "_interior": 1}
+    assert len(keeps) >= 3 and not any(keeps)
+    calls.update(dict.fromkeys(calls, 0))
+    out, cache = net_forward_cached(params, x, mode="train")
+    net_backward(params, cache, out, False)
+    assert calls == {"_flat": 1, "_interior": 1}
 
 
 def test_train_step_traffic(monkeypatch):
