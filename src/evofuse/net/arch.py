@@ -43,7 +43,8 @@ class Block:
     """Defaults for a shape-preserving block without parameters or MACs.
     ``forward(p, x, g, out, mode, keep)`` writes the output for buffer x of
     grid g into buffer out and returns the cache; ``backward(p, cache, gy,
-    want_x)`` returns (the input gradient's buffer, grads in arrays() order)."""
+    want_x)``, which may overwrite gy, returns (the input gradient's buffer,
+    grads in arrays() order)."""
 
     inplace = False  # out may be the input buffer itself
     holds_output = False  # the cache holds the output buffer
@@ -177,9 +178,8 @@ class BatchNorm(Block):
 
     def backward(self, p, cache, gy, want_x):
         bn, g = cache
-        gx = g.zeros(*gy.shape[:2])
-        _, gscale, gshift = layers.batchnorm_backward(g.inner(gy), p.scale, bn, g.inner(gx))
-        return gx, [gscale, gshift]
+        _, gscale, gshift = layers.batchnorm_backward(g.inner(gy), p.scale, bn, g.inner(gy))
+        return gy, [gscale, gshift]
 
     def arrays(self, p, with_running):
         if with_running:
@@ -198,7 +198,7 @@ class ReLU(Block):
         return layers.relu(x, out)
 
     def backward(self, p, y, gy, want_x):
-        return layers.relu_backward(gy, y), []
+        return layers.relu_backward(gy, y, gy), []
 
 
 @dataclass(frozen=True)

@@ -332,8 +332,8 @@ def relu(x, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_backward(grad_out, x):
-    return grad_out * (x > 0.0)
+def relu_backward(grad_out, x, out=None):
+    return np.multiply(grad_out, x > 0.0, out=out)
 
 
 def sigmoid(x):

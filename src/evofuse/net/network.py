@@ -119,9 +119,10 @@ def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bo
     gy = g.zeros(*out.shape[:2])
     g.inner(gy)[...] = layers.sigmoid_backward(grad_out, out)
     gz, g_grads = _path_backward(spec.gamma, params.gamma, g_caches, gy)
-    gh, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz)
+    # a block's backward may overwrite its gradient: beta gets its own copy
+    gh, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz.copy() if spec.residual else gz)
     if spec.residual:
-        gh = np.add(gh, gz, out=None if gh is gz else gh)
+        gh += gz
     gx, a_grads = _path_backward(spec.alpha, params.alpha, a_caches, gh, _input_grad)
     gx = layers._interior(gx, g_in.h, g_in.w, g_in.p) if _input_grad else None
     return a_grads + b_grads + g_grads, gx
