@@ -460,7 +460,7 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     for r in sorted(skips, reverse=True):  # a later SkipConcat may hold an earlier's buffer
         s, c = skips[r], chans[r - 1]
         if grids[r] != grids[s + 1]:
-            raise DimensionError(f"skip source {grids[s + 1]} != current {grids[r]}")
+            raise DimensionError(f"skip source is {grids[s + 1].h}x{grids[s + 1].w}, not {grids[r].h}x{grids[r].w}")
         buf = dest.setdefault(r, grids[r].zeros(n, chans[r]))
         for j, part in ((s, buf[:, c:]), (r - 1, buf[:, :c])):
             if dest.setdefault(j, part) is not part:
