@@ -16,7 +16,10 @@ A valid spec must give:
   statistics within 1e-12 of the largest reference magnitude of the network
   (``train_replay``); entry-wise relative checks flag cancellation in
   entries near zero, so the bound is per network;
-- the same bytes from save_weights -> load_weights -> save_weights.
+- the same bytes from save_weights -> load_weights -> save_weights;
+- ``count_state`` equal to the sizes of the trainable and the other state
+  arrays, and ``count_flops`` equal to 2 x the MACs of the convs that
+  ``eval_replay`` runs (weight size x output pixels per image).
 
 About one draw in six is made invalid (a wrong input channel count, groups
 that do not divide the channels, or a cat onto an output of another size)
@@ -30,7 +33,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evofuse.errors import DimensionError, SpecError
-from evofuse.net.arch import parse_arch_file
+from evofuse.net import layers
+from evofuse.net.arch import count_flops, count_state, parse_arch_file
 from evofuse.net.network import (
     build_network,
     load_weights,
@@ -39,6 +43,7 @@ from evofuse.net.network import (
     net_forward_cached,
     save_weights,
     state_arrays,
+    trainable_arrays,
 )
 
 from oracles import eval_replay, train_replay
@@ -164,8 +169,16 @@ def worst(got, want):
             max(float(np.abs(b).max(initial=0.0)) for b in want))
 
 
-def test_random_specs_match_replays(tmp_path_factory):
+def test_random_specs_match_replays(tmp_path_factory, monkeypatch):
     root = tmp_path_factory.mktemp("specs")
+    conv, conv_macs = layers.conv2d_forward, []
+
+    def counting_conv(x, weight, *args):
+        y = conv(x, weight, *args)
+        conv_macs.append(weight.size * y.shape[2] * y.shape[3])
+        return y
+
+    monkeypatch.setattr(layers, "conv2d_forward", counting_conv)
 
     @settings(max_examples=600, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -185,7 +198,11 @@ def test_random_specs_match_replays(tmp_path_factory):
         params = build_network(spec, seed=seed)
         randomize_bn(params, seed)
         got = net_forward(params, x)
+        conv_macs.clear()
         assert np.array_equal(got, eval_replay(params, x)), text
+        assert count_flops(spec, *shape[2:]) == 2 * sum(conv_macs), text
+        trainable = sum(a.size for a in trainable_arrays(params))
+        assert count_state(spec) == (trainable, sum(a.size for a in state_arrays(params)) - trainable), text
         # the replay folds BNs as inference does; the unfolded eval pass does not
         unfolded = net_forward_cached(params, x, mode="eval")[0]
         assert np.abs(got - unfolded).max() <= 1e-10, text

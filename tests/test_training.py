@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixErr
 from evofuse.evolution import init_bank
 from evofuse.image import ImageGray, ImagePair, Task
 from evofuse.metrics import _SSIM_TAPS, ssim
-from evofuse.net.network import build_network, net_forward, state_arrays, trainable_arrays
+from evofuse.net.network import build_network, head_params, net_forward, state_arrays, trainable_arrays
 from evofuse.synth import toy_pairs
 from evofuse.training import (
     AdamState,
@@ -303,6 +305,21 @@ class TestTrainCommon:
             np.testing.assert_array_equal(x, y)
 
 
+@pytest.fixture(scope="class")
+def adapt_case():
+    """TestAdaptTask's adaptation case: (common network, task set, task bank)."""
+    rng = np.random.default_rng(0)
+    mixed = small_dataset(rng, 1, task=Task.MEDICAL) + small_dataset(rng, 1, task=Task.CVS)
+    common = train_common("gcb", mixed, init_bank(mixed, None), small_cfg())
+    task_set = small_dataset(rng, n=2, size=64, task=Task.MULTI_FOCUS)
+    return common, task_set, init_bank(task_set, None)
+
+
+def head_digest(tw):
+    head = head_params(tw.common, tw.unique[Task.MULTI_FOCUS.value])
+    return hashlib.sha256(b"".join(a.tobytes() for a in state_arrays(head))).hexdigest()
+
+
 class TestAdaptTask:
     def test_beta_one_common_head_is_identity(self, rng):
         common = build_network("gcb", seed=5)
@@ -343,3 +360,7 @@ class TestAdaptTask:
         adapted = mean_loss(lambda p: task_forward(tw, p, Task.MULTI_FOCUS.value))
         alone = mean_loss(lambda p: net_forward(common, p, mode="eval"))
         assert adapted <= alone + 1e-9
+
+    def test_adapted_head_pinned(self, adapt_case):
+        tw = adapt_task(*adapt_case, small_cfg(phases=((0.001, 3),)), beta_mix=1.0)
+        assert head_digest(tw) == "a1723a2b5a6cca4e0b22c6e70facf1d941f2d5188264c29679f4088f6b414f0f"
