@@ -1,11 +1,16 @@
 """Block types, the path driver that runs them, architecture specs,
 built-in variants, analytic cost counting and arch files.
 
-Each block type is a frozen dataclass owning its channel rule, seeded init,
-one forward and one backward route on padded-flat buffers (``layers.Grid``),
-parameter arrays, costs and group count. ``Branch`` runs several paths
-(tuples of blocks) on one input and concatenates their outputs, so
-separable, Fire and Inception modules are macros returning one ``Branch``.
+Each block type is a frozen dataclass owning one ``shape`` method, seeded
+init, parameter arrays, and one forward and one backward route on
+padded-flat buffers (``layers.Grid``). ``shape`` maps an input size to the
+block's ``Shape``: its output size and its own costs. One path walk,
+``_path_shapes``, chains those, and everything that needs a size or a cost
+reads it: the path driver's buffers, spec checks, the border the network
+input is padded by, and the parameter, FLOP and group counters.
+``Branch`` runs several paths (tuples of blocks) on one input and
+concatenates their outputs, so separable, Fire and Inception modules are
+macros returning one ``Branch``.
 
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,41 +45,44 @@ class BNParams:
     running_var: np.ndarray
 
 
+class Shape(NamedTuple):
+    """A block's output size c x h x w and its own costs: MACs per image,
+    trainable and running-statistic parameter counts, the largest conv
+    group count (a depthwise conv counts as 1) and the widest conv padding
+    (k // 2). A path's input is a Shape without costs."""
+
+    c: int
+    h: int
+    w: int
+    macs: int = 0
+    params: int = 0
+    running: int = 0
+    groups: int = 1
+    border: int = 0
+
+
 class Block:
     """Defaults for a shape-preserving block without parameters or MACs.
-    ``forward(p, x, g, out, mode, keep)`` writes the output for buffer x of
-    grid g into buffer out and returns the cache; ``backward(p, cache, gy,
-    want_x)``, which may overwrite gy, returns (the input gradient's buffer,
-    grads in arrays() order)."""
+    ``shape(c, h, w, outs)`` gives the Shape at input c x h x w, where outs
+    holds the Shapes of the earlier blocks of the same path, and raises
+    SpecError when the block does not fit. ``forward(p, x, g, out, mode,
+    keep)`` writes the output for buffer x of grid g into buffer out and
+    returns the cache; ``backward(p, cache, gy, want_x)``, which may
+    overwrite gy, returns (the input gradient's buffer, grads in arrays()
+    order)."""
 
     inplace = False  # out may be the input buffer itself
     holds_output = False  # the cache holds the output buffer
     epilogue = False  # forward runs the shuffle (and ReLU) after it (_epilogue)
 
-    def out_channels(self, cin: int, outs: list[int]) -> int:
-        """Output channels given the input channels and the earlier outputs
-        of the same path; raises SpecError when the block does not fit."""
-        return cin
+    def shape(self, c: int, h: int, w: int, outs: list[Shape]) -> Shape:
+        return Shape(c, h, w)
 
     def init(self, rng):
         return None
 
     def arrays(self, p, with_running: bool) -> list[np.ndarray]:
         return []
-
-    def param_counts(self) -> tuple[int, int]:
-        """(trainable, non-trainable running stats)."""
-        return 0, 0
-
-    def costs(self, h: int, w: int) -> tuple[int, int, int]:
-        """(MACs, output h, output w) at input h x w."""
-        return 0, h, w
-
-    def group_count(self) -> int:
-        return 1
-
-    def border(self) -> int:  # the widest conv padding (k // 2) in the block
-        return 0
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,14 @@ class ConvBlock(Block):
                 f"groups={self.groups} must divide cin={self.cin} and cout={self.cout}"
             )
 
-    def out_channels(self, cin, outs):
-        if self.cin != cin:
-            raise SpecError(f"conv expects cin={self.cin}, chain gives {cin}")
-        return self.cout
+    def shape(self, c, h, w, outs):
+        if self.cin != c:
+            raise SpecError(f"conv expects cin={self.cin}, chain gives {c}")
+        h, w = (h - 1) // self.stride + 1, (w - 1) // self.stride + 1
+        weights = self.cout * (self.cin // self.groups) * self.k * self.k
+        # a depthwise conv (one input channel per group) counts as ungrouped
+        groups = self.groups if self.cin > self.groups else 1
+        return Shape(self.cout, h, w, weights * h * w, weights + self.cout, 0, groups, self.k // 2)
 
     def init(self, rng):
         # He-normal (fan-in); kept on the float32 grid so weight files
@@ -122,21 +135,6 @@ class ConvBlock(Block):
     def arrays(self, p, with_running):
         return [p.weight, p.bias]
 
-    def param_counts(self):
-        return self.cout * (self.cin // self.groups) * self.k * self.k + self.cout, 0
-
-    def costs(self, h, w):
-        h = (h - 1) // self.stride + 1
-        w = (w - 1) // self.stride + 1
-        return self.cout * (self.cin // self.groups) * self.k * self.k * h * w, h, w
-
-    def group_count(self):
-        # a depthwise conv (one input channel per group) counts as ungrouped
-        return self.groups if self.cin > self.groups else 1
-
-    def border(self):
-        return self.k // 2
-
 
 @dataclass(frozen=True)
 class ChannelShuffle(Block):
@@ -146,10 +144,10 @@ class ChannelShuffle(Block):
         if self.groups < 1:
             raise SpecError(f"shuffle groups must be >= 1, got {self.groups}")
 
-    def out_channels(self, cin, outs):
-        if cin % self.groups:
-            raise SpecError(f"shuffle groups={self.groups} must divide {cin}")
-        return cin
+    def shape(self, c, h, w, outs):
+        if c % self.groups:
+            raise SpecError(f"shuffle groups={self.groups} must divide {c}")
+        return Shape(c, h, w)
 
     def forward(self, p, x, g, out, mode, keep):
         layers.channel_shuffle(x, self.groups, out)
@@ -163,10 +161,10 @@ class BatchNorm(Block):
     channels: int
     inplace = True
 
-    def out_channels(self, cin, outs):
-        if self.channels != cin:
-            raise SpecError(f"BN sized {self.channels}, chain gives {cin}")
-        return cin
+    def shape(self, c, h, w, outs):
+        if self.channels != c:
+            raise SpecError(f"BN sized {self.channels}, chain gives {c}")
+        return Shape(c, h, w, params=2 * c, running=2 * c)
 
     def init(self, rng):
         c = self.channels
@@ -186,9 +184,6 @@ class BatchNorm(Block):
             return [p.scale, p.shift, p.running_mean, p.running_var]
         return [p.scale, p.shift]
 
-    def param_counts(self):
-        return 2 * self.channels, 2 * self.channels
-
 
 @dataclass(frozen=True)
 class ReLU(Block):
@@ -203,6 +198,9 @@ class ReLU(Block):
 
 @dataclass(frozen=True)
 class MaxPool2(Block):
+    def shape(self, c, h, w, outs):
+        return Shape(c, h // 2, w // 2)
+
     def forward(self, p, x, g, out, mode, keep):
         layers.maxpool2_forward(g.inner(x), Grid(g.h // 2, g.w // 2, g.p).inner(out))
         return x, g
@@ -213,12 +211,12 @@ class MaxPool2(Block):
         layers.maxpool2_backward(Grid(g.h // 2, g.w // 2, g.p).inner(gy), g.inner(x), g.inner(gx))
         return gx, []
 
-    def costs(self, h, w):
-        return 0, h // 2, w // 2
-
 
 @dataclass(frozen=True)
 class UpsampleNearest2(Block):
+    def shape(self, c, h, w, outs):
+        return Shape(c, 2 * h, 2 * w)
+
     def forward(self, p, x, g, out, mode, keep):
         layers.upsample_nearest(g.inner(x), Grid(2 * g.h, 2 * g.w, g.p).inner(out))
         return g
@@ -228,9 +226,6 @@ class UpsampleNearest2(Block):
         layers.upsample_nearest_backward(Grid(2 * g.h, 2 * g.w, g.p).inner(gy), g.inner(gx))
         return gx, []
 
-    def costs(self, h, w):
-        return 0, 2 * h, 2 * w
-
 
 @dataclass(frozen=True)
 class SkipConcat(Block):
@@ -239,10 +234,10 @@ class SkipConcat(Block):
     source: int
     holds_output = True
 
-    def out_channels(self, cin, outs):
+    def shape(self, c, h, w, outs):
         if not 0 <= self.source < len(outs):
             raise SpecError(f"skip source {self.source} out of range")
-        return cin + outs[self.source]
+        return Shape(c + outs[self.source].c, h, w)
 
     def forward(self, p, x, g, out, mode, keep):
         return x.shape[1]
@@ -256,8 +251,9 @@ class Branch(Block):
     paths: tuple
     holds_output = True
 
-    def out_channels(self, cin, outs):
-        return sum(_path_channels(path, cin) for path in self.paths)
+    def shape(self, c, h, w, outs):  # every path ends at the same size
+        walks = [_path_shapes(path, c, h, w) for path in self.paths]
+        return _total([s for walk in walks for s in walk])._replace(c=sum(walk[-1].c for walk in walks))
 
     def init(self, rng):
         return [[blk.init(rng) for blk in path] for path in self.paths]
@@ -265,7 +261,7 @@ class Branch(Block):
     def forward(self, p, x, g, out, mode, keep):  # each path writes its channels of out
         caches, start = [], 0
         for path, pp in zip(self.paths, p):
-            width = _path_channels(path, x.shape[1])
+            width = _path_shapes(path, x.shape[1], g.h, g.w)[-1].c
             part = out[:, start : start + width]
             caches.append((width, _path_forward(path, pp, x, g, mode, keep, part)[2]))
             start += width
@@ -281,25 +277,6 @@ class Branch(Block):
 
     def arrays(self, p, with_running):
         return [a for path, pp in zip(self.paths, p) for a in _path_arrays(path, pp, with_running)]
-
-    def param_counts(self):
-        counts = [blk.param_counts() for path in self.paths for blk in path]
-        return sum(t for t, _ in counts), sum(r for _, r in counts)
-
-    def costs(self, h, w):
-        macs = 0
-        for path in self.paths:  # every path ends at the same spatial size
-            out_h, out_w = h, w
-            for blk in path:
-                blk_macs, out_h, out_w = blk.costs(out_h, out_w)
-                macs += blk_macs
-        return macs, out_h, out_w
-
-    def group_count(self):
-        return max([1] + [blk.group_count() for path in self.paths for blk in path])
-
-    def border(self):
-        return max([0] + [blk.border() for path in self.paths for blk in path])
 
 
 FEATURE_CHANNELS = 64
@@ -323,18 +300,17 @@ class ArchSpec:
             raise SpecError(
                 f"in/out channels must be >= 1, got {self.in_channels}/{self.out_channels}"
             )
-        c = _path_channels(self.alpha, self.in_channels)
-        beta_out = _path_channels(self.beta, c)
-        if self.residual and beta_out != c:
+        c = _path_shapes(self.alpha, self.in_channels, 64, 64)[-1].c
+        beta = _path_shapes(self.beta, c, 64, 64)[-1]
+        if self.residual and beta.c != c:
             raise SpecError(
-                f"residual spec needs beta out ({beta_out}) == alpha out ({c})"
+                f"residual spec needs beta out ({beta.c}) == alpha out ({c})"
             )
-        _, h, w = Branch((self.beta,)).costs(64, 64)
-        if self.residual and (h, w) != (64, 64):
+        if self.residual and (beta.h, beta.w) != (64, 64):
             raise SpecError(
-                f"residual spec needs beta to keep the spatial size, it maps 64x64 to {h}x{w}"
+                f"residual spec needs beta to keep the spatial size, it maps 64x64 to {beta.h}x{beta.w}"
             )
-        final = _path_channels(self.gamma, beta_out if not self.residual else c)
+        final = _path_shapes(self.gamma, *beta[:3])[-1].c
         if final != self.out_channels:
             raise SpecError(f"gamma produces {final} channels, spec says {self.out_channels}")
 
@@ -343,11 +319,8 @@ class ArchSpec:
         """Side multiple that every pooling layer can halve: 2 ** (deepest
         pooling level), read off the stage walk of a power-of-two side
         (no block type puts a pool inside a Branch)."""
-        probe = side = smallest = 1 << 12
-        for blk in self.alpha + self.beta + self.gamma:
-            _, side, _ = blk.costs(side, side)
-            smallest = min(smallest, side)
-        return probe // smallest
+        probe = 1 << 12
+        return probe // min(s.h for walk in _stage_shapes(self, probe, probe) for s in walk)
 
     def check_size(self, h: int, w: int, what: str) -> None:
         """DimensionError unless h and w are multiples of spatial_multiple."""
@@ -373,20 +346,43 @@ class ArchSpec:
 # ---------------------------------------------------------------------------
 
 
-def _path_outs(blocks, cin: int) -> list[int]:
-    """Output channels of each block of a path; raises SpecError naming the block."""
-    outs: list[int] = []
+def _path_shapes(blocks, c: int, h: int, w: int) -> list[Shape]:
+    """The path input's Shape, then each block's; raises SpecError naming
+    the block that does not fit."""
+    shapes = [Shape(c, h, w)]
     for i, blk in enumerate(blocks):
         try:
-            outs.append(blk.out_channels(outs[-1] if outs else cin, outs))
+            shapes.append(blk.shape(*shapes[-1][:3], shapes[1:]))
         except SpecError as exc:
             raise SpecError(f"block {i}: {exc}") from None
-    return outs
+    return shapes
 
 
-def _path_channels(blocks, cin: int) -> int:
-    """Output channels of a path."""
-    return ([cin] + _path_outs(blocks, cin))[-1]
+def _total(shapes: list[Shape]) -> Shape:
+    """The last of shapes with the MACs and parameter counts of all summed
+    and their largest group count and border."""
+    return shapes[-1]._replace(
+        macs=sum(s.macs for s in shapes),
+        params=sum(s.params for s in shapes),
+        running=sum(s.running for s in shapes),
+        groups=max(s.groups for s in shapes),
+        border=max(s.border for s in shapes),
+    )
+
+
+def _stage_shapes(spec: ArchSpec, h: int, w: int) -> list[list[Shape]]:
+    """The walk of each stage at network input h x w. A stage starts from
+    the output of the one before (a residual beta keeps its input's size),
+    and is walked on its own: ``cat`` indices are local to their stage."""
+    walks = [[Shape(spec.in_channels, h, w)]]
+    for blocks in spec.stages:
+        walks.append(_path_shapes(blocks, *walks[-1][-1][:3]))
+    return walks[1:]
+
+
+def _spec_total(spec: ArchSpec, h: int, w: int) -> Shape:
+    """The network output's Shape at input h x w, with the costs of every block."""
+    return _total([s for walk in _stage_shapes(spec, h, w) for s in walk])
 
 
 def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
@@ -452,16 +448,15 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     a new one. Inference passes (eval without ``keep``) fold BNs into convs
     (``_fold_bn``, on every call so that parameter updates count); a conv runs
     the shuffle, and on inference the ReLU, after it (``_epilogue``)."""
-    n, chans, skips = len(x), _path_outs(blocks, x.shape[1]), _skips(blocks)
-    grids = [g]
-    for blk in blocks:
-        grids.append(Grid(*blk.costs(grids[-1].h, grids[-1].w)[1:], g.p))
+    n, skips = len(x), _skips(blocks)
+    shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
+    grids = [Grid(s.h, s.w, g.p) for s in shapes]
     dest, copies = ({} if out is None else {len(blocks) - 1: out}), {}  # by writer index
     for r in sorted(skips, reverse=True):  # a later SkipConcat may hold an earlier's buffer
-        s, c = skips[r], chans[r - 1]
+        s, c = skips[r], shapes[r].c
         if grids[r] != grids[s + 1]:
             raise DimensionError(f"skip source is {grids[s + 1].h}x{grids[s + 1].w}, not {grids[r].h}x{grids[r].w}")
-        buf = dest.setdefault(r, grids[r].zeros(n, chans[r]))
+        buf = dest.setdefault(r, grids[r].zeros(n, shapes[r + 1].c))
         for j, part in ((s, buf[:, c:]), (r - 1, buf[:, :c])):
             if dest.setdefault(j, part) is not part:
                 copies.setdefault(j, []).append(part)
@@ -480,7 +475,7 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
         y = dest.get(last)
         if y is None:
             own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
-            y = x if blk.inplace and own else grids[i + 1].zeros(n, chans[last])
+            y = x if blk.inplace and own else grids[i + 1].zeros(n, shapes[last + 1].c)
         cache = blk.forward(p, x, g, y, mode, keep, *fused)
         for part in copies.get(last, ()):
             part[...] = y
@@ -596,7 +591,8 @@ def builtin_spec(name: str, in_channels: int = 2, groups: int = DEFAULT_GROUPS) 
 def count_state(spec: ArchSpec) -> tuple[int, int]:
     """(trainable, non-trainable) parameter counts; trainable covers conv
     weights/biases and BN scale/shift, non-trainable the BN running stats."""
-    return spec.sequence.param_counts()
+    total = _spec_total(spec, 1, 1)
+    return total.params, total.running
 
 
 def count_params(spec: ArchSpec) -> int:
@@ -610,12 +606,12 @@ def count_flops(spec: ArchSpec, h: int, w: int) -> int:
     Pooling, shuffling, ReLU, BN, concats and the residual add count as
     zero MACs.
     """
-    return 2 * spec.sequence.costs(h, w)[0]
+    return 2 * _spec_total(spec, h, w).macs
 
 
 def count_groups(spec: ArchSpec) -> int:
     """Largest conv group count; a depthwise conv counts as ungrouped."""
-    return spec.sequence.group_count()
+    return _spec_total(spec, 1, 1).groups
 
 
 # ---------------------------------------------------------------------------

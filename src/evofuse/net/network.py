@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import DimensionError, FormatError, IoError, RangeError, SpecError, TruncationError
 from ..image import ImageGray, ImagePair
 from . import layers
-from .arch import ArchSpec, _path_backward, _path_channels, _path_forward, builtin_spec, count_groups
+from .arch import ArchSpec, _path_backward, _path_forward, _spec_total, _stage_shapes, builtin_spec, count_groups
 from .arch import count_state
 
 
@@ -65,7 +65,7 @@ def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool, head: bool
     """Full forward pass: (out, caches for net_backward or None), or without
     ``head`` the pre-gamma features. The input is padded by the spec's widest
     conv padding once and the output read back once."""
-    spec, pad = params.spec, params.spec.sequence.border()
+    spec, pad = params.spec, _spec_total(params.spec, 1, 1).border
     if mode not in ("train", "eval"):
         raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4 or x.shape[1] != spec.in_channels or 0 in x.shape:
@@ -91,7 +91,7 @@ def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.nd
 def head_params(params: NetParams, gamma: list) -> NetParams:
     """The output stage with parameters ``gamma`` as a network on trunk_forward's features."""
     spec = params.spec
-    c = _path_channels(spec.beta, _path_channels(spec.alpha, spec.in_channels))
+    c = _stage_shapes(spec, 1, 1)[2][0].c  # gamma's input channels
     return NetParams(ArchSpec(spec.name, c, spec.out_channels, (), (), spec.gamma, False), [], [], gamma)
 
 

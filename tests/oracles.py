@@ -23,6 +23,7 @@ from evofuse.net.arch import (
     SkipConcat,
     UpsampleNearest2,
     _fold_bn,
+    _path_shapes,
 )
 from evofuse.niqe import _ALPHA_GRID, _R_GAM, _halve, _mscn, niqe_score
 
@@ -213,9 +214,10 @@ def eval_replay(params, x) -> np.ndarray:
 def block_forward(block, p, x, mode="eval"):
     """One block's route, keeping its cache, on a plain (n, c, h, w) array x
     padded by the block's border: (output, cache for block_backward)."""
-    g = layers.Grid(*x.shape[2:], block.border())
-    g2 = layers.Grid(*block.costs(g.h, g.w)[1:], g.p)
-    out = g2.zeros(len(x), block.out_channels(x.shape[1], []))
+    shape = _path_shapes((block,), *x.shape[1:])[-1]
+    g = layers.Grid(*x.shape[2:], shape.border)
+    g2 = layers.Grid(shape.h, shape.w, g.p)
+    out = g2.zeros(len(x), shape.c)
     cache = block.forward(p, layers._flat(x, 2 * g.p + 1, g.p), g, out, mode, True)
     return g2.inner(out).copy(), (cache, g, g2)
 
