@@ -213,9 +213,11 @@ def _check_sizes(spec: ArchSpec, dataset, cfg: TrainConfig) -> None:
         spec.check_size(pair.height, pair.width, f"pair {pair.pair_id!r}")
 
 
-def _train_params(params: NetParams, dataset, bank, cfg: TrainConfig) -> list[CurvePoint]:
-    """Run the phase schedule on existing parameters; returns the loss curve."""
-    inputs, targets = _collect_samples(dataset, bank, cfg)
+def _train_params(params: NetParams, inputs, targets, cfg: TrainConfig, sources=None) -> list[CurvePoint]:
+    """Run the phase schedule on existing parameters over samples: the
+    network reads ``inputs``, the loss ``targets`` (to_optimal) or the
+    ``sources`` images (supervised; by default the inputs). Returns the loss
+    curve."""
     n = inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
     arrays = trainable_arrays(params)
@@ -232,7 +234,7 @@ def _train_params(params: NetParams, dataset, bank, cfg: TrainConfig) -> list[Cu
                 xb = inputs[idx]
                 tb = None if targets is None else targets[idx]
                 out, cache = net_forward_cached(params, xb, mode="train")
-                loss, grad_out = _batch_loss(out, xb, tb, cfg)
+                loss, grad_out = _batch_loss(out, xb if sources is None else sources[idx], tb, cfg)
                 grads, _ = net_backward(params, cache, grad_out, _input_grad=False)
                 adam_step(arrays, grads, state, lr)
                 total += loss * len(idx)
@@ -257,7 +259,7 @@ def train(spec: ArchSpec | str, dataset, bank, cfg: TrainConfig):
         spec = builtin_spec(spec)
     _check_sizes(spec, dataset, cfg)
     params = build_network(spec, cfg.seed)
-    curve = _train_params(params, dataset, bank, cfg)
+    curve = _train_params(params, *_collect_samples(dataset, bank, cfg), cfg)
     return params, curve
 
 
@@ -287,7 +289,7 @@ def evolve(
     bank = init_bank(dataset, niqe_model, algos, weights)
     params = build_network(spec, cfg.seed)
     for round_no in range(1, rounds + 1):
-        curve = _train_params(params, dataset, bank, cfg)
+        curve = _train_params(params, *_collect_samples(dataset, bank, cfg), cfg)
         if curve_out is not None:
             curve_out.extend(curve)
         for pair in dataset:
@@ -349,7 +351,11 @@ def adapt_task(
 
     Trunk features are computed once per sample in eval mode and scaled by
     beta_mix before the head, so only head parameters receive updates.
+    Checkpoints are refused: a head's weight file would carry the common
+    spec's name, which load_weights cannot rebuild the head from.
     """
+    if cfg.checkpoint_every:
+        raise RangeError(f"adapt_task cannot write checkpoints, got checkpoint_every={cfg.checkpoint_every}")
     _check_sizes(common.spec, task_dataset, cfg)
     task = task_dataset[0].task.value
     tw = make_task_weights(common, task, beta_mix, unique_init, seed=cfg.seed)
@@ -361,20 +367,5 @@ def adapt_task(
         xb = inputs[start : start + cfg.batch_size]
         feats.append(beta_mix * trunk_forward(common, xb, mode="eval"))
     feats = np.concatenate(feats)
-
-    head = head_params(common, gamma)
-    arrays = trainable_arrays(head)
-    state = init_adam(arrays)
-    rng = np.random.default_rng(cfg.seed)
-    n = inputs.shape[0]
-    for phase_no, (lr, epochs) in enumerate(cfg.phases, start=1):
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                zb = feats[idx]
-                out, cache = net_forward_cached(head, zb, "train")
-                _, grad_out = _batch_loss(out, inputs[idx], None if targets is None else targets[idx], cfg)
-                grads, _ = net_backward(head, cache, grad_out, _input_grad=False)
-                adam_step(arrays, grads, state, lr)
+    _train_params(head_params(common, gamma), feats, targets, cfg, sources=inputs)
     return tw

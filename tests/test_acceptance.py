@@ -38,6 +38,7 @@ from evofuse.pyramid import laplacian_decompose, laplacian_reconstruct
 from evofuse.synth import split_focus_pair, toy_pairs
 from evofuse.training import (
     TrainConfig,
+    _collect_samples,
     _train_params,
     loss_to_optimal,
     make_task_weights,
@@ -375,7 +376,7 @@ def test_c05_evolution_monotonicity(niqe_model):
     params = build_network(spec, cfg.seed)
     bank = init_bank(pairs, niqe_model)
     for round_no in range(1, 4):
-        _train_params(params, pairs, bank, cfg)
+        _train_params(params, *_collect_samples(pairs, bank, cfg), cfg)
         for pair in pairs:
             cand = FusionCandidate(f"net{round_no}", net_output_image(params, pair))
             update_bank(bank, pair.pair_id, cand, pair, niqe_model)

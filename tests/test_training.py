@@ -364,3 +364,20 @@ class TestAdaptTask:
     def test_adapted_head_pinned(self, adapt_case):
         tw = adapt_task(*adapt_case, small_cfg(phases=((0.001, 3),)), beta_mix=1.0)
         assert head_digest(tw) == "a1723a2b5a6cca4e0b22c6e70facf1d941f2d5188264c29679f4088f6b414f0f"
+
+    def test_loss_threshold_stops_adaptation(self, adapt_case):
+        # a loss of 0.8 MSE + 0.2 (1 - SSIM) on [0, 1] images stays below 2,
+        # so the threshold stops adaptation after its first epoch
+        stopped = adapt_task(*adapt_case, small_cfg(phases=((0.001, 3),), loss_threshold=2.0), beta_mix=1.0)
+        one_epoch = adapt_task(*adapt_case, small_cfg(phases=((0.001, 1),)), beta_mix=1.0)
+        assert head_digest(stopped) == head_digest(one_epoch)
+
+    def test_checkpoints_rejected_before_work(self, adapt_case, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("work started before the checkpoint check")
+
+        monkeypatch.setattr("evofuse.training._collect_samples", fail)
+        cfg = small_cfg(checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        with pytest.raises(RangeError, match="checkpoint"):
+            adapt_task(*adapt_case, cfg, beta_mix=1.0)
+        assert not any(tmp_path.iterdir())
