@@ -34,7 +34,6 @@ class BenchProtocol:
     image_size: int = 400
     trials: int = 300
     warmup_skip: int = 1
-    bit_depth: int = 8
     seed: int = 2024
 
     def __post_init__(self):
@@ -229,7 +228,7 @@ def run_benchmark(
                     "image_size": protocol.image_size,
                     "trials": protocol.trials,
                     "warmup_skip": protocol.warmup_skip,
-                    "bit_depth": protocol.bit_depth,
+                    "bit_depth": 8,
                 },
                 "flop_convention": FLOP_CONVENTION,
                 "rows": rows,

@@ -47,15 +47,11 @@ class NiqeModel:
 
     mu_ref: np.ndarray
     cov_ref: np.ndarray
-    patch_size: int = DEFAULT_PATCH
-    feature_dim: int = FEATURE_DIM
 
     def __post_init__(self):
-        if self.patch_size < 2:
-            raise DimensionError(f"patch_size must be >= 2, got {self.patch_size}")
         self.mu_ref = np.asarray(self.mu_ref, dtype=np.float64)
         self.cov_ref = np.asarray(self.cov_ref, dtype=np.float64)
-        d = self.feature_dim
+        d = FEATURE_DIM
         if self.mu_ref.shape != (d,):
             raise FormatError(f"mean vector shape {self.mu_ref.shape} != ({d},)")
         if self.cov_ref.shape != (d, d):
@@ -140,20 +136,18 @@ def _image_features(a: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([f1, f2], axis=1), sharp
 
 
-def fit_niqe_model(pristine: list[ImageGray], patch_size: int = DEFAULT_PATCH) -> NiqeModel:
+def fit_niqe_model(pristine: list[ImageGray]) -> NiqeModel:
     """Fit the pristine MVG model from >= 20 images, each >= patch size.
 
     Patches are sharpness-filtered corpus-wide: only the top 75% by mean
     local deviation enter the fit.
     """
-    if patch_size < 2:
-        raise DimensionError(f"patch_size must be >= 2, got {patch_size}")
     if len(pristine) < 20:
         raise InsufficientDataError(f"need >= 20 pristine images, got {len(pristine)}")
     feats = []
     sharp = []
     for img in pristine:
-        f, s = _image_features(img.data, patch_size)
+        f, s = _image_features(img.data, DEFAULT_PATCH)
         feats.append(f)
         sharp.append(s)
     feats = np.concatenate(feats)
@@ -162,12 +156,7 @@ def fit_niqe_model(pristine: list[ImageGray], patch_size: int = DEFAULT_PATCH) -
     feats = feats[keep]
     if feats.shape[0] < 2:
         raise InsufficientDataError(f"only {feats.shape[0]} usable patches")
-    return NiqeModel(
-        mu_ref=feats.mean(axis=0),
-        cov_ref=np.cov(feats, rowvar=False),
-        patch_size=patch_size,
-        feature_dim=feats.shape[1],
-    )
+    return NiqeModel(mu_ref=feats.mean(axis=0), cov_ref=np.cov(feats, rowvar=False))
 
 
 def niqe_score(img: ImageGray, model: NiqeModel) -> float:
@@ -176,7 +165,7 @@ def niqe_score(img: ImageGray, model: NiqeModel) -> float:
     Uses the pseudo-inverse of the pooled covariance, so a singular pool
     still yields a finite score.
     """
-    feats, _ = _image_features(img.data, model.patch_size)
+    feats, _ = _image_features(img.data, DEFAULT_PATCH)
     mu = feats.mean(axis=0)
     if feats.shape[0] >= 2:
         cov = np.cov(feats, rowvar=False)
@@ -197,10 +186,9 @@ _MAGIC = b"NIQE"
 
 
 def save_niqe_model(model: NiqeModel, path) -> None:
-    d = model.feature_dim
     payload = (
         _MAGIC
-        + struct.pack("<I", d)
+        + struct.pack("<I", FEATURE_DIM)
         + model.mu_ref.astype("<f8").tobytes()
         + np.ascontiguousarray(model.cov_ref, dtype="<f8").tobytes()
     )
@@ -230,7 +218,7 @@ def load_niqe_model(path) -> NiqeModel:
     values = np.frombuffer(blob[8:need], dtype="<f8")
     if not np.isfinite(values).all():
         raise FormatError("model holds non-finite values")
-    return NiqeModel(mu_ref=values[:d].copy(), cov_ref=values[d:].reshape(d, d).copy(), feature_dim=d)
+    return NiqeModel(mu_ref=values[:d].copy(), cov_ref=values[d:].reshape(d, d).copy())
 
 
 @lru_cache(maxsize=1)

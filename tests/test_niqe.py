@@ -28,7 +28,6 @@ ALPHA_COLS = [0, 2, 6, 10, 14, 18, 20, 24, 28, 32]
 
 
 def test_feature_dim_is_36(niqe_model):
-    assert niqe_model.feature_dim == 36
     assert niqe_model.mu_ref.shape == (36,)
     assert niqe_model.cov_ref.shape == (36, 36)
 
@@ -49,7 +48,7 @@ def test_identical_white_noise_corpus():
     rng = np.random.default_rng(42)
     base = ImageGray(rng.random((96, 96)))
     model = fit_niqe_model([base] * 20)
-    assert model.feature_dim == 36
+    assert model.mu_ref.shape == (36,)
     assert np.all(np.isfinite(model.mu_ref))
     # one identical patch per image: every feature row repeats, so the
     # covariance (off-diagonals of the product features included) vanishes
@@ -199,14 +198,6 @@ def test_niqe_score_fits_ten_times(monkeypatch, niqe_model, size):
     niqe_score(pink_noise(np.random.default_rng(2), size, size), niqe_model)
     assert len(calls) == 10
     assert {shape[0] for shape in calls} == {(size // 96) ** 2}
-
-
-@pytest.mark.parametrize("patch", [0, 1])
-def test_bad_patch_size_rejected(niqe_model, patch):
-    with pytest.raises(DimensionError, match="patch_size"):
-        NiqeModel(niqe_model.mu_ref, niqe_model.cov_ref, patch_size=patch)
-    with pytest.raises(DimensionError, match="patch_size"):
-        fit_niqe_model(pristine_corpus(n=20, size=96), patch_size=patch)
 
 
 def test_flat_images_score_alike_at_any_level(niqe_model):
