@@ -19,7 +19,7 @@ from evofuse.niqe import (
     niqe_score,
     save_niqe_model,
 )
-from evofuse.synth import pink_noise, pristine_corpus, toy_pairs
+from evofuse.synth import pink_noise, toy_pairs
 from oracles import niqe_features_oracle
 
 # feature columns holding a grid alpha: the MSCN fit and the four product
