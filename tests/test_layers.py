@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from evofuse.errors import DimensionError, SpecError
 from evofuse.net import layers
-from evofuse.net.arch import ConvParams, fire, inception, separable
+from evofuse.net.arch import BatchNorm, BNParams, ConvParams, fire, inception, separable
 
 from oracles import (
     block_backward,
@@ -270,6 +271,41 @@ class TestBatchNorm:
         assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL
         assert relative_err(finite_diff_grad(loss, scale, FD_H), gscale) < GRAD_TOL
         assert relative_err(finite_diff_grad(loss, shift, FD_H), gshift) < GRAD_TOL
+
+
+class TestBatchNormOnBuffers:
+    """arch.BatchNorm on padded-flat buffers, in place as the path driver
+    runs it: the output's and the input gradient's borders stay exactly
+    zero, and train statistics stay exact when |mean| >> std."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_borders_and_statistics(self, rng, p, mode):
+        n, c, h, w = 2, 3, 5, 7
+        g = layers.Grid(h, w, p)
+        mu, sigma = 1e4 * (1.0 + rng.random(c)), 1e-2 * (1.0 + rng.random(c))
+        interior = mu[:, None, None] + sigma[:, None, None] * rng.standard_normal((n, c, h, w))
+        x, gy, mask = g.zeros(n, c), g.zeros(n, c), g.zeros(1, 1)
+        g.inner(x)[...] = interior
+        g.inner(gy)[...] = rng.standard_normal((n, c, h, w))
+        g.inner(mask)[...] = 1.0
+        border = mask[0, 0] == 0.0
+        running = (np.zeros(c), np.zeros(c)) if mode == "train" else (mu, sigma**2)
+        params = BNParams(rng.random(c) + 0.5, rng.standard_normal(c), *running)
+        bn = BatchNorm(c)
+        cache = bn.forward(params, x, g, x, mode, True)
+        gx, _ = bn.backward(params, cache, gy, True)
+        assert np.all(x[..., border] == 0.0) and np.all(gx[..., border] == 0.0)
+        if mode == "eval":
+            return
+        # the running statistics started at 0, so they hold 0.1 x the batch's
+        for ch in range(c):
+            vals = interior[:, ch].ravel().tolist()
+            mean = math.fsum(vals) / len(vals)
+            var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
+            keep = 1.0 - layers.BN_MOMENTUM
+            np.testing.assert_allclose(params.running_mean[ch], keep * mean, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(params.running_var[ch], keep * var, rtol=1e-12, atol=0.0)
 
 
 class TestNoAliasing:
