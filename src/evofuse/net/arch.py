@@ -171,12 +171,10 @@ class BatchNorm(Block):
         return BNParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
     def forward(self, p, x, g, out, mode, keep):
-        args = (g.inner(x), p.scale, p.shift, p.running_mean, p.running_var, mode, g.inner(out))
-        return layers.batchnorm_forward(*args)[1], g
+        return layers.batchnorm_forward(x, p.scale, p.shift, p.running_mean, p.running_var, mode, out, g)[1]
 
     def backward(self, p, cache, gy, want_x):
-        bn, g = cache
-        _, gscale, gshift = layers.batchnorm_backward(g.inner(gy), p.scale, bn, g.inner(gy))
+        _, gscale, gshift = layers.batchnorm_backward(gy, p.scale, cache, gy)
         return gy, [gscale, gshift]
 
     def arrays(self, p, with_running):

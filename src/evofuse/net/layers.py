@@ -7,6 +7,9 @@ against finite differences. A conv sums its taps on the padded image
 flattened over rows, one cache-sized column block at a time: thin inputs
 stack all k * k tap slices of a block into one matmul, wider ones run one
 per tap. Its backward is one such loop that also forms the weight gradient.
+Batch norm runs every pass over one channel's whole rows of a buffer, border
+included: a zero border adds nothing to the sums, and ``Grid.clear`` zeroes
+the borders it writes again, as it does for the convs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ..errors import DimensionError, SpecError
+from ..errors import DimensionError, RangeError, SpecError
 
 # flip on to assert finite activations after every op (slow; debug only)
 CHECK_FINITE = False
@@ -76,6 +79,11 @@ class Grid:
     def inner(self, flat: np.ndarray) -> np.ndarray:  # the (n, c, h, w) image, a view
         rows = flat[..., : (self.h + 2 * self.p) * self.wp].reshape(*flat.shape[:2], -1, self.wp)
         return rows[:, :, self.p : self.p + self.h, self.p : self.p + self.w]
+
+    def clear(self, flat: np.ndarray) -> np.ndarray:  # zero the padding rows, wrap and spare columns
+        flat[..., : self.rows.start] = flat[..., self.rows.stop :] = 0.0
+        flat[..., self.rows].reshape(*flat.shape[:-1], self.h, self.wp)[..., self.w :] = 0.0
+        return flat
 
 
 def _flat(x, k, pad):
@@ -193,7 +201,7 @@ def _conv(x, weight, bias, g, stride, groups, shuffle, relu, out):
     src = _grouped(x[..., g.skew(k) :], groups)
     _tap_sum(src, _taps(weight, groups), k, g.wp, g.h * g.wp, _grouped(acc, groups, shuffle),
              bias.reshape(groups, -1, 1), relu)
-    acc.reshape(n, cout, g.h, g.wp)[..., g.w :] = 0.0
+    g.clear(full)
     if stride > 1:
         g.strided(stride).inner(out)[...] = g.inner(full)[..., ::stride, ::stride]
     return _finite(out)
@@ -248,7 +256,7 @@ def _conv_backward(x, gy, weight, g, stride, groups, shuffle, want_x):
     _tap_sum(src[..., g.skew(k) :], taps if want_x else None, k, g.wp, g.h * g.wp,
              _grouped(gx[..., at], groups) if want_x else None, other=other[..., at], grad=grad)
     if want_x:
-        gx[..., at].reshape(n, cin, g.h, g.wp)[..., g.w :] = 0.0
+        g.clear(gx)
     grad_w = grad.transpose(1, 3, 2, 0).reshape(oriented.shape)
     grad_w = _flip(grad_w, groups) if shift_g else grad_w
     return gx, grad_w, gv.sum(axis=(0, 3)).ravel()
@@ -283,49 +291,63 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", out=None):
+def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", out=None, g=None):
     """Per-channel normalization of x into out (or a new array): (out, the
-    cache for batchnorm_backward, which holds the centred copy). Train mode
-    uses batch statistics (two passes: the mean, then the variance of the
-    centred copy) and updates the running mean/var in place (momentum 0.9);
-    eval mode uses the running stats."""
-    col = (slice(None), None, None)
-    m = x.size // x.shape[1]
-    if mode == "train":
-        mu = np.einsum("nchw->c", x) / m
-        xc = x - mu[col]
-        var = np.einsum("nchw,nchw->c", xc, xc) / m
-        running_mean *= BN_MOMENTUM
-        running_mean += (1.0 - BN_MOMENTUM) * mu
-        running_var *= BN_MOMENTUM
-        running_var += (1.0 - BN_MOMENTUM) * var
-    elif mode == "eval":
-        xc = x - running_mean[col]
-        var = running_var
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    out = np.multiply(xc, (scale * inv_std)[col], out=out)
-    out += shift[col]
-    return _finite(out), (xc, inv_std, mode, m)
+    cache for batchnorm_backward, which holds the centred copy). x and out
+    are buffers of grid g with a zero border, or (n, c, h, w) arrays, the
+    border-0 case; each channel runs all its passes while its rows are in
+    cache. Train mode uses batch statistics over the n * h * w pixels (the
+    mean, then the variance of the centred copy, whose border is zeroed
+    first) and updates the running mean/var in place (momentum 0.9); eval
+    mode uses the running stats."""
+    if mode not in ("train", "eval"):
+        raise RangeError(f"unknown mode {mode!r}")
+    g = g or Grid(*x.shape[2:], 0)
+    c, m, train = x.shape[1], len(x) * g.h * g.w, mode == "train"
+    mean, var = (np.empty(c), np.empty(c)) if train else (running_mean, running_var)
+    inv_std, xc = np.empty(c), np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else out
+    for ch, (xs, cs, ys) in enumerate(zip(*map(_channels, (x, xc, out)))):
+        if train:
+            mean[ch] = np.einsum("nl->", xs) / m
+        g.clear(np.subtract(xs, mean[ch], out=cs))
+        if train:
+            var[ch] = np.einsum("nl,nl->", cs, cs) / m
+        inv_std[ch] = 1.0 / np.sqrt(var[ch] + BN_EPS)
+        np.multiply(cs, scale[ch] * inv_std[ch], out=ys)
+        ys += shift[ch]
+        g.clear(ys)
+    for running, batch in ((running_mean, mean), (running_var, var)) if train else ():
+        running *= BN_MOMENTUM
+        running += (1.0 - BN_MOMENTUM) * batch
+    return _finite(out), (xc, inv_std, mode, m, g)
 
 
 def batchnorm_backward(grad_out, scale, cache, out=None):
-    """(grad_input, grad_scale, grad_shift) for the cached forward pass;
-    grad_input is written into out when given."""
-    xc, inv_std, mode, m = cache
-    col = (slice(None), None, None)
-    grad_scale = np.einsum("nchw,nchw->c", grad_out, xc) * inv_std
-    grad_shift = np.einsum("nchw->c", grad_out)
-    if mode == "eval":
-        return np.multiply(grad_out, (scale * inv_std)[col], out=out), grad_scale, grad_shift
+    """(grad_input, grad_scale, grad_shift) for the cached forward pass, one
+    channel at a time on its layout; grad_input is written into out when
+    given. Train mode uses up the cache: its centred copy is scratch."""
+    xc, inv_std, mode, m, g = cache
+    grad_scale, grad_shift = np.empty(len(scale)), np.empty(len(scale))
+    grad_x = np.empty(xc.shape) if out is None else out
     # with c = scale * inv_std / m and xhat = xc * inv_std per channel:
     # grad_x = c * (m * grad_out - grad_shift - xhat * grad_scale)
     c = scale * inv_std / m
-    grad_x = np.multiply(grad_out, (m * c)[col], out=out)
-    grad_x -= (c * grad_shift)[col]
-    grad_x -= xc * (c * grad_scale * inv_std)[col]
+    for ch, (gy, cs, gx) in enumerate(zip(*map(_channels, (grad_out, xc, grad_x)))):
+        grad_scale[ch] = np.einsum("nl,nl->", gy, cs) * inv_std[ch]
+        grad_shift[ch] = np.einsum("nl->", gy)
+        if mode == "eval":
+            np.multiply(gy, scale[ch] * inv_std[ch], out=gx)
+        else:
+            np.multiply(gy, m * c[ch], out=gx)
+            gx -= c[ch] * grad_shift[ch]
+            gx -= np.multiply(cs, c[ch] * grad_scale[ch] * inv_std[ch], out=cs)
+            g.clear(gx)
     return grad_x, grad_scale, grad_shift
+
+
+def _channels(a):  # (n, c, ...) as c views (n, length) of a buffer or a contiguous array
+    return a.reshape(*a.shape[:2], -1).swapaxes(0, 1)
 
 
 def relu(x, out=None):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evofuse.errors import DimensionError, SpecError
+from evofuse.errors import DimensionError, RangeError, SpecError
 from evofuse.net import layers
 from evofuse.net.arch import BatchNorm, BNParams, ConvParams, fire, inception, separable
 
@@ -253,6 +253,10 @@ class TestBatchNorm:
             None, :, None, None
         ]
         assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_unknown_mode_raises(self, rng):
+        with pytest.raises(RangeError, match="mode"):
+            layers.batchnorm_forward(rng.random((1, 2, 3, 3)), np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), "test")
 
     def test_train_backward_finite_differences(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))

@@ -474,6 +474,23 @@ def test_train_step_traffic(monkeypatch):
     assert calls["loops"] == 6
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_batchnorm_runs_on_whole_buffers(monkeypatch, name):
+    """Every BN call of a train step gets a whole padded-flat buffer and its
+    Grid, never a strided (n, c, h, w) view of the buffer's interior."""
+    calls, real = [], layers.batchnorm_forward
+
+    def spy(x, *args):
+        calls.append((x.ndim, args[6] if len(args) > 6 else None))
+        return real(x, *args)
+
+    monkeypatch.setattr(layers, "batchnorm_forward", spy)
+    params, x = build_network(name, seed=0), np.random.default_rng(0).random((2, 2, 16, 16))
+    out, cache = net_forward_cached(params, x, mode="train")
+    net_backward(params, cache, out, False)
+    assert calls and all(ndim == 3 and isinstance(g, layers.Grid) for ndim, g in calls), calls
+
+
 def test_train_gradients_match_finite_differences():
     """net_backward after a train-mode forward against central differences
     of <out, t>, on up to 3 sampled entries of every gcb gradient and of the
