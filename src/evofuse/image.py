@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, IoError, ParseError, TruncationError
+from .errors import DimensionError, IoError, ParseError, RangeError, TruncationError
 
 # ITU-R BT.601 luma coefficients, applied when importing color sources.
 BT601_LUMA = (0.299, 0.587, 0.114)
@@ -48,10 +48,10 @@ class ImageGray:
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError(f"degenerate image shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite intensities")
+            raise RangeError("non-finite intensities")
         lo, hi = float(arr.min()), float(arr.max())
         if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"intensities outside [0, 1]: min={lo}, max={hi}")
+            raise RangeError(f"intensities outside [0, 1]: min={lo}, max={hi}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

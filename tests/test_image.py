@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuse.errors import DimensionError, ParseError, TruncationError
+from evofuse.errors import DimensionError, ParseError, RangeError, TruncationError
 from evofuse.image import (
     ImageGray,
     ImagePair,
@@ -26,10 +26,12 @@ from oracles import gaussian_kernel
 
 class TestImageGray:
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             ImageGray(np.array([[0.0, 1.5]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(RangeError):
             ImageGray(np.array([[-0.1]]))
+        with pytest.raises(RangeError, match="non-finite"):
+            ImageGray(np.array([[0.5, np.nan]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionError):
