@@ -236,6 +236,7 @@ def _train_params(params: NetParams, inputs, targets, cfg: TrainConfig, sources=
                 out, cache = net_forward_cached(params, xb, mode="train")
                 loss, grad_out = _batch_loss(out, xb if sources is None else sources[idx], tb, cfg)
                 grads, _ = net_backward(params, cache, grad_out, _input_grad=False)
+                del cache  # every block's cache: the next forward must not run beside it
                 adam_step(arrays, grads, state, lr)
                 total += loss * len(idx)
             mean_loss = total / n

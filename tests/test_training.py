@@ -1,8 +1,10 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+from evofuse import training
 from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixError
 from evofuse.evolution import init_bank
 from evofuse.image import ImageGray, ImagePair, Task
@@ -179,6 +181,28 @@ class TestTrain:
             "epoch_0001.aenw",
             "epoch_0002.aenw",
         ]
+
+    def test_step_caches_freed_before_next_forward(self, rng, monkeypatch):
+        """A train step's block caches (every array in them but the output)
+        are freed before the next step's forward runs."""
+        kept, real = [], training.net_forward_cached
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+
+        def forward(*args, **kwargs):
+            assert all(ref() is None for ref in kept), "a step's caches outlived it"
+            out, cache = real(*args, **kwargs)
+            kept.extend(weakref.ref(a) for a in arrays(cache) if a is not out)
+            return out, cache
+
+        monkeypatch.setattr(training, "net_forward_cached", forward)
+        train("gcb", small_dataset(rng, n=1), None, small_cfg(batch_size=1, loss_kind="supervised"))
+        assert len(kept) > 10
 
     def test_curve_csv(self, tmp_path):
         curve = [CurvePoint(1, 1, 0.001, 0.5), CurvePoint(2, 2, 0.0001, 0.25)]
