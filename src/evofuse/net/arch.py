@@ -15,7 +15,10 @@ macros returning one ``Branch``.
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
 is set, the beta output is added to its input before gamma, and a sigmoid
-caps the final output to (0, 1).
+caps the final output to (0, 1). On inference the driver runs the blocks
+after a path's last upsample (``m``'s full-size decoder) in bands of rows,
+so that their activations never exist whole; a residual beta adds each
+band into its input, alpha's output, which those blocks never read.
 """
 
 from __future__ import annotations
@@ -420,13 +423,13 @@ def _fold_bn(blocks, plist, sources):
 
 def _epilogue(blocks, i, done, sources, relu=True):
     """(shuffle, relu) after the conv at i, past folded BNs, that its tap loop
-    runs (added to done); a block whose input a SkipConcat reads stops it,
-    and so does a ReLU unless ``relu``."""
+    runs (added to done, so a second call gives the same); a block whose input
+    a SkipConcat reads stops it, and so does a ReLU unless ``relu``."""
     fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False if relu else None}
     for j in range(i + 1, len(blocks)):
         if j - 1 in sources or not (j in done or fused.get(blocks[j]) is False):
             break
-        if j not in done:
+        if fused.get(blocks[j]) is False:
             fused[blocks[j]] = True
             done.update(range(i + 1, j + 1))
     return tuple(bool(v) for v in fused.values())
@@ -439,48 +442,112 @@ def _skips(blocks) -> dict:
     return {i: blk.source for i, blk in enumerate(blocks) if isinstance(blk, SkipConcat)}
 
 
+def _tail(blocks, shapes, skips):
+    """(u, f, h, q) when the blocks after the path's last upsample u keep its
+    size, else None: they read h + q rows around an output pixel (a Branch's
+    paths hold one conv with k > 1 at most, so its border is its own). f, the
+    first of them with k > 1 if it is a conv that no later SkipConcat reads
+    past, else past the end, reads its h from its input's padding rows; a
+    band recomputes the q rows that the rest read (overlap tiling)."""
+    ups = [i for i in range(len(blocks)) if shapes[i + 1].h > shapes[i].h]
+    if not ups or any(s[1:3] != shapes[-1][1:3] for s in shapes[ups[-1] + 1 :]):
+        return None
+    u, end = ups[-1], len(blocks)
+    f = next((i for i in range(u, end) if shapes[i + 1].border), end)
+    if f < end and (not isinstance(blocks[f], ConvBlock) or any(u <= s < f < r for r, s in skips.items())):
+        f = end
+    h = shapes[f + 1].border if f < end else 0
+    return u, f, h, sum(s.border for s in shapes[u + 1 :]) - h
+
+
 def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     """Run a path on buffer x of grid g into out (or a new buffer): (output,
-    its grid, caches kept with ``keep``). A block writes into its input (if
-    in place and nothing else reads it), its part of a SkipConcat's buffer or
-    a new one. Inference passes (eval without ``keep``) fold BNs into convs
-    (``_fold_bn``, on every call so that parameter updates count); a conv runs
-    the shuffle, and on inference the ReLU, after it (``_epilogue``)."""
-    n, skips = len(x), _skips(blocks)
+    its grid, caches kept with ``keep``); out x itself gets the output added
+    (a residual path). A block writes into its input (if in place and nothing
+    else reads it), its part of a SkipConcat's buffer or a new one. Inference
+    passes (eval without ``keep``) fold BNs into convs (``_fold_bn``, on every
+    call so that parameter updates count); a conv runs the shuffle, and on
+    inference the ReLU, after it (``_epilogue``). They run the blocks after
+    the last upsample (``_tail``) one band of output rows at a time, from the
+    band's rows of the whole buffers before them, so that no full-size
+    activation of theirs exists whole; they read block outputs only, so x can
+    take the bands. A conv's column sums do not depend on the columns around
+    them (``layers._tap_products``): bands give the bits of the whole pass."""
+    n, skips, x0 = len(x), _skips(blocks), x
     shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
     grids = [Grid(s.h, s.w, g.p) for s in shapes]
-    dest, copies = ({} if out is None else {len(blocks) - 1: out}), {}  # by writer index
-    for r in sorted(skips, reverse=True):  # a later SkipConcat may hold an earlier's buffer
-        s, c = skips[r], shapes[r].c
+    for r, s in skips.items():
         if grids[r] != grids[s + 1]:
             raise DimensionError(f"skip source is {grids[s + 1].h}x{grids[s + 1].w}, not {grids[r].h}x{grids[r].w}")
-        buf = dest.setdefault(r, grids[r].zeros(n, shapes[r + 1].c))
-        for j, part in ((s, buf[:, c:]), (r - 1, buf[:, :c])):
-            if dest.setdefault(j, part) is not part:
-                copies.setdefault(j, []).append(part)
-    sources = set(skips.values())
+    sources, caches, whole = set(skips.values()), [], {}  # whole: the outputs before the tail that it reads
     infer = mode == "eval" and not keep
     plist, done = _fold_bn(blocks, plist, sources) if infer else (plist, set())
-    caches = []
-    for i, (blk, p) in enumerate(zip(blocks, plist)):
-        if i in done:
-            caches.append(_FUSED)
-            continue
-        fused = _epilogue(blocks, i, done, sources, relu=infer) if blk.epilogue else ()
-        last = i  # the fused and folded blocks after it end with its output
-        while last + 1 in done:
-            last += 1
-        y = dest.get(last)
-        if y is None:
-            own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
-            y = x if blk.inplace and own else grids[i + 1].zeros(n, shapes[last + 1].c)
-        cache = blk.forward(p, x, g, y, mode, keep, *fused)
-        for part in copies.get(last, ()):
-            part[...] = y
-        if keep:
-            caches.append(cache)
-        x, g = y, grids[i + 1]
-    return x, g, caches
+    tail = _tail(blocks, shapes, skips) if infer else None
+    cut = len(blocks) if tail is None else tail[0]
+    outer = {s for r, s in skips.items() if s < cut < r}
+
+    def plan(grids, cats, dest, tops=None):  # each SkipConcat's buffer and its parts into dest; copies
+        copies = {}
+        for r in sorted(cats, reverse=True):  # a later SkipConcat may hold an earlier's buffer
+            s, c = skips[r], shapes[r].c
+            buf = dest.setdefault(r, grids[r].zeros(n, shapes[r + 1].c))
+            pairs = [(r - 1, buf[:, :c])]
+            if s in whole:
+                buf[:, c:] = grids[r].window(whole[s], tops[r])
+            else:
+                pairs.insert(0, (s, buf[:, c:]))
+            for j, part in pairs:
+                if dest.setdefault(j, part) is not part:
+                    copies.setdefault(j, []).append(part)
+        return copies
+
+    def run(lo, hi, x, g, grids, dest, copies):
+        for i, blk in enumerate(blocks[lo:hi], lo):
+            if i in done:
+                caches.append(_FUSED)
+                continue
+            fused = _epilogue(blocks, i, done, sources, relu=infer) if blk.epilogue else ()
+            last = i  # the fused and folded blocks after it end with its output
+            while last + 1 in done:
+                last += 1
+            y = dest.pop(last, None)  # a planned buffer is held by its readers alone
+            if y is None:
+                own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
+                y = x if blk.inplace and own else grids[i + 1].zeros(n, shapes[last + 1].c)
+            cache = blk.forward(plist[i], x, g, y, mode, keep, *fused)
+            for part in copies.pop(last, ()):
+                part[...] = y
+            if keep:
+                caches.append(cache)
+            if last in outer:
+                whole[last] = y
+            x, g = y, grids[i + 1]
+        return x
+
+    dest = {} if out is None or out is x0 or tail else {len(blocks) - 1: out}
+    x = run(0, cut, x, g, grids, dest, plan(grids, [r for r in skips if r < cut], dest))
+    if tail is None:
+        if out is x0:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
+            x = np.add(x, x0, out=None if keep or x is x0 else x)
+        return x, grids[-1], caches
+    (u, f, h1, q), full, end = tail, grids[-1], len(blocks)
+    y = out if out is not None else full.zeros(n, shapes[-1].c)
+    # a band's output holds about one tap-loop column block (at 1x2x400x400,
+    # m ran 5% slower in bands of 10 rows than of 20 to 40)
+    step = max(1, layers._BLOCK_ELEMS // (n * shapes[-1].c * full.wp))
+    for r0 in range(0, full.h, step):
+        r1 = min(r0 + step, full.h)
+        # f's output rows [v0, v1) from its input's rows [e0, e1), even for the upsample
+        v0, v1 = max(r0 - q, 0), min(r1 + q, full.h)
+        e0, e1 = max(v0 - h1, 0) // 2 * 2, min(v1 + h1 + 1, full.h) // 2 * 2
+        band, grid_e, grid_v = Grid((e1 - e0) // 2, grids[u].w, g.p), Grid(e1 - e0, full.w, g.p), Grid(v1 - v0, full.w, g.p)
+        bands, dest = [band] * (u + 1) + [grid_e] * (f - u) + [grid_v] * (end - f), {}
+        copies = plan(bands, [r for r in skips if r > u], dest, [e0] * (f + 1) + [v0] * (end - f))
+        z = run(u, f, band.window(x, e0 // 2), band, bands, dest, copies)
+        z = run(f, end, grid_v.window(z, v0 - e0), grid_v, bands, dest, copies)
+        rows, got = full.inner(y)[:, :, r0:r1], grid_v.inner(z)[:, :, r0 - v0 : r1 - v0]
+        np.add(rows, got, out=rows) if y is x0 else np.copyto(rows, got)
+    return y, full, caches
 
 
 def _path_backward(blocks, plist, caches, gy, want_x=True):
@@ -492,6 +559,7 @@ def _path_backward(blocks, plist, caches, gy, want_x=True):
         if i in routed:  # gradient that later skips sent to this output
             gy = gy + routed.pop(i)
         cache, s = caches[i], skips.get(i)
+        caches[i] = None  # dead once its backward has run
         if s is not None:
             routed[s] = routed[s] + gy[:, cache:] if s in routed else gy[:, cache:]
             gy = gy[:, :cache]

@@ -70,8 +70,15 @@ class Grid:
     def skew(self, k: int) -> int:
         return (self.p - k // 2) * (self.wp + 1)
 
+    @property
+    def size(self) -> int:  # a buffer's length
+        return (self.h + 2 * self.p) * self.wp + 2 * self.p
+
     def zeros(self, n: int, c: int) -> np.ndarray:
-        return np.zeros((n, c, (self.h + 2 * self.p) * self.wp + 2 * self.p))
+        return np.zeros((n, c, self.size))
+
+    def window(self, flat: np.ndarray, top: int) -> np.ndarray:  # in a taller one's from its row top, a view
+        return flat[..., top * self.wp : top * self.wp + self.size]
 
     def strided(self, s: int) -> Grid:
         return Grid((self.h - 1) // s + 1, (self.w - 1) // s + 1, self.p)
@@ -367,12 +374,17 @@ def sigmoid_backward(grad_out, y):
 
 
 def maxpool2_forward(x, out=None):
-    """2x2 stride-2 max: the elementwise max of the four strided views."""
+    """2x2 stride-2 max: the elementwise max of the four strided views, taken
+    in place in the output one channel at a time, since NumPy copies an input
+    that is also a strided output (max is exact: the order does not matter)."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"pooling needs even spatial dims, got {h}x{w}")
-    top = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
-    return np.maximum(top, np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]), out=top)
+    out = np.empty((n, c, h // 2, w // 2)) if out is None else out
+    for i, j in np.ndindex(n, c):
+        top = np.maximum(x[i, j, 0::2, 0::2], x[i, j, 0::2, 1::2], out=out[i, j])
+        np.maximum(np.maximum(top, x[i, j, 1::2, 0::2], out=top), x[i, j, 1::2, 1::2], out=top)
+    return out
 
 
 def maxpool2_backward(grad_out, x, out=None):

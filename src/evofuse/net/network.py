@@ -1,8 +1,9 @@
 """Network parameters, seeded init, forward/backward execution, weight files.
 
 A network is three block stages (alpha / beta / gamma). With ``residual``
-set the beta output is added to its own input before gamma, and every
-output passes through a final sigmoid so fused intensities stay in (0, 1).
+set the beta output is added to its own input before gamma (on inference
+in place, band by band for ``m``), and every output passes through a final
+sigmoid so fused intensities stay in (0, 1).
 """
 
 from __future__ import annotations
@@ -72,9 +73,7 @@ def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool, head: bool
         raise DimensionError(f"expected (n, {spec.in_channels}, h, w) input, n, h, w >= 1, got {x.shape}")
     xf, g_in = layers._flat(x, 2 * pad + 1, pad), layers.Grid(*x.shape[2:], pad)
     a, g, ac = _path_forward(spec.alpha, params.alpha, xf, g_in, mode, keep)
-    z, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep)
-    if spec.residual:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
-        z = np.add(z, a, out=None if keep or z is a else z)
+    z, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep, a if spec.residual else None)
     if not head:
         return np.ascontiguousarray(layers._interior(z, g.h, g.w, g.p))
     y, g, gc = _path_forward(spec.gamma, params.gamma, z, g, mode, keep)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,23 @@ class TestPoolAndUpsample:
     def test_odd_dims_rejected(self, rng):
         with pytest.raises(DimensionError):
             layers.maxpool2_forward(rng.random((1, 1, 5, 4)))
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_pool_into_out_allocates_no_temporary(self, rng, padded):
+        """maxpool2_forward(x, out) takes its maxima in out: its tracemalloc
+        peak stays below out's size, for a plain out and for the interior of
+        a padded-flat buffer."""
+        x = rng.random((2, 4, 64, 96))
+        grid = layers.Grid(32, 48, 1)
+        out = grid.inner(grid.zeros(2, 4)) if padded else np.zeros((2, 4, 32, 48))
+        tracemalloc.start()
+        try:
+            layers.maxpool2_forward(x, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.size * out.itemsize
+        np.testing.assert_array_equal(out, x.reshape(2, 4, 32, 2, 48, 2).max(axis=(3, 5)))
 
     def test_pool_backward_finite_differences(self, rng):
         x = spaced_values(rng, (2, 2, 4, 4))

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from evofuse.net.arch import (
     POOLED_NAMES,
     Branch,
     ConvBlock,
+    UpsampleNearest2,
     builtin_spec,
     count_params,
     inception,
@@ -339,6 +341,74 @@ class TestInferenceLayout:
             net_forward(params, rng.random((1, 2, 16, 16)))
 
 
+# specs whose beta ends in a full-size tail after its last upsample, each
+# with the input it runs on: like m's decoders (residual, cat of a source
+# before the tail, one 3x3 conv); without a residual, on odd sides, with a
+# 1x1 conv and a ReLU before the 3x3 conv; two convs (3x3, 5x5) after the
+# upsample; a fire module first and a cat of an output inside the tail
+BAND_ARCHS = {
+    "upres": ("stage alpha\nconv 2 8 3\nrelu\nstage beta\nconv 8 8 3\nrelu\npool\nconv 8 8 3\nup\n"
+              "cat 1\nconv 16 8 3\nbn 8\nrelu\nstage gamma\nconv 8 1 3\n", (2, 2, 22, 18)),
+    "upplain": ("residual 0\nstage alpha\nconv 2 6 3\nrelu\nstage beta\nconv 6 6 3 1 2\nup\n"
+                "conv 6 4 1\nrelu\nconv 4 6 3\nstage gamma\nconv 6 1 3\n", (2, 2, 9, 11)),
+    "uptwo": ("stage alpha\nconv 2 8 3\nstage beta\nconv 8 8 3\nrelu\npool\nup\ncat 1\n"
+              "conv 16 8 3\nrelu\nconv 8 8 5\nbn 8\nstage gamma\nconv 8 1 3\n", (2, 2, 22, 18)),
+    "upcross": ("stage alpha\nconv 2 8 3\nstage beta\nconv 8 8 3\nrelu\npool\nup\nconv 8 4 1\n"
+                "relu\nfire 4 2 2 2\ncat 5\nconv 8 8 3\nstage gamma\nconv 8 1 3\n", (2, 2, 14, 10)),
+}
+
+
+class TestBandedTail:
+    """Inference passes run the blocks after a path's last upsample one band
+    of output rows at a time; any band height gives the bits of the
+    block-by-block replay."""
+
+    def cases(self, tmp_path):
+        cases = [(builtin_spec("m"), (2, 2, 20, 28))]
+        for name, (text, shape) in BAND_ARCHS.items():
+            (tmp_path / f"{name}.arch").write_text(text)
+            cases.append((parse_arch_file(tmp_path / f"{name}.arch"), shape))
+        return cases
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_equals_eval_replay_at_any_band_height(self, tmp_path, monkeypatch, rows):
+        ups, real_up = [], UpsampleNearest2.forward
+
+        def up(self, p, x, g, *args):
+            ups.append(g.h)
+            return real_up(self, p, x, g, *args)
+
+        monkeypatch.setattr(UpsampleNearest2, "forward", up)
+        x_rng = np.random.default_rng(5)
+        for spec, shape in self.cases(tmp_path):
+            params = build_network(spec, seed=1)
+            randomize_bn(params, seed=2)
+            x = x_rng.random(shape)
+            want = eval_replay(params, x)
+            # a band's output holds about _BLOCK_ELEMS elements
+            walk = arch._stage_shapes(spec, *shape[2:])[1]
+            wp = walk[-1].w + 2 * arch._spec_total(spec, 1, 1).border
+            monkeypatch.setattr(layers, "_BLOCK_ELEMS", rows * shape[0] * walk[-1].c * wp)
+            ups.clear()
+            np.testing.assert_array_equal(net_forward(params, x), want, err_msg=f"{spec.name} {rows}")
+            whole = sum(isinstance(blk, UpsampleNearest2) for blk in spec.beta) - 1
+            assert len(ups) == whole + -(-walk[-1].h // rows), (spec.name, ups)
+
+    def test_m_eval_peak_pinned(self):
+        """m's eval forward at 1x2x200x200 peaks at 3.47 buffers the size of
+        alpha's output (tracemalloc; 4.86 before the tail ran in bands),
+        pinned here at 3.82."""
+        params, x = build_network("m", seed=0), np.random.default_rng(0).random((1, 2, 200, 200))
+        net_forward(params, x)
+        tracemalloc.start()
+        try:
+            net_forward(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.82 * layers.Grid(200, 200, 1).zeros(1, 64).nbytes
+
+
 # BNs with no ReLU after them, whose gradients reach them on the padded grid
 # from a conv (alpha's BN) and from gamma's conv (beta's last BN)
 BN_ARCH = """
@@ -489,6 +559,27 @@ def test_batchnorm_runs_on_whole_buffers(monkeypatch, name):
     out, cache = net_forward_cached(params, x, mode="train")
     net_backward(params, cache, out, False)
     assert calls and all(ndim == 3 and isinstance(g, layers.Grid) for ndim, g in calls), calls
+
+
+def cached_arrays(obj):
+    """Every array in a forward cache, nested tuples and lists included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from cached_arrays(item)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_backward_frees_each_block_cache(name):
+    """net_backward drops each block's cache once its backward has run: with
+    the forward cache still held, every cached array but the output is gone
+    when it returns."""
+    params, x = build_network(name, seed=0), np.random.default_rng(0).random((2, 2, 16, 16))
+    out, cache = net_forward_cached(params, x, mode="train")
+    refs = [weakref.ref(a) for a in cached_arrays(cache) if a is not out]
+    net_backward(params, cache, np.ones_like(out), False)
+    assert len(refs) > 5 and all(ref() is None for ref in refs)
 
 
 def test_train_gradients_match_finite_differences():
