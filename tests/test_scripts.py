@@ -22,6 +22,15 @@ def test_compare_architectures():
     assert done.stdout.splitlines()[0].split() == ["spec", "params", "flops", "bytes"]
 
 
+def test_compare_architectures_timed_prints_peak_memory():
+    done = run_script("compare_architectures.py", "--size", "16", "--trials", "2", "--specs", "gcb,m")
+    assert done.returncode == 0, done.stderr
+    header, _, *rows = done.stdout.splitlines()
+    assert header.split()[-2:] == ["peak", "MiB"]
+    assert [row.split()[0] for row in rows[:2]] == ["gcb", "m"]
+    assert all(float(row.split()[-1]) > 0 for row in rows[:2])
+
+
 def test_run_evolution_demo():
     # NIQE scores need sides of at least 96
     done = run_script("run_evolution_demo.py", "--pairs", "2", "--size", "96", "--rounds", "1", "--epochs", "1")
