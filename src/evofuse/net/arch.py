@@ -486,7 +486,7 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     cut = len(blocks) if tail is None else tail[0]
     outer = {s for r, s in skips.items() if s < cut < r}
 
-    def plan(grids, cats, dest, tops=None):  # each SkipConcat's buffer and its parts into dest; copies
+    def plan(grids, cats, dest, tops=None):  # buffers of SkipConcats cats and their parts by writer; copies
         copies = {}
         for r in sorted(cats, reverse=True):  # a later SkipConcat may hold an earlier's buffer
             s, c = skips[r], shapes[r].c

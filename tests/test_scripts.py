@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from evofuse.net.arch import BUILTIN_NAMES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,12 +25,13 @@ def test_compare_architectures():
 
 
 def test_compare_architectures_timed_prints_peak_memory():
-    done = run_script("compare_architectures.py", "--size", "16", "--trials", "2", "--specs", "gcb,m")
+    done = run_script("compare_architectures.py", "--size", "16", "--trials", "2")
     assert done.returncode == 0, done.stderr
     header, _, *rows = done.stdout.splitlines()
+    rows = rows[: rows.index("")]
     assert header.split()[-2:] == ["peak", "MiB"]
-    assert [row.split()[0] for row in rows[:2]] == ["gcb", "m"]
-    assert all(float(row.split()[-1]) > 0 for row in rows[:2])
+    assert [row.split()[0] for row in rows] == list(BUILTIN_NAMES)
+    assert all(float(row.split()[-1]) > 0 for row in rows)
 
 
 def test_run_evolution_demo():
