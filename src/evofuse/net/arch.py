@@ -445,10 +445,10 @@ def _skips(blocks) -> dict:
 def _tail(blocks, shapes, skips):
     """(u, f, h, q) when the blocks after the path's last upsample u keep its
     size, else None: they read h + q rows around an output pixel (a Branch's
-    paths hold one conv with k > 1 at most, so its border is its own). f, the
-    first of them with k > 1 if it is a conv that no later SkipConcat reads
-    past, else past the end, reads its h from its input's padding rows; a
-    band recomputes the q rows that the rest read (overlap tiling)."""
+    paths hold one conv with k > 1 at most, so its border is its own). f is
+    the first of them with k > 1 if that is a conv and no SkipConcat after it
+    reads an output before it, else past the end; f reads its h rows from its
+    input's padding rows, and a band recomputes the q that the rest read."""
     ups = [i for i in range(len(blocks)) if shapes[i + 1].h > shapes[i].h]
     if not ups or any(s[1:3] != shapes[-1][1:3] for s in shapes[ups[-1] + 1 :]):
         return None
