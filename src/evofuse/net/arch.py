@@ -72,7 +72,9 @@ class Block:
     keep)`` writes the output for buffer x of grid g into buffer out and
     returns the cache; ``backward(p, cache, gy, want_x)``, which may
     overwrite gy, returns (the input gradient's buffer, grads in arrays()
-    order)."""
+    order). ``absorb(p, c, scale, shift)`` takes a per-channel affine on the
+    output (a folded BN) at c input channels: (new params, None), (params,
+    the vectors for the block before it) or None, a refusal."""
 
     inplace = False  # out may be the input buffer itself
     holds_output = False  # the cache holds the output buffer
@@ -86,6 +88,9 @@ class Block:
 
     def arrays(self, p, with_running: bool) -> list[np.ndarray]:
         return []
+
+    def absorb(self, p, c, scale, shift):
+        return None
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,9 @@ class ConvBlock(Block):
     def arrays(self, p, with_running):
         return [p.weight, p.bias]
 
+    def absorb(self, p, c, scale, shift):
+        return ConvParams(p.weight * scale[:, None, None, None], p.bias * scale + shift), None
+
 
 @dataclass(frozen=True)
 class ChannelShuffle(Block):
@@ -157,6 +165,9 @@ class ChannelShuffle(Block):
 
     def backward(self, p, cache, gy, want_x):
         return layers.channel_shuffle_backward(gy, self.groups), []
+
+    def absorb(self, p, c, scale, shift):  # per-channel vectors go back like gradients
+        return p, [layers.channel_shuffle_backward(v[None, :, None, None], self.groups).ravel() for v in (scale, shift)]
 
 
 @dataclass(frozen=True)
@@ -279,6 +290,12 @@ class Branch(Block):
     def arrays(self, p, with_running):
         return [a for path, pp in zip(self.paths, p) for a in _path_arrays(path, pp, with_running)]
 
+    def absorb(self, p, c, scale, shift):  # each path takes its channels' share, or none does
+        ends = np.cumsum([0] + [_path_shapes(path, c, 1, 1)[-1].c for path in self.paths])
+        got = [_absorb(path, pp, c, len(path), scale[a:b], shift[a:b])
+               for path, pp, a, b in zip(self.paths, p, ends, ends[1:])]
+        return None if None in got else (got, None)
+
 
 FEATURE_CHANNELS = 64
 DEFAULT_GROUPS = 8
@@ -391,33 +408,34 @@ def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
     return [a for blk, p in zip(blocks, plist) for a in blk.arrays(p, with_running)]
 
 
-def _fold_bn(blocks, plist, sources):
-    """(params, folded BN indices) with every BatchNorm fed by a ConvBlock,
-    directly or through ChannelShuffles, folded into that conv's weight and
-    bias. A BN is left alone when a SkipConcat reads the conv's or a
-    shuffle's output, which folding would change. plist is not mutated."""
-    plist = list(plist)
+def _absorb(blocks, plist, c, end, scale, shift):
+    """A copy of plist (a path with c input channels) whose blocks before end,
+    walking back (``Block.absorb``), take the affine on block end - 1's output;
+    None when one refuses it, none is left, or a SkipConcat reads one it changes."""
+    shapes, sources, plist = _path_shapes(blocks, c, 1, 1), set(_skips(blocks).values()), list(plist)
+    for i in range(end - 1, -1, -1):
+        got = None if i in sources else blocks[i].absorb(plist[i], shapes[i].c, scale, shift)
+        if got is None:
+            return None
+        plist[i], vectors = got
+        if vectors is None:
+            return plist
+        scale, shift = vectors
+    return None
+
+
+def _fold_bn(blocks, plist, c):
+    """(params, folded BN indices) of a path with c input channels, with every
+    BatchNorm that the blocks before it absorb folded into them (a conv, back
+    through shuffles, or each path of a Branch). plist is not mutated."""
     folded = set()
     for j, bn in enumerate(blocks):
-        if not isinstance(bn, BatchNorm):
-            continue
-        i = j - 1
-        while i >= 0 and isinstance(blocks[i], ChannelShuffle):
-            i -= 1
-        if i < 0 or not isinstance(blocks[i], ConvBlock) or sources & set(range(i, j)):
-            continue
-        q = plist[j]
-        scale = q.scale / np.sqrt(q.running_var + layers.BN_EPS)
-        shift = q.shift - q.running_mean * scale
-        for shuffle in blocks[j - 1 : i : -1]:
-            # per-channel vectors go back through the shuffle like gradients
-            scale, shift = (
-                layers.channel_shuffle_backward(v[None, :, None, None], shuffle.groups).ravel()
-                for v in (scale, shift)
-            )
-        conv = plist[i]
-        plist[i] = ConvParams(conv.weight * scale[:, None, None, None], conv.bias * scale + shift)
-        folded.add(j)
+        if isinstance(bn, BatchNorm):
+            q = plist[j]
+            scale = q.scale / np.sqrt(q.running_var + layers.BN_EPS)
+            got = _absorb(blocks, plist, c, j, scale, q.shift - q.running_mean * scale)
+            if got is not None:
+                plist, folded = got, folded | {j}
     return plist, folded
 
 
@@ -443,21 +461,17 @@ def _skips(blocks) -> dict:
 
 
 def _tail(blocks, shapes, skips):
-    """(u, f, h, q) when the blocks after the path's last upsample u keep its
-    size, else None: they read h + q rows around an output pixel (a Branch's
-    paths hold one conv with k > 1 at most, so its border is its own). f is
-    the first of them with k > 1 if that is a conv and no SkipConcat after it
-    reads an output before it, else past the end; f reads its h rows from its
-    input's padding rows, and a band recomputes the q that the rest read."""
+    """(u, f, h) when the blocks after the path's last upsample u keep its
+    size and f is the one of them with k > 1, a conv, and no SkipConcat after
+    f reads an output before it; else None. f reads its h halo rows from its
+    input band's padding rows, so a band recomputes nothing."""
     ups = [i for i in range(len(blocks)) if shapes[i + 1].h > shapes[i].h]
     if not ups or any(s[1:3] != shapes[-1][1:3] for s in shapes[ups[-1] + 1 :]):
         return None
-    u, end = ups[-1], len(blocks)
-    f = next((i for i in range(u, end) if shapes[i + 1].border), end)
-    if f < end and (not isinstance(blocks[f], ConvBlock) or any(u <= s < f < r for r, s in skips.items())):
-        f = end
-    h = shapes[f + 1].border if f < end else 0
-    return u, f, h, sum(s.border for s in shapes[u + 1 :]) - h
+    wide = [i for i in range(ups[-1], len(blocks)) if shapes[i + 1].border]
+    if len(wide) != 1 or not isinstance(blocks[wide[0]], ConvBlock) or any(s < wide[0] < r for r, s in skips.items()):
+        return None
+    return ups[-1], wide[0], shapes[wide[0] + 1].border
 
 
 def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
@@ -465,13 +479,13 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     its grid, caches kept with ``keep``); out x itself gets the output added
     (a residual path). A block writes into its input (if in place and nothing
     else reads it), its part of a SkipConcat's buffer or a new one. Inference
-    passes (eval without ``keep``) fold BNs into convs (``_fold_bn``, on every
-    call so that parameter updates count); a conv runs the shuffle, and on
-    inference the ReLU, after it (``_epilogue``). They run the blocks after
-    the last upsample (``_tail``) one band of output rows at a time, from the
-    band's rows of the whole buffers before them, so that no full-size
-    activation of theirs exists whole; they read block outputs only, so x can
-    take the bands. A conv's column sums do not depend on the columns around
+    passes (eval without ``keep``) fold BNs into the blocks before them
+    (``_fold_bn``, on every call so that parameter updates count); a conv runs
+    the shuffle, and on inference the ReLU, after it (``_epilogue``). They run
+    the blocks after the last upsample (``_tail``) one band of output rows at
+    a time, from the band's rows of the whole buffers before them, so that no
+    full-size activation of theirs exists whole; they read block outputs
+    only, so x can take the bands. A conv's column sums do not depend on the columns around
     them (``layers._tap_products``): bands give the bits of the whole pass."""
     n, skips, x0 = len(x), _skips(blocks), x
     shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
@@ -481,19 +495,19 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
             raise DimensionError(f"skip source is {grids[s + 1].h}x{grids[s + 1].w}, not {grids[r].h}x{grids[r].w}")
     sources, caches, whole = set(skips.values()), [], {}  # whole: the outputs before the tail that it reads
     infer = mode == "eval" and not keep
-    plist, done = _fold_bn(blocks, plist, sources) if infer else (plist, set())
+    plist, done = _fold_bn(blocks, plist, x.shape[1]) if infer else (plist, set())
     tail = _tail(blocks, shapes, skips) if infer else None
     cut = len(blocks) if tail is None else tail[0]
     outer = {s for r, s in skips.items() if s < cut < r}
 
-    def plan(grids, cats, dest, tops=None):  # buffers of SkipConcats cats and their parts by writer; copies
+    def plan(grids, cats, dest, top=0):  # buffers of SkipConcats cats and their parts by writer; copies
         copies = {}
         for r in sorted(cats, reverse=True):  # a later SkipConcat may hold an earlier's buffer
             s, c = skips[r], shapes[r].c
             buf = dest.setdefault(r, grids[r].zeros(n, shapes[r + 1].c))
             pairs = [(r - 1, buf[:, :c])]
             if s in whole:
-                buf[:, c:] = grids[r].window(whole[s], tops[r])
+                buf[:, c:] = grids[r].window(whole[s], top)
             else:
                 pairs.insert(0, (s, buf[:, c:]))
             for j, part in pairs:
@@ -530,22 +544,21 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
         if out is x0:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
             x = np.add(x, x0, out=None if keep or x is x0 else x)
         return x, grids[-1], caches
-    (u, f, h1, q), full, end = tail, grids[-1], len(blocks)
+    (u, f, h1), full, end = tail, grids[-1], len(blocks)
     y = out if out is not None else full.zeros(n, shapes[-1].c)
     # a band's output holds about one tap-loop column block (at 1x2x400x400,
     # m ran 5% slower in bands of 10 rows than of 20 to 40)
     step = max(1, layers._BLOCK_ELEMS // (n * shapes[-1].c * full.wp))
     for r0 in range(0, full.h, step):
         r1 = min(r0 + step, full.h)
-        # f's output rows [v0, v1) from its input's rows [e0, e1), even for the upsample
-        v0, v1 = max(r0 - q, 0), min(r1 + q, full.h)
-        e0, e1 = max(v0 - h1, 0) // 2 * 2, min(v1 + h1 + 1, full.h) // 2 * 2
-        band, grid_e, grid_v = Grid((e1 - e0) // 2, grids[u].w, g.p), Grid(e1 - e0, full.w, g.p), Grid(v1 - v0, full.w, g.p)
+        # f's output rows [r0, r1) from its input's rows [e0, e1), even for the upsample
+        e0, e1 = max(r0 - h1, 0) // 2 * 2, min(r1 + h1 + 1, full.h) // 2 * 2
+        band, grid_e, grid_v = Grid((e1 - e0) // 2, grids[u].w, g.p), Grid(e1 - e0, full.w, g.p), Grid(r1 - r0, full.w, g.p)
         bands, dest = [band] * (u + 1) + [grid_e] * (f - u) + [grid_v] * (end - f), {}
-        copies = plan(bands, [r for r in skips if r > u], dest, [e0] * (f + 1) + [v0] * (end - f))
+        copies = plan(bands, [r for r in skips if r > u], dest, e0)
         z = run(u, f, band.window(x, e0 // 2), band, bands, dest, copies)
-        z = run(f, end, grid_v.window(z, v0 - e0), grid_v, bands, dest, copies)
-        rows, got = full.inner(y)[:, :, r0:r1], grid_v.inner(z)[:, :, r0 - v0 : r1 - v0]
+        z = run(f, end, grid_v.window(z, r0 - e0), grid_v, bands, dest, copies)
+        rows, got = full.inner(y)[:, :, r0:r1], grid_v.inner(z)
         np.add(rows, got, out=rows) if y is x0 else np.copyto(rows, got)
     return y, full, caches
 

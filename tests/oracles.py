@@ -177,7 +177,7 @@ def eval_replay(params, x) -> np.ndarray:
 
     def path(blocks, plist, x):
         sources = {blk.source for blk in blocks if isinstance(blk, SkipConcat)}
-        plist, folded = _fold_bn(blocks, plist, sources)
+        plist, folded = _fold_bn(blocks, plist, x.shape[1])
         outs = {}
         for i, (blk, p) in enumerate(zip(blocks, plist)):
             if i in folded:
