@@ -19,7 +19,7 @@ from .errors import EmptyInputError, RangeError, UnknownAlgorithmError
 from .evolution import evaluate_candidates
 from .fusion import REGISTRY, FusionCandidate
 from .image import ImagePair
-from .net.arch import BUILTIN_NAMES, ArchSpec, builtin_spec, count_flops, count_groups, count_state
+from .net.arch import BUILTIN_NAMES, ArchSpec, count_flops, count_groups, count_state
 from .net.network import build_network, net_forward, weight_file_bytes
 from .niqe import NiqeModel
 from .synth import bench_pair, toy_pairs
@@ -58,20 +58,6 @@ class CostReport:
     timed_runs: int = 0
     assumptions: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "params": self.params,
-            "flops": self.flops,
-            "bytes": self.bytes,
-            "latency_ms_mean": self.latency_ms_mean,
-            "latency_ms_std": self.latency_ms_std,
-            "end_to_end_ms_mean": self.end_to_end_ms_mean,
-            "input_hw": list(self.input_hw) if self.input_hw else None,
-            "timed_runs": self.timed_runs,
-            "assumptions": self.assumptions,
-        }
-
 
 def _resolve_runner(method: str, seed: int):
     """Three-step runner (prepare, core, finish); only ``core`` is the timed
@@ -84,7 +70,7 @@ def _resolve_runner(method: str, seed: int):
         from .image import ImageGray
         from .net.network import pair_tensor
 
-        params = build_network(builtin_spec(method), seed=seed)
+        params = build_network(method, seed=seed)
         return (
             pair_tensor,
             (lambda x: net_forward(params, x, mode="eval")),
@@ -142,18 +128,18 @@ def _profile_or_blank(method: str, size: int) -> CostReport:
 
 def profile_arch(spec: ArchSpec | str, h: int, w: int, seed: int = 0) -> CostReport:
     """Analytic parameters/FLOPs plus actual serialized byte size."""
-    spec_obj = builtin_spec(spec) if isinstance(spec, str) else spec
-    params = build_network(spec_obj, seed=seed)
-    trainable, running = count_state(spec_obj)
+    params = build_network(spec, seed=seed)
+    spec = params.spec
+    trainable, running = count_state(spec)
     return CostReport(
-        method=spec_obj.name,
+        method=spec.name,
         params=trainable,
-        flops=count_flops(spec_obj, h, w),
+        flops=count_flops(spec, h, w),
         bytes=weight_file_bytes(params),
         input_hw=(h, w),
         assumptions={
-            "in_channels": spec_obj.in_channels,
-            "groups": count_groups(spec_obj),
+            "in_channels": spec.in_channels,
+            "groups": count_groups(spec),
             "flop_convention": FLOP_CONVENTION,
             "bn_trainable_included": True,
             "non_trainable_params": running,

@@ -43,10 +43,6 @@ def _resolve_spec(name: str):
     return parse_arch_file(name)
 
 
-def _scores_dict(scores) -> dict:
-    return dataclasses.asdict(scores)
-
-
 def cmd_fuse(args) -> int:
     pair = _load_pair(args)
     cands = run_bank(pair, [args.algo])
@@ -60,7 +56,7 @@ def cmd_eval(args) -> int:
     fused = load_image(args.fused)
     candidate = FusionCandidate("cli", fused)
     evaluate_candidates(pair, [candidate], _niqe_from(args))
-    print(json.dumps(_scores_dict(candidate.scores), indent=2))
+    print(json.dumps(dataclasses.asdict(candidate.scores), indent=2))
     return EXIT_OK
 
 
@@ -139,7 +135,7 @@ def cmd_bench(args) -> int:
 
 def cmd_profile(args) -> int:
     report = profile_arch(_resolve_spec(args.spec), args.height, args.width)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK
 
 

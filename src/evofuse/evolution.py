@@ -88,6 +88,8 @@ def score_candidate(pair: ImagePair, fused: ImageGray, niqe_model: NiqeModel | N
 
 def _score_unscored(pair: ImagePair, candidates: list[FusionCandidate], niqe_model: NiqeModel | None):
     todo = [c for c in candidates if c.scores is None]
+    if not todo:
+        return
     for cand, scores in zip(todo, score_pool(pair, [c.fused for c in todo], niqe_model)):
         cand.scores = scores
 

@@ -147,8 +147,6 @@ def ssim_pool(sources: list[ImageGray], fused: list[ImageGray]) -> np.ndarray:
     """
     _pool_shape(sources, fused)
     out = np.empty((len(fused), len(sources)))
-    if not fused:
-        return out
     src = [(s.data, _local_moments(s.data, _SSIM_TAPS)) for s in sources]
     for i, img in enumerate(fused):
         mf = _local_moments(img.data, _SSIM_TAPS)
@@ -182,8 +180,6 @@ def mutual_information_pool(sources: list[ImageGray], fused: list[ImageGray]):
     _pool_shape(sources, fused)
     mi = np.empty((len(fused), len(sources)))
     en = np.empty(len(fused))
-    if not fused:
-        return mi, en
     src = []
     for s in sources:
         q = _levels(s)
@@ -265,8 +261,6 @@ def viff_pool(refs: list[ImageGray], fused: list[ImageGray]) -> np.ndarray:
     if min(shape) < 32:
         raise DimensionError(f"viff needs dims >= 32 for 4 scales, got {shape}")
     num = np.zeros((len(fused), len(refs)))
-    if not fused:
-        return num
     den = np.zeros(len(refs))
     rs = [ref.data for ref in refs]
     ds = [img.data for img in fused]

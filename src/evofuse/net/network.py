@@ -62,11 +62,12 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
     return np.stack([pair.a.data, pair.b.data])[None]
 
 
-def _forward(params: NetParams, x: np.ndarray, mode: str, keep: bool, head: bool = True):
-    """Full forward pass: (out, caches for net_backward or None), or without
-    ``head`` the pre-gamma features. The input is padded by the spec's widest
-    conv padding once and the output read back once."""
+def _forward(params: NetParams, x, mode: str, keep: bool, head: bool = True):
+    """Full forward pass of an ImagePair or (n, c, h, w) array: (out, caches for
+    net_backward or None), or without ``head`` the pre-gamma features. The input
+    is padded by the spec's widest conv padding once and the output read back once."""
     spec, pad = params.spec, _spec_total(params.spec, 1, 1).border
+    x = pair_tensor(x) if isinstance(x, ImagePair) else np.asarray(x, dtype=np.float64)
     if mode not in ("train", "eval"):
         raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4 or x.shape[1] != spec.in_channels or 0 in x.shape:
@@ -106,8 +107,7 @@ def net_forward(params: NetParams, inputs, mode: str = "eval") -> np.ndarray:
     (n, 1, h, w) with values in (0, 1) from the final sigmoid. No block
     cache is kept, so the pass holds only the live activations.
     """
-    x = pair_tensor(inputs) if isinstance(inputs, ImagePair) else np.asarray(inputs, dtype=np.float64)
-    return _forward(params, x, mode, keep=False)[0]
+    return _forward(params, inputs, mode, keep=False)[0]
 
 
 def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bool = True):

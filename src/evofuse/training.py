@@ -20,7 +20,7 @@ from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
 from .image import ImageGray, ImagePair, tile_grid
 from .metrics import _SSIM_TAPS, _ssim
-from .net.arch import ArchSpec, builtin_spec
+from .net.arch import ArchSpec
 from .net.network import (
     NetParams,
     build_network,
@@ -29,7 +29,6 @@ from .net.network import (
     net_forward,
     net_forward_cached,
     net_output_image,
-    pair_tensor,
     save_weights,
     trainable_arrays,
     trunk_forward,
@@ -256,10 +255,8 @@ def train(spec: ArchSpec | str, dataset, bank, cfg: TrainConfig):
     Returns (params, loss curve); to_optimal mode requires a bank entry for
     every pair in the dataset.
     """
-    if isinstance(spec, str):
-        spec = builtin_spec(spec)
-    _check_sizes(spec, dataset, cfg)
     params = build_network(spec, cfg.seed)
+    _check_sizes(params.spec, dataset, cfg)
     curve = _train_params(params, *_collect_samples(dataset, bank, cfg), cfg)
     return params, curve
 
@@ -284,11 +281,9 @@ def evolve(
     """
     if rounds < 0:
         raise RangeError(f"rounds must be >= 0, got {rounds}")
-    if isinstance(spec, str):
-        spec = builtin_spec(spec)
-    _check_sizes(spec, dataset, cfg)
-    bank = init_bank(dataset, niqe_model, algos, weights)
     params = build_network(spec, cfg.seed)
+    _check_sizes(params.spec, dataset, cfg)
+    bank = init_bank(dataset, niqe_model, algos, weights)
     for round_no in range(1, rounds + 1):
         curve = _train_params(params, *_collect_samples(dataset, bank, cfg), cfg)
         if curve_out is not None:
@@ -331,8 +326,7 @@ def make_task_weights(
 
 def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray:
     """Common trunk scaled by beta_mix feeding the task-specific output stage."""
-    x = pair_tensor(inputs) if isinstance(inputs, ImagePair) else np.asarray(inputs, dtype=np.float64)
-    z = tw.beta_mix * trunk_forward(tw.common, x, mode="eval")
+    z = tw.beta_mix * trunk_forward(tw.common, inputs, mode="eval")
     if task is None:
         if len(tw.unique) != 1:
             raise RangeError("task must be named when several heads are stored")

@@ -260,6 +260,44 @@ class TestUpdateBank:
             update_bank(bank, pair.pair_id, wrong, pair, niqe_model)
 
 
+class TestNewcomerWins:
+    """A flat incumbent offered the ``lp`` fusion of a toy pair loses the
+    pairwise contest by far (0.125 to 0.875 combined), so the newcomer is
+    stored with the larger of the old mark and its pairwise value."""
+
+    def contest(self, niqe_model, incumbent, pair):
+        """(the stored entry, the newcomer, the pairwise combined pair)."""
+        newcomer = run_bank(pair, ["lp"])[0]
+        pairwise = combined_score(
+            [score_candidate(pair, img, niqe_model) for img in (incumbent.fused, newcomer.fused)]
+        )
+        bank = SolutionBank({pair.pair_id: incumbent})
+        update_bank(bank, pair.pair_id, newcomer, pair, niqe_model)
+        return bank.entries[pair.pair_id], newcomer, pairwise
+
+    @pytest.mark.parametrize("mark", [0.5, 0.95])
+    def test_stored_mark_is_the_maximum(self, niqe_model, mark):
+        pair = toy_pairs(n=1, size=96, seed=5)[0]
+        flat = ImageGray(np.full(pair.a.shape, 0.5))
+        incumbent = FusionCandidate("flat", flat, score_candidate(pair, flat, niqe_model))
+        incumbent.scores.combined = mark
+        stored, newcomer, (inc_c, new_c) = self.contest(niqe_model, incumbent, pair)
+        assert new_c > inc_c
+        assert stored is newcomer
+        assert stored.scores.combined == max(mark, new_c)
+
+    def test_unscored_incumbent_from_disk_stores_pairwise(self, tmp_path, niqe_model):
+        pair = toy_pairs(n=1, size=96, seed=5)[0]
+        flat = FusionCandidate("flat", ImageGray(np.full(pair.a.shape, 0.5)))
+        save_bank(SolutionBank({pair.pair_id: flat}), tmp_path / "bank")
+        incumbent = load_bank(tmp_path / "bank").entries[pair.pair_id]
+        assert incumbent.scores is None
+        stored, newcomer, (inc_c, new_c) = self.contest(niqe_model, incumbent, pair)
+        assert new_c > inc_c
+        assert stored is newcomer
+        assert stored.scores.combined == new_c
+
+
 class TestSelectorProperties:
     def test_argmax_invariant_under_column_scaling(self, rng, niqe_model):
         pair = random_pair(rng, 96, 96)
