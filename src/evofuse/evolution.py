@@ -153,12 +153,16 @@ def update_bank(
         [incumbent.scores, new_candidate.scores], bank.weights
     )
     if new_combined > inc_combined:
-        old_mark = incumbent.scores.combined
-        new_candidate.scores.combined = (
-            new_combined if old_mark is None else max(new_combined, old_mark)
-        )
+        new_candidate.scores.combined = float(np.fmax(new_combined, _mark(incumbent)))
         bank.entries[pair_id] = new_candidate
     return bank
+
+
+def _mark(entry: FusionCandidate) -> float:
+    """The entry's combined watermark: its scores', else the one loaded (nan: none)."""
+    if entry.scores is not None and entry.scores.combined is not None:
+        return entry.scores.combined
+    return entry.mark
 
 
 def init_bank(
@@ -194,8 +198,7 @@ def save_bank(bank: SolutionBank, directory) -> Path:
         entry = bank.entries[pair_id]
         rel = f"{pair_id}.pgm"
         save_pgm(entry.fused, root / rel)
-        combined = entry.scores.combined if entry.scores is not None else float("nan")
-        lines.append(f"{pair_id}\t{entry.algo_id}\t{combined:.6f}\t{rel}\n")
+        lines.append(f"{pair_id}\t{entry.algo_id}\t{_mark(entry):.6f}\t{rel}\n")
     fd, tmp = tempfile.mkstemp(dir=root, prefix=".manifest-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -208,7 +211,8 @@ def save_bank(bank: SolutionBank, directory) -> Path:
 
 def load_bank(directory) -> SolutionBank:
     """Rebuild a bank from disk; raw metric scores are left unpopulated and
-    are recomputed lazily on the next update."""
+    are recomputed lazily on the next update, and each stored combined value
+    is the entry's mark."""
     root = Path(directory)
     manifest = root / MANIFEST_NAME
     if not manifest.exists():
@@ -224,6 +228,10 @@ def load_bank(directory) -> SolutionBank:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"{manifest}:{lineno}: expected 4 fields, got {len(parts)}")
-        pair_id, algo_id, _combined, rel = parts
-        bank.entries[pair_id] = FusionCandidate(algo_id, load_pgm(root / rel))
+        pair_id, algo_id, mark, rel = parts
+        try:
+            mark = float(mark)
+        except ValueError as exc:
+            raise ParseError(f"{manifest}:{lineno}: bad combined value {mark!r}") from exc
+        bank.entries[pair_id] = FusionCandidate(algo_id, load_pgm(root / rel), mark=mark)
     return bank

@@ -21,11 +21,13 @@ _LAPLACIAN_KERNEL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]
 
 @dataclass
 class FusionCandidate:
-    """A fused image tagged with the producing algorithm and its scores."""
+    """A fused image tagged with the producing algorithm and its scores;
+    ``mark`` is a combined watermark read from a saved bank (nan: none)."""
 
     algo_id: str
     fused: ImageGray
     scores: QualityScores | None = None
+    mark: float = float("nan")
 
 
 def fuse_average(pair: ImagePair) -> FusionCandidate:

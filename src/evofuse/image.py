@@ -3,6 +3,14 @@
 Intensities live in [0, 1] as float64. Quantization to 8-bit levels uses
 round-half-up so files and histograms are reproducible across platforms.
 All spatial filters use symmetric (reflect) border handling.
+
+The filters are NumPy replicas of SciPy's ``ndimage`` routines that give its
+bits: ``correlate1d`` and ``gaussian_filter`` sum each output as the centre
+sample times its weight, then (x[i - j] + x[i + j]) times w_j from the
+outermost pair inwards; ``filter2_same`` adds the products of ``correlate``
+in the kernel's C order, skipping zero weights. Each runs over bands of
+rows of the whole stack, ``_BAND`` elements each, so that its temporaries
+stay in cache.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionError, IoError, ParseError, RangeError, TruncationError
 
@@ -270,11 +277,22 @@ def extract_patches(pair: ImagePair, size: int = 128, stride: int = 128) -> list
 # ---------------------------------------------------------------------------
 
 
+_BAND = 1 << 15  # elements per band of a filter pass: its temporaries stay in cache
+_WEIGHT_EPS = np.finfo(np.float64).eps  # SciPy skips 2-D weights at or below it
+
+
+def _bands(n: int, row: int):
+    """(start, stop) of bands of n rows of ``row`` elements each."""
+    step = max(1, _BAND // row)
+    return ((s, min(s + step, n)) for s in range(0, n, step))
+
+
 def filter2_same(img, kernel) -> np.ndarray:
     """Correlate with an odd 2-D kernel, reflect borders, same-size output.
 
     Accepts an ImageGray or a raw 2-D array; the output is a raw float grid
-    and may leave [0, 1].
+    and may leave [0, 1]. Bit for bit SciPy's ``ndimage.correlate(a, kernel,
+    mode="reflect")``: the products added to 0 in the kernel's C order.
     """
     arr = img.data if isinstance(img, ImageGray) else np.asarray(img, dtype=np.float64)
     k = np.asarray(kernel, dtype=np.float64)
@@ -282,7 +300,16 @@ def filter2_same(img, kernel) -> np.ndarray:
         raise DimensionError(f"kernel must be 2-D, got ndim={k.ndim}")
     if k.shape[0] % 2 == 0 or k.shape[1] % 2 == 0:
         raise DimensionError(f"kernel dims must be odd, got {k.shape}")
-    return ndimage.correlate(arr, k, mode="reflect")
+    (h, w), (ry, rx) = arr.shape, (k.shape[0] // 2, k.shape[1] // 2)
+    xp = np.pad(arr, ((ry, ry), (rx, rx)), mode="symmetric")
+    taps = [(u, v, k[u, v]) for u, v in np.ndindex(k.shape) if abs(k[u, v]) > _WEIGHT_EPS]
+    out = np.zeros_like(arr)
+    for s, e in _bands(h, w):
+        blk, tmp = out[s:e], np.empty((e - s, w))
+        for u, v, weight in taps:
+            view = xp[s + u : e + u, v : v + w]
+            blk += view if weight == 1.0 else np.multiply(view, weight, out=tmp)
+    return out
 
 
 def gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -294,14 +321,66 @@ def gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+def _symmetric(i: np.ndarray, n: int) -> np.ndarray:
+    """Positions i on an axis of n samples mirrored at its ends, edge sample
+    repeated: np.pad's "symmetric", SciPy's "reflect", at any distance."""
+    i = i % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
+def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect") -> np.ndarray:
+    """SciPy's ``ndimage.correlate1d(a, taps, axis, mode=mode)``, bit for bit,
+    for odd taps symmetric about the centre, along axis -1 or -2 of a 2-D or
+    stacked array; ``mode`` is "reflect" or "constant" (zeros).
+
+    Each band of rows is copied with its border into one reused buffer, in
+    which a flat shift of a row (axis -2) or of 1 (axis -1) moves one tap; a
+    column pass also sums the 2r positions that span row ends, then drops them.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    r, rows = taps.size // 2, axis % a.ndim == a.ndim - 2
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape)
+    a3, of = a.reshape(-1, h, w), out.reshape(-1, h * w)
+    b, step, wp = len(a3), (w if rows else 1), (w if rows else w + 2 * r)
+    bands = list(_bands(h, b * wp))
+    src_buf, acc_buf, tmp_buf = (np.empty(b * (bands[0][1] + 2 * r) * wp) for _ in range(3))
+    for s, e in bands:
+        i, n = (np.arange(s - r, e + r), h) if rows else (np.arange(-r, w + r), w)
+        shape = (b, e - s + 2 * r, w) if rows else (b, e - s, wp)
+        src = np.take(a3 if rows else a3[:, s:e], _symmetric(i, n), axis=2 - rows, mode="clip",
+                      out=src_buf[: np.prod(shape)].reshape(shape))
+        if mode == "constant":
+            src.swapaxes(0, 2 - rows)[(i < 0) | (i >= n)] = 0.0
+        xf, c, m = src.reshape(b, -1), r * step, (e - s) * wp - 2 * r * (not rows)
+        acc = of[:, s * w : e * w] if rows else acc_buf[: b * (e - s) * wp].reshape(b, -1)
+        blk, tmp = acc[:, :m], tmp_buf[: b * m].reshape(b, m)
+        np.multiply(xf[:, c : c + m], taps[r], out=blk)
+        for j in range(r, 0, -1):
+            np.add(xf[:, c - j * step : c - j * step + m], xf[:, c + j * step : c + j * step + m], out=tmp)
+            tmp *= taps[r - j]
+            blk += tmp
+        if not rows:
+            out.reshape(a3.shape)[:, s:e] = acc.reshape(b, e - s, wp)[..., :w]
+    return out
+
+
+def gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
+    """SciPy's ``ndimage.gaussian_filter(a, sigma)`` of a 2-D grid, bit for bit:
+    SciPy's kernel of radius int(4 sigma + 0.5), along axis 0, then axis 1."""
+    x = np.arange(-int(4.0 * sigma + 0.5), int(4.0 * sigma + 0.5) + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * x**2)
+    taps = taps / taps.sum()
+    return correlate1d(correlate1d(a, taps, 0), taps, 1)
+
+
 def separable_filter(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Correlate the last two axes with ``taps`` each, reflect borders.
 
     On a 2-D grid this equals ``filter2_same(a, np.outer(taps, taps))``;
     leading axes are independent images.
     """
-    out = ndimage.correlate1d(a, taps, axis=-1, mode="reflect")
-    return ndimage.correlate1d(out, taps, axis=-2, mode="reflect")
+    return correlate1d(correlate1d(a, taps, -1), taps, -2)
 
 
 def _reflect_fold(g: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
@@ -312,7 +391,7 @@ def _reflect_fold(g: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     g = np.moveaxis(g, axis, -1)
     n = g.shape[-1]
     padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(r, r)])
-    full = ndimage.correlate1d(padded, taps[::-1], axis=-1, mode="constant")
+    full = correlate1d(padded, taps[::-1], -1, mode="constant")
     out = full[..., r : r + n].copy()
     out[..., :r] += full[..., :r][..., ::-1]
     out[..., n - r :] += full[..., n + r :][..., ::-1]

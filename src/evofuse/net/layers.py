@@ -14,10 +14,10 @@ the borders it writes again, as it does for the convs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import DimensionError, RangeError, SpecError
 
@@ -29,24 +29,6 @@ def _finite(t: np.ndarray) -> np.ndarray:
     if CHECK_FINITE and not np.all(np.isfinite(t)):
         raise FloatingPointError("non-finite activation")
     return t
-
-
-def _conv_shapes(x, weight, stride, pad, groups):
-    if x.ndim != 4:
-        raise SpecError(f"expected 4-D input, got ndim={x.ndim}")
-    n, cin, h, w = x.shape
-    cout, cin_g, kh, kw = weight.shape
-    if kh != kw:
-        raise SpecError(f"only square kernels supported, got {kh}x{kw}")
-    if cin % groups != 0 or cout % groups != 0:
-        raise SpecError(f"groups={groups} must divide cin={cin} and cout={cout}")
-    if cin_g != cin // groups:
-        raise SpecError(f"weight expects cin/groups={cin_g}, input has {cin // groups}")
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise SpecError(f"kernel {kh} does not fit input {h}x{w} with pad {pad}")
-    return n, cin, h, w, cout, kh, out_h, out_w
 
 
 @dataclass(frozen=True)
@@ -189,13 +171,6 @@ def _tap_products(taps, views, out):
         out += tap @ view
 
 
-def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
-    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1)."""
-    xf, g, _, crop = _same(x, weight, stride, pad, groups)
-    bias = np.zeros(len(weight)) if bias is None else bias
-    return g.inner(_conv(xf, weight, bias, g, 1, groups, False, False, g.zeros(len(x), len(weight))))[crop]
-
-
 def _conv(x, weight, bias, g, stride, groups, shuffle, relu, out):
     """Conv (pad k // 2) of buffer x of grid g into buffer out, with bias, an
     optional channel_shuffle(groups) and ReLU per column block. The sums land
@@ -220,26 +195,6 @@ def _flip(weight, groups):
     cout, cin_g, k, _ = weight.shape
     per_group = weight.reshape(groups, cout // groups, cin_g, k * k).swapaxes(1, 2)
     return per_group[..., ::-1].reshape(groups * cin_g, cout // groups, k, k)
-
-
-def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
-    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
-    xf, g, d, crop = _same(x, weight, stride, pad, groups)
-    gf = g.zeros(len(x), len(weight))
-    if grad_out.shape != g.inner(gf)[crop].shape:
-        raise SpecError(f"grad_out shape {grad_out.shape} != {g.inner(gf)[crop].shape}")
-    g.inner(gf)[crop] = grad_out
-    gx, gw, gb = _conv_backward(xf, gf, weight, g, 1, groups, False, True)
-    return g.inner(gx)[..., d : d + x.shape[2], d : d + x.shape[3]], gw, gb
-
-
-def _same(x, weight, stride, pad, groups):
-    """A pad-p conv of x as the same-size conv of x padded by d = p - k // 2
-    more: (x's buffer, its grid, d, the crop to the pad-p conv's output)."""
-    _, _, h, w, _, k, _, _ = _conv_shapes(x, weight, stride, pad, groups)
-    d, e = max(pad - k // 2, 0), max(k // 2 - pad, 0)
-    g = Grid(h + 2 * d, w + 2 * d, k // 2)
-    return _flat(x, k, k // 2 + d), g, d, (..., slice(e, g.h - e, stride), slice(e, g.w - e, stride))
 
 
 def _conv_backward(x, gy, weight, g, stride, groups, shuffle, want_x):
@@ -365,8 +320,23 @@ def relu_backward(grad_out, x, out=None):
     return np.multiply(grad_out, x > 0.0, out=out)
 
 
+def _exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def sigmoid(x):
-    return expit(x)
+    """1 / (1 + exp(-x)) with the C library's exp, bit for bit SciPy's expit:
+    NumPy's float64 exp rounds some values its own way, its complex exp is the
+    C library's cexp, equal to exp below 709, and the scalar exp serves x < -708."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.negative(x, dtype=np.complex128)).real
+    far = x < -708.0
+    e[far] = [_exp(-v) for v in x[far]]
+    return 1.0 / (1.0 + e)
 
 
 def sigmoid_backward(grad_out, y):

@@ -8,6 +8,7 @@ distance between their feature statistics and the pristine model.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gamma as _gamma_fn
 
 from .errors import (
     DimensionError,
@@ -34,11 +34,13 @@ _MSCN_STABILIZER = 1.0 / 255.0
 # [0, 1] pixels: flat windows leave |a - mu| of 1 ulp of 1.0, 8-bit steps >= 6e-7
 _FLAT_EPS = 1e-12
 
-# shape-parameter grid for the moment-matching AGGD fit
+# shape-parameter grid for the moment-matching AGGD fit; a fit returns grid
+# indices, so gamma(k / alpha) is a lookup in these tables
 _ALPHA_GRID = np.arange(0.2, 10.0 + 1e-9, 0.001)
-_R_GAM = (_gamma_fn(2.0 / _ALPHA_GRID) ** 2) / (
-    _gamma_fn(1.0 / _ALPHA_GRID) * _gamma_fn(3.0 / _ALPHA_GRID)
+_GAMMA_1, _GAMMA_2, _GAMMA_3 = (
+    np.array([math.gamma(v) for v in k / _ALPHA_GRID]) for k in (1.0, 2.0, 3.0)
 )
+_R_GAM = _GAMMA_2**2 / (_GAMMA_1 * _GAMMA_3)
 
 
 @dataclass
@@ -60,16 +62,17 @@ class NiqeModel:
             raise FormatError("covariance is not symmetric")
 
 
-def _alpha(r: np.ndarray) -> np.ndarray:
-    """Grid alpha whose _R_GAM value lies nearest r, the lower one on a tie:
-    _R_GAM increases strictly, so this is argmin((_R_GAM - r) ** 2)."""
+def _alpha_index(r: np.ndarray) -> np.ndarray:
+    """Index of the grid alpha whose _R_GAM value lies nearest r, the lower
+    one on a tie: _R_GAM increases strictly, so argmin((_R_GAM - r) ** 2)."""
     hi = np.clip(np.searchsorted(_R_GAM, r), 1, _R_GAM.size - 1)
-    return _ALPHA_GRID[np.where((_R_GAM[hi - 1] - r) ** 2 <= (_R_GAM[hi] - r) ** 2, hi - 1, hi)]
+    return np.where((_R_GAM[hi - 1] - r) ** 2 <= (_R_GAM[hi] - r) ** 2, hi - 1, hi)
 
 
 def _aggd_fit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Asymmetric generalized Gaussian (alpha, beta_left, beta_right) of each
-    row of ``v`` by moments; an all-zero row gives (0.2, 0, 0)."""
+    """Asymmetric generalized Gaussian (alpha's grid index, beta_left,
+    beta_right) of each row of ``v`` by moments; an all-zero row gives
+    (0, 0, 0), the index of alpha 0.2."""
     part = np.maximum(v, 0.0)
     n_r, s_r = np.count_nonzero(part, axis=1), part.sum(axis=1)
     q_r = np.einsum("ij,ij->i", part, part)
@@ -81,17 +84,17 @@ def _aggd_fit(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = max(v.shape[1], 1)
     mean_sq = (q_l + q_r) / n
     r_hat = ((s_r - s_l) / n) ** 2 / np.where(mean_sq > 0.0, mean_sq, 1.0)
-    alpha = _alpha(r_hat * ((gam_hat**3 + 1.0) * (gam_hat + 1.0)) / ((gam_hat**2 + 1.0) ** 2))
-    ratio = np.sqrt(_gamma_fn(1.0 / alpha) / _gamma_fn(3.0 / alpha))
-    return alpha, lstd * ratio, rstd * ratio
+    i = _alpha_index(r_hat * ((gam_hat**3 + 1.0) * (gam_hat + 1.0)) / ((gam_hat**2 + 1.0) ** 2))
+    ratio = np.sqrt(_GAMMA_1[i] / _GAMMA_3[i])
+    return i, lstd * ratio, rstd * ratio
 
 
 def _field_features(m: np.ndarray, s: int, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(P, 18) AGGD features of the s x s tiles of m at corners ys x xs: MSCN
     fit plus H/V/D1/D2 paired-product fits, each fit over all P tiles."""
     t = sliding_window_view(m, (s, s))[np.ix_(ys, xs)].reshape(-1, s, s)
-    alpha, bl, br = _aggd_fit(t.reshape(len(t), -1))
-    feats = [alpha, (bl + br) / 2.0]
+    i, bl, br = _aggd_fit(t.reshape(len(t), -1))
+    feats = [_ALPHA_GRID[i], (bl + br) / 2.0]
     pairs = (
         (t[:, :, :-1], t[:, :, 1:]),      # horizontal
         (t[:, :-1, :], t[:, 1:, :]),      # vertical
@@ -99,9 +102,9 @@ def _field_features(m: np.ndarray, s: int, ys: np.ndarray, xs: np.ndarray) -> np
         (t[:, :-1, 1:], t[:, 1:, :-1]),   # anti diagonal
     )
     for u, w in pairs:
-        alpha, bl, br = _aggd_fit((u * w).reshape(len(t), -1))
-        eta = (br - bl) * (_gamma_fn(2.0 / alpha) / _gamma_fn(1.0 / alpha))
-        feats.extend([alpha, eta, bl, br])
+        i, bl, br = _aggd_fit((u * w).reshape(len(t), -1))
+        eta = (br - bl) * (_GAMMA_2[i] / _GAMMA_1[i])
+        feats.extend([_ALPHA_GRID[i], eta, bl, br])
     return np.stack(feats, axis=1)
 
 

@@ -9,15 +9,15 @@ and cropped back on reconstruction, so decompose/reconstruct is exact.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+from .image import correlate1d
 
 _KERNEL_1D = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
 def _smooth(a: np.ndarray, gain: float = 1.0) -> np.ndarray:
     k = _KERNEL_1D * gain
-    out = ndimage.correlate1d(a, k, axis=0, mode="reflect")
-    return ndimage.correlate1d(out, k, axis=1, mode="reflect")
+    return correlate1d(correlate1d(a, k, 0), k, 1)
 
 
 def _pad_to_even(a: np.ndarray) -> np.ndarray:

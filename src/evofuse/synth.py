@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
-from .image import ImageGray, ImagePair, Task
+from .image import ImageGray, ImagePair, Task, gaussian_filter
 
 
 def _normalize(a: np.ndarray) -> np.ndarray:
@@ -20,7 +19,7 @@ def uniform_noise(rng, h: int, w: int) -> ImageGray:
 
 
 def smooth_noise(rng, h: int, w: int, sigma: float = 3.0) -> ImageGray:
-    return ImageGray(_normalize(ndimage.gaussian_filter(rng.standard_normal((h, w)), sigma)))
+    return ImageGray(_normalize(gaussian_filter(rng.standard_normal((h, w)), sigma)))
 
 
 def pink_noise(rng, h: int, w: int) -> ImageGray:
@@ -44,7 +43,7 @@ def split_focus_pair(size: int = 128, seed: int = 11, pair_id: str = "splitfocus
     rng = np.random.default_rng(seed)
     scene = 0.6 * smooth_noise(rng, size, size, sigma=2.0).data + 0.4 * rng.random((size, size))
     scene = _normalize(scene)
-    blurred = ndimage.gaussian_filter(scene, 3.0)
+    blurred = gaussian_filter(scene, 3.0)
     ramp = np.clip((np.arange(size) - size / 2) / 8.0 + 0.5, 0.0, 1.0)[None, :]
     a = scene * (1.0 - ramp) + blurred * ramp  # sharp on the left
     b = scene * ramp + blurred * (1.0 - ramp)  # sharp on the right
@@ -69,7 +68,7 @@ def toy_pairs(
     for i in range(n):
         scene = smooth_noise(rng, size, size, sigma=2.5).data
         a = _normalize(scene + 0.3 * smooth_noise(rng, size, size, sigma=5.0).data)
-        b = _normalize(ndimage.gaussian_filter(scene, 1.5) + 0.3 * rng.random((size, size)))
+        b = _normalize(gaussian_filter(scene, 1.5) + 0.3 * rng.random((size, size)))
         pairs.append(ImagePair(ImageGray(a), ImageGray(b), f"{task.value}-{i:03d}", task))
     return pairs
 

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from evofuse import metrics
+from evofuse.errors import SpecError
 from evofuse.image import gaussian_taps, quantize8, separable_filter, tile_grid
 from evofuse.net import layers
 from evofuse.net.arch import (
@@ -116,6 +117,56 @@ def ssim_oracle(x, y) -> float:
     return total / (h * w)
 
 
+# The library's conv route (layers._conv and _conv_backward) on plain
+# (n, c, h, w) arrays at any pad and stride; the replays and the layer tests
+# drive it through these.
+
+
+def _conv_shapes(x, weight, stride, pad, groups):
+    if x.ndim != 4:
+        raise SpecError(f"expected 4-D input, got ndim={x.ndim}")
+    n, cin, h, w = x.shape
+    cout, cin_g, kh, kw = weight.shape
+    if kh != kw:
+        raise SpecError(f"only square kernels supported, got {kh}x{kw}")
+    if cin % groups != 0 or cout % groups != 0:
+        raise SpecError(f"groups={groups} must divide cin={cin} and cout={cout}")
+    if cin_g != cin // groups:
+        raise SpecError(f"weight expects cin/groups={cin_g}, input has {cin // groups}")
+    out_h = (h + 2 * pad - kh) // stride + 1
+    out_w = (w + 2 * pad - kw) // stride + 1
+    if out_h < 1 or out_w < 1:
+        raise SpecError(f"kernel {kh} does not fit input {h}x{w} with pad {pad}")
+    return n, cin, h, w, cout, kh, out_h, out_w
+
+
+def conv2d_forward(x, weight, bias=None, stride=1, pad=0, groups=1):
+    """Grouped cross-correlation; output (n, cout, (h+2p-k)/s+1, (w+2p-k)/s+1)."""
+    xf, g, _, crop = _same(x, weight, stride, pad, groups)
+    bias = np.zeros(len(weight)) if bias is None else bias
+    return g.inner(layers._conv(xf, weight, bias, g, 1, groups, False, False, g.zeros(len(x), len(weight))))[crop]
+
+
+def conv2d_backward(x, weight, grad_out, stride=1, pad=0, groups=1):
+    """Exact gradients of conv2d_forward: (grad_input, grad_weight, grad_bias)."""
+    xf, g, d, crop = _same(x, weight, stride, pad, groups)
+    gf = g.zeros(len(x), len(weight))
+    if grad_out.shape != g.inner(gf)[crop].shape:
+        raise SpecError(f"grad_out shape {grad_out.shape} != {g.inner(gf)[crop].shape}")
+    g.inner(gf)[crop] = grad_out
+    gx, gw, gb = layers._conv_backward(xf, gf, weight, g, 1, groups, False, True)
+    return g.inner(gx)[..., d : d + x.shape[2], d : d + x.shape[3]], gw, gb
+
+
+def _same(x, weight, stride, pad, groups):
+    """A pad-p conv of x as the same-size conv of x padded by d = p - k // 2
+    more: (x's buffer, its grid, d, the crop to the pad-p conv's output)."""
+    _, _, h, w, _, k, _, _ = _conv_shapes(x, weight, stride, pad, groups)
+    d, e = max(pad - k // 2, 0), max(k // 2 - pad, 0)
+    g = layers.Grid(h + 2 * d, w + 2 * d, k // 2)
+    return layers._flat(x, k, k // 2 + d), g, d, (..., slice(e, g.h - e, stride), slice(e, g.w - e, stride))
+
+
 def conv2d_oracle(x, weight, bias, stride=1, pad=0, groups=1) -> np.ndarray:
     """Direct seven-loop grouped cross-correlation."""
     n, cin, h, w = x.shape
@@ -148,7 +199,7 @@ def conv2d_backward_two_loops(x, weight, grad_out, stride=1, pad=0, groups=1):
     placed on the stride-1 grid at padded width after (k - 1) * (wp + 1)
     zeros; grad_weight multiplies each column block of that grid by the
     (stacked) input slices the forward read there."""
-    n, cin, h, w, cout, k, out_h, out_w = layers._conv_shapes(x, weight, stride, pad, groups)
+    n, cin, h, w, cout, k, out_h, out_w = _conv_shapes(x, weight, stride, pad, groups)
     hp, wp = h + 2 * pad, w + 2 * pad
     cin_g, cout_g = cin // groups, cout // groups
     span, lead = (hp - k + 1) * wp, (k - 1) * (wp + 1)
@@ -171,7 +222,8 @@ def conv2d_backward_two_loops(x, weight, grad_out, stride=1, pad=0, groups=1):
 
 def eval_replay(params, x) -> np.ndarray:
     """net_forward(params, x) in eval mode, replayed one block at a time with
-    the public layer primitives on the parameters ``_fold_bn`` folds: a
+    conv2d_forward and the public layer primitives on the parameters
+    ``_fold_bn`` folds: a
     folded BatchNorm is skipped, Branch paths are replayed the same way and
     concatenated, and each primitive returns a new array."""
 
@@ -183,7 +235,7 @@ def eval_replay(params, x) -> np.ndarray:
             if i in folded:
                 pass
             elif isinstance(blk, ConvBlock):
-                x = layers.conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
+                x = conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
             elif isinstance(blk, ChannelShuffle):
                 x = layers.channel_shuffle(x, blk.groups)
             elif isinstance(blk, BatchNorm):
@@ -233,8 +285,9 @@ def block_backward(block, p, cache, grad_out):
 
 def train_replay(params, x, grad_out, relu_inputs=None):
     """net_forward_cached(params, x, "train") then net_backward(params,
-    cache, grad_out), replayed one block at a time with the public layer
-    primitives on plain arrays and with conv2d_backward_two_loops: (out,
+    cache, grad_out), replayed one block at a time with conv2d_forward and
+    the public layer primitives on plain arrays and with
+    conv2d_backward_two_loops: (out,
     grads in trainable_arrays order, grad wrt x). BN running statistics move
     as in the forward; each ReLU's input is appended to relu_inputs."""
 
@@ -243,7 +296,7 @@ def train_replay(params, x, grad_out, relu_inputs=None):
         for blk, p in zip(blocks, plist):
             cache = None
             if isinstance(blk, ConvBlock):
-                y = layers.conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
+                y = conv2d_forward(x, p.weight, p.bias, blk.stride, blk.k // 2, blk.groups)
             elif isinstance(blk, ChannelShuffle):
                 y = layers.channel_shuffle(x, blk.groups)
             elif isinstance(blk, BatchNorm):

@@ -16,7 +16,7 @@ from evofuse.evolution import (
     update_bank,
 )
 from evofuse.fusion import FusionCandidate, run_bank
-from evofuse.image import ImageGray, ImagePair, filter2_same
+from evofuse.image import ImageGray, ImagePair, filter2_same, save_pgm
 from evofuse.metrics import combined_score
 from evofuse.synth import toy_pairs
 
@@ -297,6 +297,21 @@ class TestNewcomerWins:
         assert stored is newcomer
         assert stored.scores.combined == new_c
 
+    def test_mark_survives_save_and_load(self, tmp_path, niqe_model):
+        pair = toy_pairs(n=1, size=96, seed=5)[0]
+        flat = ImageGray(np.full(pair.a.shape, 0.5))
+        saved = FusionCandidate("flat", flat, score_candidate(pair, flat, niqe_model))
+        saved.scores.combined = 0.95
+        save_bank(SolutionBank({pair.pair_id: saved}), tmp_path / "bank")
+        save_bank(load_bank(tmp_path / "bank"), tmp_path / "again")
+        assert (tmp_path / "again" / "manifest.txt").read_text().split("\t")[2] == "0.950000"
+        incumbent = load_bank(tmp_path / "bank").entries[pair.pair_id]
+        assert incumbent.scores is None
+        stored, newcomer, (_, new_c) = self.contest(niqe_model, incumbent, pair)
+        assert new_c < 0.95
+        assert stored is newcomer
+        assert stored.scores.combined == 0.95
+
 
 class TestSelectorProperties:
     def test_argmax_invariant_under_column_scaling(self, rng, niqe_model):
@@ -333,6 +348,14 @@ class TestBankPersistence:
             assert np.max(
                 np.abs(back.entries[pid].fused.data - bank.entries[pid].fused.data)
             ) <= 1.0 / 510.0 + 1e-15
+
+    def test_non_numeric_mark_is_parse_error(self, tmp_path):
+        root = tmp_path / "bank"
+        root.mkdir()
+        save_pgm(ImageGray(np.full((4, 4), 0.5)), root / "pair.pgm")
+        (root / "manifest.txt").write_text("pair\tavg\t0.5x\tpair.pgm\n")
+        with pytest.raises(ParseError, match="manifest.txt:1: bad combined value '0.5x'"):
+            load_bank(root)
 
     def test_non_utf8_manifest_is_parse_error(self, tmp_path):
         root = tmp_path / "bank"

@@ -10,9 +10,12 @@ from evofuse.net import layers
 from evofuse.net.arch import BatchNorm, BNParams, ConvParams, fire, inception, separable
 
 from oracles import (
+    _same,
     block_backward,
     block_forward,
+    conv2d_backward,
     conv2d_backward_two_loops,
+    conv2d_forward,
     conv2d_oracle,
     finite_diff_grad,
     relative_err,
@@ -49,14 +52,14 @@ class TestConvForward:
     def test_1x1_identity(self, rng):
         x = rng.random((1, 3, 4, 4))
         w = np.ones((3, 1, 1, 1))
-        out = layers.conv2d_forward(x, w, None, groups=3)
+        out = conv2d_forward(x, w, None, groups=3)
         np.testing.assert_allclose(out, x)
 
     def test_all_ones_kernel_interior(self):
         x = np.ones((1, 1, 4, 4))
         w = np.ones((1, 1, 3, 3))
         b = np.array([0.25])
-        out = layers.conv2d_forward(x, w, b, pad=0)
+        out = conv2d_forward(x, w, b, pad=0)
         np.testing.assert_allclose(out, 9.0 + 0.25)
 
     @pytest.mark.parametrize("groups,stride", GROUPS_STRIDES)
@@ -65,7 +68,7 @@ class TestConvForward:
             x = rng.standard_normal((2, 4, 7, 6))
             w = rng.standard_normal((8, 4 // groups, k, k))
             b = rng.standard_normal(8)
-            fast = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+            fast = conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
             slow = conv2d_oracle(x, w, b, stride=stride, pad=pad, groups=groups)
             assert fast.shape == slow.shape, (k, pad)
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
@@ -81,7 +84,7 @@ class TestConvForward:
             x = rng.standard_normal((n, 4, 7, 6))
             w = rng.standard_normal((cout, 4 // groups, k, k))
             b = rng.standard_normal(cout)
-            fast = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+            fast = conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
             slow = conv2d_oracle(x, w, b, stride=stride, pad=pad, groups=groups)
             assert fast.shape == slow.shape, (k, pad)
             assert np.max(np.abs(fast - slow)) < 1e-6, (k, pad)
@@ -90,13 +93,13 @@ class TestConvForward:
 
     def test_groups_must_divide(self, rng):
         with pytest.raises(SpecError):
-            layers.conv2d_forward(rng.random((1, 3, 4, 4)), rng.random((4, 1, 3, 3)), None, groups=2)
+            conv2d_forward(rng.random((1, 3, 4, 4)), rng.random((4, 1, 3, 3)), None, groups=2)
 
     def test_groups_one_equals_ungrouped(self, rng):
         x = rng.standard_normal((1, 4, 5, 5))
         w = rng.standard_normal((4, 4, 3, 3))
-        a = layers.conv2d_forward(x, w, None, pad=1, groups=1)
-        b = layers.conv2d_forward(x, w, None, pad=1)
+        a = conv2d_forward(x, w, None, pad=1, groups=1)
+        b = conv2d_forward(x, w, None, pad=1)
         np.testing.assert_array_equal(a, b)
 
 
@@ -104,14 +107,14 @@ class TestConvBackward:
     def test_zero_grad_out(self, rng):
         x = rng.random((1, 2, 5, 5))
         w = rng.random((4, 2, 3, 3))
-        gx, gw, gb = layers.conv2d_backward(x, w, np.zeros((1, 4, 5, 5)), pad=1)
+        gx, gw, gb = conv2d_backward(x, w, np.zeros((1, 4, 5, 5)), pad=1)
         assert not gx.any() and not gw.any() and not gb.any()
 
     def test_single_pixel_1x1(self, rng):
         x = rng.random((1, 1, 1, 1))
         w = rng.random((1, 1, 1, 1))
         g = rng.random((1, 1, 1, 1))
-        gx, gw, gb = layers.conv2d_backward(x, w, g)
+        gx, gw, gb = conv2d_backward(x, w, g)
         assert abs(gw[0, 0, 0, 0] - x[0, 0, 0, 0] * g[0, 0, 0, 0]) < 1e-12
         assert abs(gx[0, 0, 0, 0] - w[0, 0, 0, 0] * g[0, 0, 0, 0]) < 1e-12
 
@@ -122,14 +125,14 @@ class TestConvBackward:
             w = 0.3 * rng.standard_normal((4, 4 // groups, k, k))
             b = 0.1 * rng.standard_normal(4)
             target = rng.standard_normal(
-                layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups).shape
+                conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups).shape
             )
 
             def loss():
-                out = layers.conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
+                out = conv2d_forward(x, w, b, stride=stride, pad=pad, groups=groups)
                 return float((out * target).sum())
 
-            gx, gw, gb = layers.conv2d_backward(x, w, target, stride=stride, pad=pad, groups=groups)
+            gx, gw, gb = conv2d_backward(x, w, target, stride=stride, pad=pad, groups=groups)
             assert relative_err(finite_diff_grad(loss, x, FD_H), gx) < GRAD_TOL, (k, pad)
             assert relative_err(finite_diff_grad(loss, w, FD_H), gw) < GRAD_TOL, (k, pad)
             assert relative_err(finite_diff_grad(loss, b, FD_H), gb) < GRAD_TOL, (k, pad)
@@ -140,9 +143,9 @@ class TestConvBackward:
         for k, pad in both_stackings(monkeypatch):
             x = rng.standard_normal((2, 4, 7, 6))
             w = rng.standard_normal((8, 4 // groups, k, k))
-            out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
+            out = conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
             g = rng.standard_normal(out.shape)
-            gx, gw, _ = layers.conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
+            gx, gw, _ = conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
             lhs = (out * g).sum()
             assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
             assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
@@ -159,7 +162,7 @@ class TestConvBackward:
             w = rng.standard_normal((8, 4 // groups, k, k))
             out = conv2d_oracle(x, w, None, stride=stride, pad=pad, groups=groups)
             g = rng.standard_normal(out.shape)
-            gx, gw, _ = layers.conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
+            gx, gw, _ = conv2d_backward(x, w, g, stride=stride, pad=pad, groups=groups)
             lhs = (out * g).sum()
             assert (x * gx).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
             assert (w * gw).sum() == pytest.approx(lhs, rel=1e-12), (k, pad)
@@ -177,10 +180,10 @@ class TestConvBackward:
             for cin, cout in ((4, 8), (8, 4)):
                 x = rng.standard_normal((2, cin, 7, 6))
                 w = rng.standard_normal((cout, cin // groups, k, k))
-                out = layers.conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
+                out = conv2d_forward(x, w, None, stride=stride, pad=pad, groups=groups)
                 g = rng.standard_normal(out.shape)
                 _, want_w, want_b = conv2d_backward_two_loops(x, w, g, stride, pad, groups)
-                xf, grid, _, crop = layers._same(x, w, stride, pad, groups)
+                xf, grid, _, crop = _same(x, w, stride, pad, groups)
                 gf = grid.zeros(2, cout)
                 grid.inner(gf)[crop] = g
                 gx, gw, gb = layers._conv_backward(xf, gf, w, grid, 1, groups, False, False)
@@ -321,10 +324,10 @@ class TestNoAliasing:
         for k, pad in both_stackings(monkeypatch):
             x, w = rng.standard_normal((2, 4, 7, 6)), rng.standard_normal((8, 2, k, k))
             b = rng.standard_normal(8)
-            g = rng.standard_normal(layers.conv2d_forward(x, w, b, pad=pad, groups=2).shape)
+            g = rng.standard_normal(conv2d_forward(x, w, b, pad=pad, groups=2).shape)
             before = [a.copy() for a in (x, w, b, g)]
-            out = layers.conv2d_forward(x, w, b, pad=pad, groups=2)
-            grads = layers.conv2d_backward(x, w, g, pad=pad, groups=2)
+            out = conv2d_forward(x, w, b, pad=pad, groups=2)
+            grads = conv2d_backward(x, w, g, pad=pad, groups=2)
             for a, a0 in zip((x, w, b, g), before):
                 np.testing.assert_array_equal(a, a0)
             for r in (out, *grads):
@@ -441,9 +444,9 @@ class TestFire:
         sq, e1, e3 = self.params(rng)
         x = rng.standard_normal((2, 4, 6, 6))
         out, _ = block_forward(fire(4, 2, 3, 3), fire_params(sq, e1, e3), x)
-        s = layers.relu(layers.conv2d_forward(x, sq[0], sq[1], pad=0))
-        o1 = layers.conv2d_forward(s, e1[0], e1[1], pad=0)
-        o3 = layers.conv2d_forward(s, e3[0], e3[1], pad=1)
+        s = layers.relu(conv2d_forward(x, sq[0], sq[1], pad=0))
+        o1 = conv2d_forward(s, e1[0], e1[1], pad=0)
+        o3 = conv2d_forward(s, e3[0], e3[1], pad=1)
         expected = layers.relu(np.concatenate([o1, o3], axis=1))
         assert np.max(np.abs(out - expected)) < 1e-6
 
@@ -457,7 +460,7 @@ class TestFire:
         rng = np.random.default_rng(20)
         sq, e1, e3 = self.params(rng)
         x = spaced_values(rng, (1, 4, 5, 5), step=0.05)
-        s_pre = layers.conv2d_forward(x, sq[0], sq[1], pad=0)
+        s_pre = conv2d_forward(x, sq[0], sq[1], pad=0)
         assert np.abs(s_pre).min() > 10 * FD_H
         target = rng.standard_normal((1, 6, 5, 5))
         block, p = fire(4, 2, 3, 3), fire_params(sq, e1, e3)
@@ -496,11 +499,11 @@ def test_finite_check_flag(rng):
     x = rng.random((1, 1, 4, 4))
     x[0, 0, 0, 0] = np.inf
     w = np.ones((1, 1, 1, 1))
-    layers.conv2d_forward(x, w, None)  # silent by default
+    conv2d_forward(x, w, None)  # silent by default
     layers.CHECK_FINITE = True
     try:
         with pytest.raises(FloatingPointError):
-            layers.conv2d_forward(x, w, None)
+            conv2d_forward(x, w, None)
     finally:
         layers.CHECK_FINITE = False
 

@@ -39,7 +39,7 @@ from evofuse.net.network import (
 from evofuse.training import TrainConfig, make_task_weights, task_forward, train
 
 from conftest import random_pair
-from oracles import block_forward, eval_replay, relative_err, train_replay
+from oracles import block_forward, conv2d_forward, eval_replay, relative_err, train_replay
 from test_layers import FD_H, GRAD_TOL
 
 
@@ -101,14 +101,14 @@ class TestForward:
         x = pair_tensor(pair)
 
         def conv_bn_relu(x, conv, bn, groups=1):
-            y = layers.conv2d_forward(x, conv.weight, conv.bias, pad=1, groups=groups)
+            y = conv2d_forward(x, conv.weight, conv.bias, pad=1, groups=groups)
             y, _ = layers.batchnorm_forward(
                 y, bn.scale, bn.shift, bn.running_mean.copy(), bn.running_var.copy(), "eval"
             )
             return layers.relu(y)
 
         h1 = conv_bn_relu(x, params.alpha[0], params.alpha[1])
-        m = layers.conv2d_forward(h1, params.beta[0].weight, params.beta[0].bias, pad=1, groups=8)
+        m = conv2d_forward(h1, params.beta[0].weight, params.beta[0].bias, pad=1, groups=8)
         m = layers.channel_shuffle(m, 8)
         m, _ = layers.batchnorm_forward(
             m,
@@ -120,7 +120,7 @@ class TestForward:
         )
         m = layers.relu(m)
         z = h1 + m
-        y = layers.conv2d_forward(z, params.gamma[0].weight, params.gamma[0].bias, pad=1)
+        y = conv2d_forward(z, params.gamma[0].weight, params.gamma[0].bias, pad=1)
         expected = layers.sigmoid(y)
         got = net_forward(params, pair)
         assert np.max(np.abs(got - expected)) < 1e-6
@@ -132,9 +132,9 @@ class TestForward:
         blk = params.spec.beta[0]
         assert blk == inception(64, 16, 32, 16)
         (b1,), (b3,), (b5,) = params.beta[0]
-        y1 = layers.conv2d_forward(h1, b1.weight, b1.bias, pad=0)
-        y3 = layers.conv2d_forward(h1, b3.weight, b3.bias, pad=1)
-        y5 = layers.conv2d_forward(h1, b5.weight, b5.bias, pad=2)
+        y1 = conv2d_forward(h1, b1.weight, b1.bias, pad=0)
+        y3 = conv2d_forward(h1, b3.weight, b3.bias, pad=1)
+        y5 = conv2d_forward(h1, b5.weight, b5.bias, pad=2)
         expected = np.concatenate([y1, y3, y5], axis=1)
         got, _ = block_forward(blk, params.beta[0], h1)
         assert np.max(np.abs(got - expected)) < 1e-6

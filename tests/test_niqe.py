@@ -12,7 +12,7 @@ from evofuse.niqe import (
     _ALPHA_GRID,
     _R_GAM,
     NiqeModel,
-    _alpha,
+    _alpha_index,
     _image_features,
     fit_niqe_model,
     load_niqe_model,
@@ -176,7 +176,7 @@ def test_alpha_lookup_matches_grid_argmin():
         [0.0, _R_GAM[0] / 2.0, np.nextafter(_R_GAM[0], -np.inf)],
         [np.nextafter(_R_GAM[-1], np.inf), 1.0, 1.2],
     ])
-    got = _alpha(r)
+    got = _ALPHA_GRID[_alpha_index(r)]
     for lo in range(0, r.size, 256):
         chunk = r[lo : lo + 256]
         want = _ALPHA_GRID[np.argmin((_R_GAM[None, :] - chunk[:, None]) ** 2, axis=1)]

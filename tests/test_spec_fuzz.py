@@ -33,7 +33,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evofuse.errors import DimensionError, SpecError
-from evofuse.net import layers
 from evofuse.net.arch import count_flops, count_state, parse_arch_file
 from evofuse.net.network import (
     build_network,
@@ -46,6 +45,7 @@ from evofuse.net.network import (
     trainable_arrays,
 )
 
+import oracles
 from oracles import eval_replay, train_replay
 from test_network import randomize_bn
 
@@ -171,14 +171,14 @@ def worst(got, want):
 
 def test_random_specs_match_replays(tmp_path_factory, monkeypatch):
     root = tmp_path_factory.mktemp("specs")
-    conv, conv_macs = layers.conv2d_forward, []
+    conv, conv_macs = oracles.conv2d_forward, []
 
     def counting_conv(x, weight, *args):
         y = conv(x, weight, *args)
         conv_macs.append(weight.size * y.shape[2] * y.shape[3])
         return y
 
-    monkeypatch.setattr(layers, "conv2d_forward", counting_conv)
+    monkeypatch.setattr(oracles, "conv2d_forward", counting_conv)
 
     @settings(max_examples=600, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
