@@ -349,6 +349,20 @@ class TestBankPersistence:
                 np.abs(back.entries[pid].fused.data - bank.entries[pid].fused.data)
             ) <= 1.0 / 510.0 + 1e-15
 
+    def test_loaded_incumbent_that_wins_saves_its_mark(self, tmp_path, niqe_model):
+        # the winner's scores hold no combined value, so the loaded mark is saved
+        pair = toy_pairs(n=1, size=96, seed=5)[0]
+        lp = run_bank(pair, ["lp"])[0]
+        lp.scores = score_candidate(pair, lp.fused, niqe_model)
+        lp.scores.combined = 0.95
+        save_bank(SolutionBank({pair.pair_id: lp}), tmp_path / "bank")
+        bank = load_bank(tmp_path / "bank")
+        flat = FusionCandidate("flat", ImageGray(np.full(pair.a.shape, 0.5)))
+        update_bank(bank, pair.pair_id, flat, pair, niqe_model)
+        assert bank.entries[pair.pair_id].algo_id == "lp"
+        save_bank(bank, tmp_path / "again")
+        assert (tmp_path / "again" / "manifest.txt").read_text().split("\t")[2] == "0.950000"
+
     def test_non_numeric_mark_is_parse_error(self, tmp_path):
         root = tmp_path / "bank"
         root.mkdir()
