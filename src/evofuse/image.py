@@ -15,6 +15,7 @@ stay in cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -349,7 +350,7 @@ def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect
         i, n = (np.arange(s - r, e + r), h) if rows else (np.arange(-r, w + r), w)
         shape = (b, e - s + 2 * r, w) if rows else (b, e - s, wp)
         src = np.take(a3 if rows else a3[:, s:e], _symmetric(i, n), axis=2 - rows, mode="clip",
-                      out=src_buf[: np.prod(shape)].reshape(shape))
+                      out=src_buf[: math.prod(shape)].reshape(shape))
         if mode == "constant":
             src.swapaxes(0, 2 - rows)[(i < 0) | (i >= n)] = 0.0
         xf, c, m = src.reshape(b, -1), r * step, (e - s) * wp - 2 * r * (not rows)
