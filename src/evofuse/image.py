@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -322,11 +323,11 @@ def gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _symmetric(i: np.ndarray, n: int) -> np.ndarray:
-    """Positions i on an axis of n samples mirrored at its ends, edge sample
-    repeated: np.pad's "symmetric", SciPy's "reflect", at any distance."""
-    i = i % (2 * n)
-    return np.where(i < n, i, 2 * n - 1 - i)
+@lru_cache(maxsize=256)
+def _border(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sources of positions -r .. n + r - 1 on an axis of n samples (np.pad's
+    "symmetric", SciPy's "reflect", at any distance) and which lie outside it."""
+    return np.pad(np.arange(n), r, mode="symmetric"), np.pad(np.zeros(n, bool), r, constant_values=True)
 
 
 def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect") -> np.ndarray:
@@ -336,8 +337,7 @@ def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect
 
     Each band of rows is copied with its border into one reused buffer, in
     which a flat shift of a row (axis -2) or of 1 (axis -1) moves one tap; a
-    column pass also sums the 2r positions that span row ends, then drops them.
-    """
+    column pass also sums the 2r positions that span row ends, then drops them."""
     a = np.asarray(a, dtype=np.float64)
     r, rows = taps.size // 2, axis % a.ndim == a.ndim - 2
     h, w = a.shape[-2:]
@@ -347,12 +347,12 @@ def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect
     bands = list(_bands(h, b * wp))
     src_buf, acc_buf, tmp_buf = (np.empty(b * (bands[0][1] + 2 * r) * wp) for _ in range(3))
     for s, e in bands:
-        i, n = (np.arange(s - r, e + r), h) if rows else (np.arange(-r, w + r), w)
+        at, outside = (x[s : e + 2 * r] if rows else x for x in _border(h if rows else w, r))
         shape = (b, e - s + 2 * r, w) if rows else (b, e - s, wp)
-        src = np.take(a3 if rows else a3[:, s:e], _symmetric(i, n), axis=2 - rows, mode="clip",
+        src = np.take(a3 if rows else a3[:, s:e], at, axis=2 - rows, mode="clip",
                       out=src_buf[: math.prod(shape)].reshape(shape))
         if mode == "constant":
-            src.swapaxes(0, 2 - rows)[(i < 0) | (i >= n)] = 0.0
+            src.swapaxes(0, 2 - rows)[outside] = 0.0
         xf, c, m = src.reshape(b, -1), r * step, (e - s) * wp - 2 * r * (not rows)
         acc = of[:, s * w : e * w] if rows else acc_buf[: b * (e - s) * wp].reshape(b, -1)
         blk, tmp = acc[:, :m], tmp_buf[: b * m].reshape(b, m)
