@@ -42,7 +42,7 @@ def main():
         report = profile_arch(name, args.size, args.size)
         measured = ""
         if args.trials >= 2:
-            protocol = BenchProtocol(image_size=args.size, trials=args.trials, warmup_skip=1)
+            protocol = BenchProtocol(image_size=args.size, trials=args.trials)
             timed = time_method(name, protocol)
             measured = f"{timed.latency_ms_mean:9.1f} +- {timed.latency_ms_std:6.1f}"
             measured += f"  {forward_peak_mib(name, args.size):9.1f}"

@@ -126,9 +126,9 @@ def _profile_or_blank(method: str, size: int) -> CostReport:
     return CostReport(method=method, assumptions={"kind": "classical"})
 
 
-def profile_arch(spec: ArchSpec | str, h: int, w: int, seed: int = 0) -> CostReport:
+def profile_arch(spec: ArchSpec | str, h: int, w: int) -> CostReport:
     """Analytic parameters/FLOPs plus actual serialized byte size."""
-    params = build_network(spec, seed=seed)
+    params = build_network(spec)
     spec = params.spec
     trainable, running = count_state(spec)
     return CostReport(

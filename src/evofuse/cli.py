@@ -15,7 +15,7 @@ from pathlib import Path
 from .bench import BenchProtocol, profile_arch, run_benchmark
 from .errors import EvoFuseError
 from .evolution import evaluate_candidates, save_bank, select_optimal
-from .fusion import DEFAULT_ALGOS, FusionCandidate, REGISTRY, run_bank
+from .fusion import FusionCandidate, REGISTRY, run_bank
 from .image import ImagePair, Task, load_image, load_pairs, save_pgm
 from .net.arch import BUILTIN_NAMES, builtin_spec, parse_arch_file
 from .net.network import save_weights
@@ -62,7 +62,7 @@ def cmd_eval(args) -> int:
 
 def cmd_select(args) -> int:
     pair = _load_pair(args)
-    algos = args.algos.split(",") if args.algos else list(DEFAULT_ALGOS)
+    algos = args.algos.split(",") if args.algos else None
     scored = evaluate_candidates(pair, run_bank(pair, algos), _niqe_from(args))
     best = select_optimal(scored)
     if args.out:

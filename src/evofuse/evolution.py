@@ -21,7 +21,7 @@ from .errors import (
     NotEvaluatedError,
     ParseError,
 )
-from .fusion import DEFAULT_ALGOS, FusionCandidate, run_bank
+from .fusion import FusionCandidate, run_bank
 from .image import ImageGray, ImagePair, load_pgm, save_pgm
 from .metrics import (
     QualityScores,
@@ -45,7 +45,6 @@ class SolutionBank:
 
     entries: dict[str, FusionCandidate] = field(default_factory=dict)
     generation: int = 0
-    weights: dict[str, float] | None = None
 
 
 def score_pool(pair: ImagePair, fused: list[ImageGray], niqe_model: NiqeModel | None) -> list[QualityScores]:
@@ -95,10 +94,7 @@ def _score_unscored(pair: ImagePair, candidates: list[FusionCandidate], niqe_mod
 
 
 def evaluate_candidates(
-    pair: ImagePair,
-    candidates: list[FusionCandidate],
-    niqe_model: NiqeModel | None,
-    weights: dict[str, float] | None = None,
+    pair: ImagePair, candidates: list[FusionCandidate], niqe_model: NiqeModel | None
 ) -> list[FusionCandidate]:
     """Populate every candidate's scores and pool-relative combined value.
 
@@ -107,7 +103,7 @@ def evaluate_candidates(
     if not candidates:
         raise EmptyInputError("no candidates to evaluate")
     _score_unscored(pair, candidates, niqe_model)
-    combined = combined_score([c.scores for c in candidates], weights)
+    combined = combined_score([c.scores for c in candidates])
     for cand, value in zip(candidates, combined):
         cand.scores.combined = value
     return candidates
@@ -143,15 +139,13 @@ def update_bank(
         )
     incumbent = bank.entries.get(pair_id)
     if incumbent is None:
-        evaluate_candidates(pair, [new_candidate], niqe_model, bank.weights)
+        evaluate_candidates(pair, [new_candidate], niqe_model)
         bank.entries[pair_id] = new_candidate
         return bank
     if float(np.max(np.abs(incumbent.fused.data - new_candidate.fused.data))) <= SAME_IMAGE_TOL:
         return bank
     _score_unscored(pair, [incumbent, new_candidate], niqe_model)
-    inc_combined, new_combined = combined_score(
-        [incumbent.scores, new_candidate.scores], bank.weights
-    )
+    inc_combined, new_combined = combined_score([incumbent.scores, new_candidate.scores])
     if new_combined > inc_combined:
         new_candidate.scores.combined = float(np.fmax(new_combined, _mark(incumbent)))
         bank.entries[pair_id] = new_candidate
@@ -165,18 +159,11 @@ def _mark(entry: FusionCandidate) -> float:
     return entry.mark
 
 
-def init_bank(
-    dataset: list[ImagePair],
-    niqe_model: NiqeModel | None,
-    algos=None,
-    weights: dict[str, float] | None = None,
-) -> SolutionBank:
+def init_bank(dataset: list[ImagePair], niqe_model: NiqeModel | None) -> SolutionBank:
     """Classical selection: run the algorithm bank and store each pair's best."""
-    if algos is None:
-        algos = DEFAULT_ALGOS
-    bank = SolutionBank(weights=weights)
+    bank = SolutionBank()
     for pair in dataset:
-        scored = evaluate_candidates(pair, run_bank(pair, algos), niqe_model, weights)
+        scored = evaluate_candidates(pair, run_bank(pair), niqe_model)
         bank.entries[pair.pair_id] = select_optimal(scored)
     return bank
 

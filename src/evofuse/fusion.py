@@ -17,6 +17,8 @@ from .metrics import QualityScores
 from .pyramid import laplacian_decompose, laplacian_reconstruct
 
 _LAPLACIAN_KERNEL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
+GRADSEL_WINDOW = 7  # odd side of gradsel's energy box and majority filter
+LP_LEVELS = 4  # detail bands of the lp pyramid
 
 
 @dataclass
@@ -51,33 +53,29 @@ def _gradient_energy(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def fuse_gradient_select(pair: ImagePair, window: int = 7) -> FusionCandidate:
+def fuse_gradient_select(pair: ImagePair) -> FusionCandidate:
     """Per-pixel pick of the source with larger local gradient energy.
 
     The binary decision map is smoothed by a majority filter over the same
     window before selection.
     """
-    if window % 2 == 0:
-        raise DimensionError(f"window must be odd, got {window}")
-    box = np.ones((window, window))
+    box = np.ones((GRADSEL_WINDOW, GRADSEL_WINDOW))
     energy_a = filter2_same(_gradient_energy(pair.a.data), box)
     energy_b = filter2_same(_gradient_energy(pair.b.data), box)
     pick_a = (energy_a >= energy_b).astype(np.float64)
-    majority = filter2_same(pick_a, box) >= (window * window) / 2.0
+    majority = filter2_same(pick_a, box) >= box.size / 2.0
     fused = np.where(majority, pair.a.data, pair.b.data)
     return FusionCandidate("gradsel", ImageGray(fused))
 
 
-def fuse_laplacian_pyramid(pair: ImagePair, levels: int = 4) -> FusionCandidate:
+def fuse_laplacian_pyramid(pair: ImagePair) -> FusionCandidate:
     """Multi-scale blend: max-abs detail coefficients, mean base band."""
-    if levels < 2:
-        raise DimensionError(f"need levels >= 2, got {levels}")
-    if min(pair.height, pair.width) < 2**levels:
+    if min(pair.height, pair.width) < 2**LP_LEVELS:
         raise DimensionError(
-            f"image {pair.height}x{pair.width} too small for {levels} pyramid levels"
+            f"image {pair.height}x{pair.width} too small for {LP_LEVELS} pyramid levels"
         )
-    det_a, base_a = laplacian_decompose(pair.a.data, levels)
-    det_b, base_b = laplacian_decompose(pair.b.data, levels)
+    det_a, base_a = laplacian_decompose(pair.a.data, LP_LEVELS)
+    det_b, base_b = laplacian_decompose(pair.b.data, LP_LEVELS)
     details = [np.where(np.abs(da) >= np.abs(db), da, db) for da, db in zip(det_a, det_b)]
     fused = laplacian_reconstruct(details, (base_a + base_b) / 2.0)
     return FusionCandidate("lp", ImageGray(np.clip(fused, 0.0, 1.0)))

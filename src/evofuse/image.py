@@ -324,16 +324,16 @@ def gaussian_taps(size: int, sigma: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _border(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+def _border(n: int, r: int) -> np.ndarray:
     """Sources of positions -r .. n + r - 1 on an axis of n samples (np.pad's
-    "symmetric", SciPy's "reflect", at any distance) and which lie outside it."""
-    return np.pad(np.arange(n), r, mode="symmetric"), np.pad(np.zeros(n, bool), r, constant_values=True)
+    "symmetric", SciPy's "reflect", at any distance)."""
+    return np.pad(np.arange(n), r, mode="symmetric")
 
 
-def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect") -> np.ndarray:
-    """SciPy's ``ndimage.correlate1d(a, taps, axis, mode=mode)``, bit for bit,
-    for odd taps symmetric about the centre, along axis -1 or -2 of a 2-D or
-    stacked array; ``mode`` is "reflect" or "constant" (zeros).
+def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """SciPy's ``ndimage.correlate1d(a, taps, axis, mode="reflect")``, bit for
+    bit, for odd taps symmetric about the centre, along axis -1 or -2 of a 2-D
+    or stacked array.
 
     Each band of rows is copied with its border into one reused buffer, in
     which a flat shift of a row (axis -2) or of 1 (axis -1) moves one tap; a
@@ -347,12 +347,10 @@ def correlate1d(a: np.ndarray, taps: np.ndarray, axis: int, mode: str = "reflect
     bands = list(_bands(h, b * wp))
     src_buf, acc_buf, tmp_buf = (np.empty(b * (bands[0][1] + 2 * r) * wp) for _ in range(3))
     for s, e in bands:
-        at, outside = (x[s : e + 2 * r] if rows else x for x in _border(h if rows else w, r))
+        at = _border(h, r)[s : e + 2 * r] if rows else _border(w, r)
         shape = (b, e - s + 2 * r, w) if rows else (b, e - s, wp)
         src = np.take(a3 if rows else a3[:, s:e], at, axis=2 - rows, mode="clip",
                       out=src_buf[: math.prod(shape)].reshape(shape))
-        if mode == "constant":
-            src.swapaxes(0, 2 - rows)[outside] = 0.0
         xf, c, m = src.reshape(b, -1), r * step, (e - s) * wp - 2 * r * (not rows)
         acc = of[:, s * w : e * w] if rows else acc_buf[: b * (e - s) * wp].reshape(b, -1)
         blk, tmp = acc[:, :m], tmp_buf[: b * m].reshape(b, m)
@@ -386,13 +384,15 @@ def separable_filter(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 def _reflect_fold(g: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     # transpose of (reflect-pad by r, then valid correlation) along one axis:
-    # full correlation with the flipped taps, then each padded border sample
-    # is added back onto the pixel it mirrored
+    # full correlation with the flipped taps (the taps themselves, as they are
+    # symmetric), then each padded border sample is added back onto the pixel
+    # it mirrored; every sample a reflected border of the zero-padded axis
+    # reads lies in its r added zeros, so reflect mode sums zeros there
     r = taps.size // 2
     g = np.moveaxis(g, axis, -1)
     n = g.shape[-1]
     padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(r, r)])
-    full = correlate1d(padded, taps[::-1], -1, mode="constant")
+    full = correlate1d(padded, taps, -1)
     out = full[..., r : r + n].copy()
     out[..., :r] += full[..., :r][..., ::-1]
     out[..., n - r :] += full[..., n + r :][..., ::-1]

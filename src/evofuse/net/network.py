@@ -41,12 +41,12 @@ def state_arrays(params: NetParams) -> list[np.ndarray]:
     return params.spec.sequence.arrays([params.alpha + params.beta + params.gamma], True)
 
 
-def build_network(spec: ArchSpec | str, seed: int = 0, in_channels: int = 2) -> NetParams:
+def build_network(spec: ArchSpec | str, seed: int = 0) -> NetParams:
     """He-normal (fan-in) seeded initialization; BN scale 1, shift 0."""
     if seed < 0:
         raise RangeError(f"seed must be >= 0, got {seed}")
     if isinstance(spec, str):
-        spec = builtin_spec(spec, in_channels=in_channels)
+        spec = builtin_spec(spec)
     rng = np.random.default_rng(seed)
     stages = [[blk.init(rng) for blk in stage] for stage in spec.stages]
     return NetParams(spec, *stages)

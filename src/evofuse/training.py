@@ -117,9 +117,18 @@ def loss_to_optimal(pred: np.ndarray, optimal) -> tuple[float, np.ndarray]:
 
 def supervised_loss(pred: np.ndarray, pair: ImagePair) -> tuple[float, np.ndarray]:
     """Mean of the quality loss against each source image."""
-    loss_a, grad_a = loss_to_optimal(pred, pair.a)
-    loss_b, grad_b = loss_to_optimal(pred, pair.b)
-    return (loss_a + loss_b) / 2.0, (grad_a + grad_b) / 2.0
+    sources = np.stack([pair.a.data, pair.b.data])
+    return _batch_loss(pred, np.broadcast_to(sources, (pred.shape[0], *sources.shape)))
+
+
+def _batch_loss(out: np.ndarray, refs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of the quality loss of ``out`` (n, 1, h, w) against each channel
+    of ``refs`` (n, k, h, w): summed from the first channel, divided once."""
+    loss, grad = _quality_loss(out, refs[:, 0:1])
+    for c in range(1, refs.shape[1]):
+        loss_c, grad_c = _quality_loss(out, refs[:, c : c + 1])
+        loss, grad = loss + loss_c, grad + grad_c
+    return loss / refs.shape[1], grad / refs.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +174,9 @@ def adam_step(arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 
 def _collect_samples(dataset, bank, cfg):
-    """Co-located training patches: inputs (N, 2, s, s) and targets (N, 1, s, s)."""
+    """Co-located training patches: inputs (N, 2, s, s) and the loss's
+    references, the bank optimum's patches (N, 1, s, s) or, in supervised
+    mode, the inputs themselves."""
     xs = []
     ts = []
     for pair in dataset:
@@ -181,18 +192,7 @@ def _collect_samples(dataset, bank, cfg):
             if optimal is not None:
                 ts.append(optimal[sl][None])
     inputs = np.asarray(xs)
-    targets = np.asarray(ts) if ts else None
-    return inputs, targets
-
-
-def _batch_loss(out, xb, tb, cfg):
-    if cfg.loss_kind == "to_optimal":
-        loss, grad = _quality_loss(out, tb)
-    else:
-        la, ga = _quality_loss(out, xb[:, 0:1])
-        lb, gb = _quality_loss(out, xb[:, 1:2])
-        loss, grad = (la + lb) / 2.0, (ga + gb) / 2.0
-    return loss, grad
+    return inputs, np.asarray(ts) if ts else inputs
 
 
 def _check_sizes(spec: ArchSpec, dataset, cfg: TrainConfig) -> None:
@@ -212,11 +212,9 @@ def _check_sizes(spec: ArchSpec, dataset, cfg: TrainConfig) -> None:
         spec.check_size(pair.height, pair.width, f"pair {pair.pair_id!r}")
 
 
-def _train_params(params: NetParams, inputs, targets, cfg: TrainConfig, sources=None) -> list[CurvePoint]:
+def _train_params(params: NetParams, inputs, refs, cfg: TrainConfig) -> list[CurvePoint]:
     """Run the phase schedule on existing parameters over samples: the
-    network reads ``inputs``, the loss ``targets`` (to_optimal) or the
-    ``sources`` images (supervised; by default the inputs). Returns the loss
-    curve."""
+    network reads ``inputs`` and the loss ``refs``. Returns the loss curve."""
     n = inputs.shape[0]
     rng = np.random.default_rng(cfg.seed)
     arrays = trainable_arrays(params)
@@ -230,10 +228,8 @@ def _train_params(params: NetParams, inputs, targets, cfg: TrainConfig, sources=
             total = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                xb = inputs[idx]
-                tb = None if targets is None else targets[idx]
-                out, cache = net_forward_cached(params, xb, mode="train")
-                loss, grad_out = _batch_loss(out, xb if sources is None else sources[idx], tb, cfg)
+                out, cache = net_forward_cached(params, inputs[idx], mode="train")
+                loss, grad_out = _batch_loss(out, refs[idx])
                 grads, _ = net_backward(params, cache, grad_out, _input_grad=False)
                 del cache  # every block's cache: the next forward must not run beside it
                 adam_step(arrays, grads, state, lr)
@@ -267,8 +263,6 @@ def evolve(
     cfg: TrainConfig,
     rounds: int,
     niqe_model: NiqeModel | None,
-    algos=None,
-    weights=None,
     curve_out: list | None = None,
 ):
     """Full self-evolution loop.
@@ -283,7 +277,7 @@ def evolve(
         raise RangeError(f"rounds must be >= 0, got {rounds}")
     params = build_network(spec, cfg.seed)
     _check_sizes(params.spec, dataset, cfg)
-    bank = init_bank(dataset, niqe_model, algos, weights)
+    bank = init_bank(dataset, niqe_model)
     for round_no in range(1, rounds + 1):
         curve = _train_params(params, *_collect_samples(dataset, bank, cfg), cfg)
         if curve_out is not None:
@@ -304,24 +298,14 @@ def train_common(spec: ArchSpec | str, mixed_dataset, bank, cfg: TrainConfig) ->
     return params
 
 
-def make_task_weights(
-    common: NetParams, task: str, beta_mix: float, unique_init: str = "common", seed: int = 0
-) -> TaskWeights:
-    """Task head, keyed by ``task``, before any adaptation step.
-
-    With beta_mix=1 and the head copied from the common output stage, the
-    composite is exactly the common network.
+def make_task_weights(common: NetParams, task: str, beta_mix: float) -> TaskWeights:
+    """Task head, keyed by ``task``, before any adaptation step: a copy of
+    the common output stage, so with beta_mix=1 the composite is exactly the
+    common network.
     """
     if not 0.0 <= beta_mix <= 1.0:
         raise RangeError(f"beta_mix must be in [0, 1], got {beta_mix}")
-    if unique_init == "common":
-        gamma = copy.deepcopy(common.gamma)
-    elif unique_init == "fresh":
-        rng = np.random.default_rng(seed)
-        gamma = [blk.init(rng) for blk in common.spec.gamma]
-    else:
-        raise RangeError(f"unknown unique_init {unique_init!r}")
-    return TaskWeights(common=common, unique={task: gamma}, beta_mix=beta_mix)
+    return TaskWeights(common=common, unique={task: copy.deepcopy(common.gamma)}, beta_mix=beta_mix)
 
 
 def task_forward(tw: TaskWeights, inputs, task: str | None = None) -> np.ndarray:
@@ -340,9 +324,9 @@ def adapt_task(
     bank,
     cfg: TrainConfig,
     beta_mix: float,
-    unique_init: str = "common",
 ) -> TaskWeights:
-    """Freeze the common trunk; train a fresh task output stage.
+    """Freeze the common trunk; train a task output stage that starts as a
+    copy of the common one.
 
     Trunk features are computed once per sample in eval mode and scaled by
     beta_mix before the head, so only head parameters receive updates.
@@ -353,14 +337,14 @@ def adapt_task(
         raise RangeError(f"adapt_task cannot write checkpoints, got checkpoint_every={cfg.checkpoint_every}")
     _check_sizes(common.spec, task_dataset, cfg)
     task = task_dataset[0].task.value
-    tw = make_task_weights(common, task, beta_mix, unique_init, seed=cfg.seed)
+    tw = make_task_weights(common, task, beta_mix)
     gamma = tw.unique[task]
 
-    inputs, targets = _collect_samples(task_dataset, bank, cfg)
+    inputs, refs = _collect_samples(task_dataset, bank, cfg)
     feats = []
     for start in range(0, inputs.shape[0], cfg.batch_size):
         xb = inputs[start : start + cfg.batch_size]
         feats.append(beta_mix * trunk_forward(common, xb, mode="eval"))
     feats = np.concatenate(feats)
-    _train_params(head_params(common, gamma), feats, targets, cfg, sources=inputs)
+    _train_params(head_params(common, gamma), feats, refs, cfg)
     return tw

@@ -486,10 +486,10 @@ def test_c09_commonness_identities():
         ImageGray(rng.random((32, 32))), ImageGray(rng.random((32, 32))), "c9", Task.CVS
     )
 
-    tw = make_task_weights(common, "t", beta_mix=1.0, unique_init="common")
+    tw = make_task_weights(common, "t", beta_mix=1.0)
     identical = np.array_equal(task_forward(tw, pair, "t"), net_forward(common, pair, "eval"))
 
-    tw0 = make_task_weights(common, "t", beta_mix=0.0, unique_init="common")
+    tw0 = make_task_weights(common, "t", beta_mix=0.0)
     other = ImagePair(
         ImageGray(rng.random((32, 32))), ImageGray(rng.random((32, 32))), "c9b", Task.CVS
     )

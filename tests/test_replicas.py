@@ -11,7 +11,8 @@ import pytest
 from scipy import ndimage, special
 
 from evofuse import niqe, synth
-from evofuse.image import correlate1d, filter2_same, gaussian_filter, gaussian_taps
+from evofuse.image import correlate1d, filter2_same, gaussian_filter, gaussian_taps, separable_filter_adjoint
+from evofuse.metrics import _SSIM_TAPS
 from evofuse.net.layers import sigmoid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,9 +30,43 @@ def test_correlate1d_matches_scipy(rng, size, shape):
     taps = gaussian_taps(size, size / 6.0)
     a = rng.standard_normal(shape)
     for axis in (-1, -2):
-        for mode in ("reflect", "constant"):
-            want = ndimage.correlate1d(a, taps, axis=axis, mode=mode)
-            assert same_bits(correlate1d(a, taps, axis, mode), want), (axis, mode)
+        want = ndimage.correlate1d(a, taps, axis=axis, mode="reflect")
+        assert same_bits(correlate1d(a, taps, axis), want), axis
+
+
+def scipy_fold(g, taps, axis):
+    """``image._reflect_fold`` with SciPy's zero ("constant") borders on the
+    zero-padded axis."""
+    r = taps.size // 2
+    g = np.moveaxis(g, axis, -1)
+    n = g.shape[-1]
+    padded = np.pad(g, [(0, 0)] * (g.ndim - 1) + [(r, r)])
+    full = ndimage.correlate1d(padded, taps[::-1], axis=-1, mode="constant")
+    out = full[..., r : r + n].copy()
+    out[..., :r] += full[..., :r][..., ::-1]
+    out[..., n - r :] += full[..., n + r :][..., ::-1]
+    return np.moveaxis(out, -1, axis)
+
+
+ADJOINT_SHAPES = {
+    "r": lambda r: (r, r),
+    "r+1": lambda r: (r + 1, r + 1),
+    "r-by-r+1": lambda r: (r, r + 1),
+    "12x17": lambda r: (12, 17),
+    "train-batch": lambda r: (2, 1, 128, 128),
+}
+
+
+@pytest.mark.parametrize(
+    "taps", [*(gaussian_taps(size, size / 6.0) for size in (3, 5, 7)), _SSIM_TAPS], ids=["3", "5", "7", "ssim"]
+)
+@pytest.mark.parametrize("shape", ADJOINT_SHAPES.values(), ids=ADJOINT_SHAPES.keys())
+def test_filter_adjoint_matches_scipy_fold(rng, taps, shape):
+    # the fold's reflect pass on a zero-padded axis reads only the padding's
+    # zeros outside it, so it gives SciPy's constant-mode bits
+    g = rng.standard_normal(shape(taps.size // 2))
+    want = scipy_fold(scipy_fold(g, taps, -2), taps, -1)
+    assert same_bits(separable_filter_adjoint(g, taps), want)
 
 
 @pytest.mark.parametrize(

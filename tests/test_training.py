@@ -98,6 +98,28 @@ class TestSupervisedLoss:
         assert relative_err(fd, grad, floor=1e-7) < 1e-3
 
 
+class TestBatchLoss:
+    """The training step's loss is the public losses' route, bit for bit."""
+
+    def test_one_reference_is_loss_to_optimal(self, rng):
+        pred, target = rng.random((3, 1, 16, 16)), rng.random((3, 1, 16, 16))
+        loss, grad = training._batch_loss(pred, target)
+        want_loss, want_grad = loss_to_optimal(pred, target)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+    def test_two_sources_are_supervised_loss(self, rng):
+        pair = random_pair(rng)
+        pred = rng.random((3, 1, 16, 16))
+        sources = np.broadcast_to(np.stack([pair.a.data, pair.b.data]), (3, 2, 16, 16))
+        loss, grad = training._batch_loss(pred, sources)
+        sup_loss, sup_grad = supervised_loss(pred, pair)
+        la, ga = loss_to_optimal(pred, pair.a)
+        lb, gb = loss_to_optimal(pred, pair.b)
+        assert loss == sup_loss == (la + lb) / 2.0
+        assert grad.tobytes() == sup_grad.tobytes() == ((ga + gb) / 2.0).tobytes()
+
+
 class TestAdam:
     def test_zero_grads_no_change(self, rng):
         arrays = [rng.random((3, 3))]
@@ -171,6 +193,25 @@ class TestTrain:
         pairs = small_dataset(rng, n=1)
         params, curve = train("gcb", pairs, None, small_cfg(loss_kind="supervised"))
         assert len(curve) == 2
+
+    def test_supervised_train_pinned(self, rng):
+        params, _ = train("gcb", small_dataset(rng, n=2), None, small_cfg(loss_kind="supervised"))
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in state_arrays(params))).hexdigest()
+        assert digest == "b9610c38a8cccf19e763631cc14929fd5257ac4366b37c76416806f5386f2588"
+
+    def test_one_loss_call_per_batch(self, rng, monkeypatch):
+        """Each batch's loss goes through the module-level ``_batch_loss``
+        once, so a wrapper around it sees every training step."""
+        calls, real = [], training._batch_loss
+
+        def counted(out, refs):
+            calls.append(len(out))
+            return real(out, refs)
+
+        monkeypatch.setattr(training, "_batch_loss", counted)
+        pairs = small_dataset(rng, n=2)
+        train("gcb", pairs, init_bank(pairs, None), small_cfg(batch_size=3))
+        assert calls == [3, 3, 2] * 2  # 4 patches of 32² per 64² pair, 2 epochs
 
     def test_checkpoints_written(self, rng, tmp_path):
         pairs = small_dataset(rng, n=1)
@@ -347,7 +388,7 @@ def head_digest(tw):
 class TestAdaptTask:
     def test_beta_one_common_head_is_identity(self, rng):
         common = build_network("gcb", seed=5)
-        tw = make_task_weights(common, "task", 1.0, unique_init="common")
+        tw = make_task_weights(common, "task", 1.0)
         pair = random_pair(rng, 32, 32)
         np.testing.assert_array_equal(
             task_forward(tw, pair, "task"), net_forward(common, pair, mode="eval")
@@ -355,7 +396,7 @@ class TestAdaptTask:
 
     def test_beta_zero_ignores_input(self, rng):
         common = build_network("gcb", seed=5)
-        tw = make_task_weights(common, "task", 0.0, unique_init="common")
+        tw = make_task_weights(common, "task", 0.0)
         out1 = task_forward(tw, random_pair(rng, 16, 16), "task")
         out2 = task_forward(tw, random_pair(rng, 16, 16), "task")
         np.testing.assert_array_equal(out1, out2)
