@@ -21,10 +21,8 @@ from .image import (  # noqa: F401
     ImageGray,
     ImagePair,
     Task,
-    extract_patches,
     filter2_same,
     load_pgm,
-    resize_bilinear,
     save_pgm,
 )
 from .metrics import (  # noqa: F401

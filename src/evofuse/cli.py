@@ -16,7 +16,7 @@ from .bench import BenchProtocol, profile_arch, run_benchmark
 from .errors import EvoFuseError
 from .evolution import evaluate_candidates, save_bank, select_optimal
 from .fusion import FusionCandidate, REGISTRY, run_bank
-from .image import ImagePair, Task, load_image, load_pairs, save_pgm
+from .image import ImagePair, Task, load_pairs, load_pgm, save_pgm
 from .net.arch import BUILTIN_NAMES, builtin_spec, parse_arch_file
 from .net.network import save_weights
 from .niqe import default_niqe_model, fit_niqe_model, load_niqe_model, save_niqe_model
@@ -28,7 +28,7 @@ EXIT_DATA = 3
 
 
 def _load_pair(args) -> ImagePair:
-    return ImagePair(load_image(args.a), load_image(args.b), "cli-pair", Task(args.task))
+    return ImagePair(load_pgm(args.a), load_pgm(args.b), "cli-pair", Task(args.task))
 
 
 def _niqe_from(args):
@@ -53,7 +53,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_eval(args) -> int:
     pair = _load_pair(args)
-    fused = load_image(args.fused)
+    fused = load_pgm(args.fused)
     candidate = FusionCandidate("cli", fused)
     evaluate_candidates(pair, [candidate], _niqe_from(args))
     print(json.dumps(dataclasses.asdict(candidate.scores), indent=2))
@@ -84,7 +84,7 @@ def cmd_select(args) -> int:
 
 def cmd_niqe_fit(args) -> int:
     corpus_dir = Path(args.corpus)
-    images = [load_image(p) for p in sorted(corpus_dir.glob("*.pgm"))]
+    images = [load_pgm(p) for p in sorted(corpus_dir.glob("*.pgm"))]
     model = fit_niqe_model(images)
     save_niqe_model(model, args.out)
     print(f"fitted on {len(images)} images -> {args.out}")

@@ -1,4 +1,4 @@
-"""Grayscale image container, binary PGM I/O, resampling and filter primitives.
+"""Grayscale image container, binary PGM I/O, patch tiling and filter primitives.
 
 Intensities live in [0, 1] as float64. Quantization to 8-bit levels uses
 round-half-up so files and histograms are reproducible across platforms.
@@ -24,9 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, IoError, ParseError, RangeError, TruncationError
-
-# ITU-R BT.601 luma coefficients, applied when importing color sources.
-BT601_LUMA = (0.299, 0.587, 0.114)
 
 
 def quantize8(values):
@@ -75,11 +72,6 @@ class ImageGray:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-    def allclose(self, other: "ImageGray", tol: float = 1e-9) -> bool:
-        if self.shape != other.shape:
-            return False
-        return bool(np.max(np.abs(self.data - other.data)) <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +139,10 @@ def load_pgm(path) -> ImageGray:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    # the magic is checked before the header tokens, so that a file in
+    # another format (PNG, JPEG) is named as such and not as a bad header
+    if not blob.startswith(b"P5"):
+        raise ParseError(f"unsupported magic {blob[:2]!r}, expected P5")
     tokens, offset = _header_tokens(blob)
     if tokens[0] != b"P5":
         raise ParseError(f"unsupported magic {tokens[0]!r}, expected P5")
@@ -177,34 +173,6 @@ def save_pgm(img: ImageGray, path) -> None:
         raise IoError(str(exc)) from exc
 
 
-def rgb_to_gray(rgb) -> np.ndarray:
-    """BT.601 luma of an (h, w, 3) array; uint8 inputs are scaled to [0, 1]."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise DimensionError(f"expected (h, w, 3) color array, got {arr.shape}")
-    arr = arr.astype(np.float64)
-    if arr.max() > 1.0:
-        arr = arr / 255.0
-    return np.clip(arr @ np.asarray(BT601_LUMA), 0.0, 1.0)
-
-
-def load_image(path) -> ImageGray:
-    """PGM natively; other formats through the optional Pillow adapter."""
-    p = Path(path)
-    if p.suffix.lower() in (".pgm", ".pnm"):
-        return load_pgm(p)
-    try:
-        from PIL import Image  # optional adapter, never the reference path
-    except ImportError as exc:
-        raise IoError(f"Pillow is required to read {p.suffix} files") from exc
-    try:
-        with Image.open(p) as im:
-            rgb = np.asarray(im.convert("RGB"))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    return ImageGray(rgb_to_gray(rgb))
-
-
 def load_pairs(directory, task: Task = Task.IR_VISIBLE) -> list[ImagePair]:
     """Load ``<id>_a.pgm`` / ``<id>_b.pgm`` pairs from a directory, sorted by id."""
     root = Path(directory)
@@ -221,57 +189,19 @@ def load_pairs(directory, task: Task = Task.IR_VISIBLE) -> list[ImagePair]:
 
 
 # ---------------------------------------------------------------------------
-# Resampling and patch extraction
+# Patch tiling
 # ---------------------------------------------------------------------------
 
 
-def resize_bilinear(img: ImageGray, out_w: int, out_h: int) -> ImageGray:
-    """Bilinear resample with half-pixel-center coordinate mapping."""
-    if out_w < 1 or out_h < 1:
-        raise DimensionError(f"target size must be >= 1, got {out_w}x{out_h}")
-    src = img.data
-    h, w = src.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.intp)
-    x0 = np.floor(xs).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    out = (
-        (1.0 - fy) * (1.0 - fx) * src[np.ix_(y0, x0)]
-        + (1.0 - fy) * fx * src[np.ix_(y0, x1)]
-        + fy * (1.0 - fx) * src[np.ix_(y1, x0)]
-        + fy * fx * src[np.ix_(y1, x1)]
-    )
-    return ImageGray(np.clip(out, 0.0, 1.0))
-
-
-def tile_grid(height: int, width: int, size: int, stride: int) -> list[tuple[int, int]]:
+def tile_grid(height: int, width: int, size: int) -> list[tuple[int, int]]:
     """Top-left corners of the aligned patch tiling; tail rows/cols are dropped."""
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
     if size > height or size > width:
         raise DimensionError(f"patch size {size} exceeds image {height}x{width}")
     return [
         (y, x)
-        for y in range(0, height - size + 1, stride)
-        for x in range(0, width - size + 1, stride)
+        for y in range(0, height - size + 1, size)
+        for x in range(0, width - size + 1, size)
     ]
-
-
-def extract_patches(pair: ImagePair, size: int = 128, stride: int = 128) -> list[ImagePair]:
-    """Co-located patches from both sources.
-
-    Patch count is (floor((H-size)/stride)+1) * (floor((W-size)/stride)+1).
-    """
-    out = []
-    for y, x in tile_grid(pair.height, pair.width, size, stride):
-        sub_a = ImageGray(pair.a.data[y : y + size, x : x + size])
-        sub_b = ImageGray(pair.b.data[y : y + size, x : x + size])
-        out.append(ImagePair(sub_a, sub_b, f"{pair.pair_id}:{y}+{x}", pair.task))
-    return out
 
 
 # ---------------------------------------------------------------------------

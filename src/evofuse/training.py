@@ -111,7 +111,7 @@ def loss_to_optimal(pred: np.ndarray, optimal) -> tuple[float, np.ndarray]:
     """Loss of a (n, 1, h, w) prediction against the stored optimal image."""
     target = optimal.data if isinstance(optimal, ImageGray) else np.asarray(optimal)
     if target.ndim == 2:
-        target = np.broadcast_to(target[None, None], pred.shape)
+        target = np.broadcast_to(target, pred.shape[:-2] + target.shape)
     return _quality_loss(pred, target)
 
 
@@ -186,7 +186,7 @@ def _collect_samples(dataset, bank, cfg):
             if entry is None:
                 raise BankMissError(f"no bank entry for pair {pair.pair_id!r}")
             optimal = entry.fused.data
-        for y, x in tile_grid(pair.height, pair.width, cfg.patch, cfg.patch):
+        for y, x in tile_grid(pair.height, pair.width, cfg.patch):
             sl = (slice(y, y + cfg.patch), slice(x, x + cfg.patch))
             xs.append(np.stack([pair.a.data[sl], pair.b.data[sl]]))
             if optimal is not None:

@@ -511,7 +511,7 @@ def niqe_features_oracle(a, patch: int):
     half = patch // 2
     rows = []
     sharp = []
-    for y, x in tile_grid(*a.shape, patch, patch):
+    for y, x in tile_grid(*a.shape, patch):
         f1 = _field_features_oracle(m1[y : y + patch, x : x + patch])
         f2 = _field_features_oracle(m2[y // 2 : y // 2 + half, x // 2 : x // 2 + half])
         rows.append(f1 + f2)

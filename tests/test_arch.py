@@ -206,6 +206,35 @@ conv 64 1 3
             parse_arch_file(path)
         assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
 
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            (
+                "in_channels 0\nstage alpha\nconv 2 64 3\nstage gamma\nconv 64 1 3\n",
+                "in/out channels must be >= 1, got 0/1",
+            ),
+            (
+                "out_channels 3\nstage alpha\nconv 2 64 3\nstage gamma\nconv 64 1 3\n",
+                "gamma produces 1 channels, spec says 3",
+            ),
+            (
+                "stage alpha\nconv 2 4 3\nshuffle 3\nstage gamma\nconv 4 1 3\n",
+                "shuffle groups=3 must divide 4",
+            ),
+            (
+                "conv 2 64 3\nstage alpha\nstage gamma\nconv 64 1 3\n",
+                "line 1: block before any stage directive",
+            ),
+        ],
+        ids=["in-channels-0", "gamma-vs-out-channels", "shuffle-3-on-4", "block-before-stage"],
+    )
+    def test_invalid_spec_is_spec_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.arch"
+        path.write_text(text)
+        with pytest.raises(SpecError, match=match):
+            parse_arch_file(path)
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
+
     def test_bad_directive(self, tmp_path):
         path = tmp_path / "bad.arch"
         path.write_text("stage alpha\nwarp 9000\n")

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ def test_missing_file_gives_data_error(tmp_path, capsys):
     rc = main(["fuse", "--algo", "avg", "--a", str(tmp_path / "missing.pgm"),
                "--b", str(tmp_path / "missing.pgm"), "--out", str(tmp_path / "o.pgm")])
     assert rc == 3
+
+
+def _png_chunk(tag, body):
+    return len(body).to_bytes(4, "big") + tag + body + zlib.crc32(tag + body).to_bytes(4, "big")
+
+
+def test_non_pgm_input_names_the_magic(tmp_path, capsys):
+    # a valid 2x2 gray PNG: read as a PGM header, it fails on the whitespace
+    # after maxval unless the magic is checked first
+    png = tmp_path / "x.png"
+    png.write_bytes(
+        b"\x89PNG\r\n\x1a\n"
+        + _png_chunk(b"IHDR", (2).to_bytes(4, "big") * 2 + bytes([8, 0, 0, 0, 0]))
+        + _png_chunk(b"IDAT", zlib.compress(b"\x00\x00\x01" * 2))
+        + _png_chunk(b"IEND", b"")
+    )
+    rc = main(["select", "--a", str(png), "--b", str(png)])
+    assert rc == 3
+    assert "magic" in capsys.readouterr().err
+
+
+def test_train_cli_rejects_data_without_pairs(tmp_path, capsys):
+    rc = main(["train", "--spec", "gcb", "--data", str(tmp_path), "--out", str(tmp_path / "net.aenw")])
+    assert rc == 3
+    assert "no *_a.pgm/*_b.pgm pairs" in capsys.readouterr().err
+    assert not (tmp_path / "net.aenw").exists()
 
 
 def test_usage_error_exit_code():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evofuse import metrics, niqe
-from evofuse.errors import DimensionError, EmptyInputError, NotEvaluatedError, ParseError
+from evofuse.errors import DimensionError, EmptyInputError, IoError, NotEvaluatedError, ParseError
 from evofuse.evolution import (
     SolutionBank,
     evaluate_candidates,
@@ -370,6 +370,10 @@ class TestBankPersistence:
         (root / "manifest.txt").write_text("pair\tavg\t0.5x\tpair.pgm\n")
         with pytest.raises(ParseError, match="manifest.txt:1: bad combined value '0.5x'"):
             load_bank(root)
+
+    def test_missing_manifest_is_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="no manifest at"):
+            load_bank(tmp_path)
 
     def test_non_utf8_manifest_is_parse_error(self, tmp_path):
         root = tmp_path / "bank"

@@ -3,24 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evofuse.errors import DimensionError, ParseError, RangeError, TruncationError
+from evofuse.errors import DimensionError, IoError, ParseError, RangeError, TruncationError
 from evofuse.image import (
     ImageGray,
     ImagePair,
-    extract_patches,
     filter2_same,
     gaussian_taps,
+    load_pairs,
     load_pgm,
     quantize8,
-    resize_bilinear,
-    rgb_to_gray,
     save_pgm,
     separable_filter,
     separable_filter_adjoint,
     tile_grid,
 )
 
-from conftest import random_image, random_pair
+from conftest import random_image
 from oracles import gaussian_kernel
 
 
@@ -118,71 +116,41 @@ class TestPgm:
         assert np.max(np.abs(load_pgm(path).data - img.data)) <= 1.0 / 510.0 + 1e-15
 
 
-class TestResize:
-    def test_constant_stays_constant(self):
-        img = ImageGray(np.full((5, 7), 0.37))
-        out = resize_bilinear(img, 13, 3)
-        assert out.shape == (3, 13)
-        np.testing.assert_allclose(out.data, 0.37, atol=1e-12)
+class TestLoadPairs:
+    def test_file_is_not_a_directory(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        save_pgm(ImageGray(np.zeros((2, 2))), path)
+        with pytest.raises(IoError, match="not a directory"):
+            load_pairs(path)
 
-    def test_same_size_is_identity(self):
-        img = ImageGray(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        out = resize_bilinear(img, 2, 2)
-        np.testing.assert_array_equal(out.data, img.data)
+    def test_lone_a_names_missing_b(self, tmp_path):
+        save_pgm(ImageGray(np.zeros((2, 2))), tmp_path / "p_a.pgm")
+        with pytest.raises(IoError, match="p_b.pgm"):
+            load_pairs(tmp_path)
 
-    def test_half_pixel_mapping_2x1_to_4x1(self):
-        # sample centers map to source x = [-0.25, 0.25, 0.75, 1.25], clamped
-        img = ImageGray(np.array([[0.0, 1.0]]))
-        out = resize_bilinear(img, 4, 1)
-        np.testing.assert_allclose(out.data.ravel(), [0.0, 0.25, 0.75, 1.0], atol=1e-12)
 
-    def test_rejects_empty_target(self, rng):
+class TestTiling:
+    def test_exact_tiling(self):
+        assert tile_grid(256, 256, 128) == [(0, 0), (0, 128), (128, 0), (128, 128)]
+
+    def test_single_patch_equals_input(self):
+        assert tile_grid(128, 128, 128) == [(0, 0)]
+
+    def test_tail_dropped(self):
+        assert tile_grid(300, 300, 128) == [(0, 0), (0, 128), (128, 0), (128, 128)]
+
+    def test_oversize_patch_rejected(self):
         with pytest.raises(DimensionError):
-            resize_bilinear(random_image(rng), 0, 4)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 24), st.integers(1, 24))
-    def test_output_within_input_bounds(self, seed, out_w, out_h):
-        rng = np.random.default_rng(seed)
-        img = random_image(rng, 9, 11)
-        out = resize_bilinear(img, out_w, out_h)
-        assert out.data.min() >= img.data.min() - 1e-9
-        assert out.data.max() <= img.data.max() + 1e-9
-
-
-class TestPatches:
-    def test_exact_tiling(self, rng):
-        pair = random_pair(rng, 256, 256)
-        assert len(extract_patches(pair, 128, 128)) == 4
-
-    def test_single_patch_equals_input(self, rng):
-        pair = random_pair(rng, 128, 128)
-        patches = extract_patches(pair, 128, 128)
-        assert len(patches) == 1
-        np.testing.assert_array_equal(patches[0].a.data, pair.a.data)
-
-    def test_tail_dropped(self, rng):
-        pair = random_pair(rng, 300, 300)
-        assert len(extract_patches(pair, 128, 128)) == 4
-
-    def test_oversize_patch_rejected(self, rng):
-        with pytest.raises(DimensionError):
-            extract_patches(random_pair(rng, 64, 64), 128, 128)
+            tile_grid(64, 64, 128)
 
     @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(1, 64),
-        st.integers(1, 64),
-        st.integers(1, 64),
-        st.integers(1, 16),
-    )
-    def test_count_matches_closed_form(self, h, w, size, stride):
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64))
+    def test_count_matches_closed_form(self, h, w, size):
         if size > h or size > w:
             with pytest.raises(DimensionError):
-                tile_grid(h, w, size, stride)
+                tile_grid(h, w, size)
             return
-        expected = ((h - size) // stride + 1) * ((w - size) // stride + 1)
-        assert len(tile_grid(h, w, size, stride)) == expected
+        assert len(tile_grid(h, w, size)) == (h // size) * (w // size)
 
 
 class TestFilter2:
@@ -237,10 +205,3 @@ def test_quantize8_round_half_up():
     assert quantize8(np.array([0.0]))[0] == 0
     assert quantize8(np.array([1.0]))[0] == 255
 
-
-def test_rgb_to_gray_luma():
-    rgb = np.zeros((1, 1, 3))
-    rgb[0, 0] = (1.0, 0.0, 0.0)
-    assert abs(rgb_to_gray(rgb)[0, 0] - 0.299) < 1e-12
-    rgb[0, 0] = (1.0, 1.0, 1.0)
-    assert abs(rgb_to_gray(rgb)[0, 0] - 1.0) < 1e-12

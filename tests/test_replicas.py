@@ -1,5 +1,6 @@
 """The NumPy replicas of SciPy's filters, gamma and expit give SciPy's bits,
-and the runtime never imports SciPy: it is the tests' oracle only."""
+and the runtime never imports SciPy: it is the tests' oracle only. Nor does
+the runtime import any other package beyond NumPy."""
 
 import os
 import subprocess
@@ -131,6 +132,14 @@ CHILD = """
 import sys
 from pathlib import Path
 
+# numpy.random loads lazily; its Cython extensions add the top-level
+# modules cython_runtime and _cython_<version>, which belong to NumPy
+import numpy, numpy.random
+
+def top_level_packages():
+    return {m.partition(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
+
+with_numpy = top_level_packages()
 import evofuse, evofuse.cli
 
 def scipy_modules():
@@ -150,6 +159,7 @@ save_pgm(pair.b, data / "b.pgm")
 assert evofuse.cli.main(["select", "--a", str(data / "a.pgm"), "--b", str(data / "b.pgm")]) == 0
 bank = init_bank([pair], default_niqe_model())
 train("gcb", [pair], bank, TrainConfig(phases=((0.001, 1),), batch_size=4, patch=32))
+print(sorted(top_level_packages() - with_numpy - {"evofuse"}))
 print(after_import, scipy_modules())
 """
 
@@ -161,4 +171,6 @@ def test_runtime_never_imports_scipy(tmp_path):
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[] []"
+    *_, added, scipy = done.stdout.splitlines()
+    assert added == "[]", f"the runtime imports packages beyond NumPy: {added}"
+    assert scipy == "[] []"

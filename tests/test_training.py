@@ -66,6 +66,10 @@ class TestLossToOptimal:
         fd = finite_diff_grad(lambda: loss_to_optimal(pred, target)[0], pred, h=1e-3)
         assert relative_err(fd, grad, floor=1e-7) < 1e-3
 
+    def test_size_mismatch_is_dimension_error(self, rng):
+        with pytest.raises(DimensionError):
+            loss_to_optimal(rng.random((2, 1, 12, 12)), random_image(rng, 16, 16))
+
 
 class TestSupervisedLoss:
     def test_zero_when_pred_equals_both(self, rng):
@@ -263,6 +267,10 @@ class TestSettings:
             ({"seed": -1}, "seed must be >= 0"),
             ({"checkpoint_every": -2}, "checkpoint_every must be >= 0"),
             ({"checkpoint_every": 1}, "needs a checkpoint_dir"),
+            ({"phases": ((0.0, 2),)}, "learning rate must be > 0, got 0.0"),
+            ({"phases": ((0.001, 0),)}, "epochs must be >= 1, got 0"),
+            ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+            ({"loss_kind": "l1"}, "unknown loss_kind 'l1'"),
         ],
     )
     def test_config_rejects(self, kw, match):
