@@ -168,6 +168,8 @@ def run_benchmark(
     protocol = protocol or BenchProtocol()
     if pairs is None:
         pairs = toy_pairs(n=3, size=96, seed=protocol.seed)
+    if not pairs:
+        raise EmptyInputError("no evaluation pairs")
     if niqe_model is None:
         from .niqe import default_niqe_model
 

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bench import BenchProtocol, profile_arch, run_benchmark
-from .errors import EvoFuseError
+from .errors import EmptyInputError, EvoFuseError, IoError
 from .evolution import evaluate_candidates, save_bank, select_optimal
 from .fusion import FusionCandidate, REGISTRY, run_bank
 from .image import ImagePair, Task, load_pairs, load_pgm, save_pgm
@@ -35,6 +35,13 @@ def _niqe_from(args):
     if getattr(args, "niqe_model", None):
         return load_niqe_model(args.niqe_model)
     return default_niqe_model()
+
+
+def _load_pairs(directory, task: Task = Task.IR_VISIBLE) -> list[ImagePair]:
+    pairs = load_pairs(directory, task)
+    if not pairs:
+        raise EmptyInputError(f"no *_a.pgm/*_b.pgm pairs under {directory}")
+    return pairs
 
 
 def _resolve_spec(name: str):
@@ -84,6 +91,8 @@ def cmd_select(args) -> int:
 
 def cmd_niqe_fit(args) -> int:
     corpus_dir = Path(args.corpus)
+    if not corpus_dir.is_dir():
+        raise IoError(f"not a directory: {corpus_dir}")
     images = [load_pgm(p) for p in sorted(corpus_dir.glob("*.pgm"))]
     model = fit_niqe_model(images)
     save_niqe_model(model, args.out)
@@ -102,9 +111,7 @@ def cmd_train(args) -> int:
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,
     )
-    pairs = load_pairs(args.data, Task(args.task))
-    if not pairs:
-        raise EvoFuseError(f"no *_a.pgm/*_b.pgm pairs under {args.data}")
+    pairs = _load_pairs(args.data, Task(args.task))
     curve = []
     params, bank = evolve(
         _resolve_spec(args.spec),
@@ -126,7 +133,7 @@ def cmd_train(args) -> int:
 def cmd_bench(args) -> int:
     protocol = BenchProtocol(image_size=args.size, trials=args.trials)
     methods = args.methods.split(",")
-    pairs = load_pairs(args.pairs) if args.pairs else None
+    pairs = _load_pairs(args.pairs) if args.pairs else None
     niqe = _niqe_from(args)
     csv_path, json_path = run_benchmark(methods, protocol, args.out, pairs, niqe)
     print(f"wrote {csv_path} and {json_path}")

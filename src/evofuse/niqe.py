@@ -226,7 +226,6 @@ def load_niqe_model(path) -> NiqeModel:
 
 @lru_cache(maxsize=1)
 def default_niqe_model() -> NiqeModel:
-    """Deterministic fallback model fitted on synthetic 1/f-noise imagery."""
-    from .synth import pristine_corpus
-
-    return fit_niqe_model(pristine_corpus())
+    """Fallback model: ``fit_niqe_model(synth.pristine_corpus())`` on synthetic
+    1/f-noise imagery, shipped as ``default_model.niqe`` instead of refitted."""
+    return load_niqe_model(Path(__file__).with_name("default_model.niqe"))
