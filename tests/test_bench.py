@@ -144,6 +144,11 @@ class TestRunBenchmark:
         with pytest.raises(EmptyInputError):
             run_benchmark([], BenchProtocol(image_size=32, trials=2), tmp_path)
 
+    def test_empty_pairs_rejected_before_timing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("evofuse.bench.time_method", lambda *a, **k: pytest.fail("timed"))
+        with pytest.raises(EmptyInputError, match="no evaluation pairs"):
+            run_benchmark(["avg"], BenchProtocol(image_size=32, trials=2), tmp_path, pairs=[])
+
 
 @pytest.mark.slow
 def test_gcb_not_slower_than_regular_at_400():

@@ -76,6 +76,14 @@ def test_niqe_fit_cli(tmp_path, capsys):
     assert model_path.exists()
 
 
+def test_niqe_fit_cli_names_missing_corpus(tmp_path, capsys):
+    corpus = tmp_path / "no-such-corpus"
+    rc = main(["niqe-fit", "--corpus", str(corpus), "--out", str(tmp_path / "fit.niqe")])
+    assert rc == 3
+    assert f"not a directory: {corpus}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.niqe").exists()
+
+
 def test_train_cli_writes_weights(tmp_path, niqe_file, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -161,6 +169,17 @@ def test_bench_cli(tmp_path, niqe_file, capsys):
     assert rc == 0
     assert (out / "report.csv").exists()
     assert (out / "report.json").exists()
+
+
+def test_bench_cli_rejects_pairs_dir_without_pairs_first(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("evofuse.bench.time_method", lambda *a, **k: pytest.fail("timed"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rc = main(["bench", "--methods", "avg", "--size", "32", "--trials", "2",
+               "--out", str(tmp_path / "bench"), "--pairs", str(empty)])
+    assert rc == 3
+    assert f"no *_a.pgm/*_b.pgm pairs under {empty}" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
 
 
 def test_profile_cli(capsys):

@@ -1,10 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from evofuse import niqe
+from evofuse import niqe, synth
 from evofuse.errors import DimensionError, FormatError, InsufficientDataError, TruncationError
 from evofuse.fusion import run_bank
 from evofuse.image import ImageGray
@@ -209,3 +213,57 @@ def test_flat_images_score_alike_at_any_level(niqe_model):
     for f, _ in feats[1:]:
         np.testing.assert_array_equal(f, feats[0][0])
     assert len(set(scores)) == 1
+
+
+SHIPPED_MODEL = Path(niqe.__file__).with_name("default_model.niqe")
+REFIT = (
+    "from evofuse.niqe import fit_niqe_model, save_niqe_model; "
+    "from evofuse.synth import pristine_corpus; "
+    "save_niqe_model(fit_niqe_model(pristine_corpus()), {path!r})"
+)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_shipped_default_model_is_the_fit(tmp_path, blas_threads):
+    # the fit is the source of truth: a fresh interpreter at each BLAS thread
+    # count must write the shipped file byte for byte
+    src = str(SHIPPED_MODEL.parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", REFIT.format(path=str(tmp_path / "fit.niqe"))],
+                   env=env, check=True, timeout=120)
+    rewrite = f'PYTHONPATH=src python3 -c "{REFIT.format(path="src/evofuse/default_model.niqe")}"'
+    assert (tmp_path / "fit.niqe").read_bytes() == SHIPPED_MODEL.read_bytes(), (
+        f"{SHIPPED_MODEL.name} differs from the fit; if the fit changed on purpose, "
+        f"rewrite it from the repository root with:\n{rewrite}"
+    )
+
+
+@pytest.fixture
+def uncached_default_model():
+    niqe.default_niqe_model.cache_clear()
+    yield niqe.default_niqe_model
+    niqe.default_niqe_model.cache_clear()
+
+
+def test_default_model_is_loaded_not_fitted(monkeypatch, uncached_default_model):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the default model was fitted")
+
+    monkeypatch.setattr(niqe, "fit_niqe_model", refuse)
+    monkeypatch.setattr(synth, "pristine_corpus", refuse)
+    model, shipped = uncached_default_model(), load_niqe_model(SHIPPED_MODEL)
+    np.testing.assert_array_equal(model.mu_ref, shipped.mu_ref)
+    np.testing.assert_array_equal(model.cov_ref, shipped.cov_ref)
+
+
+def test_package_data_lists_every_shipped_file():
+    # setuptools leaves non-.py files out of a wheel unless package-data names them
+    tomllib = pytest.importorskip("tomllib")
+    package = SHIPPED_MODEL.parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    listed = pyproject["tool"]["setuptools"]["package-data"]["evofuse"]
+    data = [p.relative_to(package).as_posix() for p in package.rglob("*")
+            if p.is_file() and p.suffix not in (".py", ".pyc")]
+    assert "default_model.niqe" in data
+    assert sorted(data) == sorted(listed)
