@@ -10,12 +10,23 @@ per tap. Its backward is one such loop that also forms the weight gradient.
 Batch norm runs every pass over one channel's whole rows of a buffer, border
 included: a zero border adds nothing to the sums, and ``Grid.clear`` zeroes
 the borders it writes again, as it does for the convs.
+
+Inside ``blas_pinned`` (every network call) OpenBLAS runs one thread, and
+long tap loops and batch norms split their columns or channels over as many
+threads as OpenBLAS had; the pieces give the one-piece bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -100,6 +111,69 @@ _BLOCK_ELEMS = 1 << 19
 _STACK_BELOW = 32
 
 
+# tap loops over fewer columns, and batch norms over shorter buffers, run in
+# one piece (a 64 x 64 image spans 4,224 columns at padding 1)
+_SPLIT_MIN = 4096
+_local = threading.local()  # .workers: the split width of this thread's blas_pinned region
+_PIN_LOCK = threading.RLock()
+_POOL = None  # made by the first split, which runs under _PIN_LOCK
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(str(next((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def blas_pinned():
+    """OpenBLAS at 1 thread inside, with as many split workers as it had
+    threads, capped at the CPUs this process may use; both are restored on
+    exit. Callers in other threads wait for the region to end."""
+    get, put = _openblas() or (lambda: 1, lambda threads: None)
+    with _PIN_LOCK:
+        threads, before = get(), getattr(_local, "workers", 1)
+        put(1)
+        _local.workers = min(threads, len(os.sched_getaffinity(0))) if threads > 1 else 1
+        try:
+            yield
+        finally:
+            _local.workers = before
+            put(threads)
+
+
+def _split(fn, total, step, length):
+    """fn(lo, hi) over pieces of [0, total) cut on multiples of step: with w
+    workers (one below _SPLIT_MIN of length), 4 * w pieces that this thread
+    and w - 1 pool workers take in order as each gets free, so that one that
+    gets less CPU takes fewer. Every call has ended when this returns or raises."""
+    global _POOL
+    w = getattr(_local, "workers", 1) if length >= _SPLIT_MIN else 1
+    n = 4 * w if w > 1 else 1
+    cuts = [min(total, -(-total // step) * i // n * step) for i in range(n + 1)]
+    todo = iter([(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+
+    def drain():
+        for piece in todo:
+            fn(*piece)
+
+    if w > 1 and _POOL is None:
+        _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="evofuse-split")
+    futures = [_POOL.submit(drain) for _ in range(w - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def _taps(weight, groups):
     """Tap matrices (k * k / s, groups, cout / groups, s * cin / groups) with
     s taps per matmul: s = 1, or s = k * k for thin inputs."""
@@ -108,6 +182,11 @@ def _taps(weight, groups):
     if cin_g < _STACK_BELOW:
         return per_group.reshape(1, groups, cout // groups, cin_g * k * k)
     return np.ascontiguousarray(per_group.transpose(3, 0, 1, 2))
+
+
+def _block_cols(src, k, wp, rows, stacked):
+    n, groups, c, _ = src.shape
+    return max(wp, _BLOCK_ELEMS // max(rows, n * groups * c * k * k if stacked else 0))
 
 
 def _tap_blocks(src, k, wp, span, rows, stacked):
@@ -119,8 +198,7 @@ def _tap_blocks(src, k, wp, span, rows, stacked):
     elements."""
     n, groups, c, _ = src.shape
     offs = [(t // k) * wp + t % k for t in range(k * k)]
-    stack_rows = n * groups * c * k * k if stacked else 0
-    cols = max(wp, _BLOCK_ELEMS // max(rows, stack_rows))
+    cols = _block_cols(src, k, wp, rows, stacked)
     stack = np.empty((n, groups, c, k * k, min(cols, span))) if stacked else None
     for start in range(0, span, cols):
         stop = min(start + cols, span)
@@ -135,23 +213,51 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
     """acc[..., j] = the sum over taps of tap @ src[..., j + offset], j < span,
     in acc or a new array (none without taps); per column block, + bias and
     ReLU when given. With other, grad[t] += the sum over samples of tap t's
-    slice of src @ other[..., j].T, from the same slices."""
+    slice of src @ other[..., j].T, from the same slices. Split pieces start
+    on multiples of 8 columns, which leaves every column's sum as it was
+    (_tap_products), or with other on the unsplit loop's block bounds, and
+    each block's weight partials are added once every earlier block's are."""
     n, groups, c, _ = src.shape
     if taps is not None and acc is None:
         acc = np.empty((n, groups, taps.shape[2], span))
     rows = sum(a[..., 0].size for a in (acc, other) if a is not None)
-    for start, stop, views in _tap_blocks(src, k, wp, span, rows, k > 1 and c < _STACK_BELOW):
-        if taps is not None:
-            blk = acc[..., start:stop]
-            _tap_products(taps, views, blk)
-            if bias is not None:
-                blk += bias
-            if relu:
-                np.maximum(blk, 0.0, out=blk)
-        if other is not None:
-            part = other[..., start:stop].swapaxes(-1, -2)
-            for out, view in zip(grad, views):
-                out += np.matmul(view, part).sum(axis=0)
+    stacked = k > 1 and c < _STACK_BELOW
+    held, ends, front, lock = {}, {}, [0], threading.Lock()  # by piece start: partials not added, piece end
+
+    def piece(lo, hi):
+        with lock:
+            held[lo] = []
+        for start, stop, views in _tap_blocks(src[..., lo:], k, wp, hi - lo, rows, stacked):
+            start, stop = lo + start, lo + stop
+            if taps is not None:
+                blk = acc[..., start:stop]
+                _tap_products(taps, views, blk)
+                if bias is not None:
+                    blk += bias
+                if relu:
+                    np.maximum(blk, 0.0, out=blk)
+            if other is not None:
+                part = other[..., start:stop].swapaxes(-1, -2)
+                block = [np.matmul(view, part).sum(axis=0) for view in views]
+                with lock:
+                    held[lo].append(block)
+                    add_front()
+        with lock:
+            ends[lo] = hi
+            add_front()
+
+    def add_front():  # adds the held partials of the first pieces, in block order
+        while front[0] in held:
+            for block in held[front[0]]:
+                for out, part in zip(grad, block):
+                    out += part
+            held[front[0]].clear()
+            if front[0] not in ends:
+                return
+            del held[front[0]]
+            front[0] = ends.pop(front[0])
+
+    _split(piece, span, 8 if other is None else _block_cols(src, k, wp, rows, stacked), span)
     return acc
 
 
@@ -269,16 +375,20 @@ def batchnorm_forward(x, scale, shift, running_mean, running_var, mode="eval", o
     mean, var = (np.empty(c), np.empty(c)) if train else (running_mean, running_var)
     inv_std, xc = np.empty(c), np.empty(x.shape)
     out = np.empty(x.shape) if out is None else out
-    for ch, (xs, cs, ys) in enumerate(zip(*map(_channels, (x, xc, out)))):
-        if train:
-            mean[ch] = np.einsum("nl->", xs) / m
-        g.clear(np.subtract(xs, mean[ch], out=cs))
-        if train:
-            var[ch] = np.einsum("nl,nl->", cs, cs) / m
-        inv_std[ch] = 1.0 / np.sqrt(var[ch] + BN_EPS)
-        np.multiply(cs, scale[ch] * inv_std[ch], out=ys)
-        ys += shift[ch]
-        g.clear(ys)
+
+    def channels(lo, hi):
+        for ch, (xs, cs, ys) in enumerate(zip(*(_channels(a)[lo:hi] for a in (x, xc, out))), lo):
+            if train:
+                mean[ch] = np.einsum("nl->", xs) / m
+            g.clear(np.subtract(xs, mean[ch], out=cs))
+            if train:
+                var[ch] = np.einsum("nl,nl->", cs, cs) / m
+            inv_std[ch] = 1.0 / np.sqrt(var[ch] + BN_EPS)
+            np.multiply(cs, scale[ch] * inv_std[ch], out=ys)
+            ys += shift[ch]
+            g.clear(ys)
+
+    _split(channels, c, 1, g.size)
     for running, batch in ((running_mean, mean), (running_var, var)) if train else ():
         running *= BN_MOMENTUM
         running += (1.0 - BN_MOMENTUM) * batch
@@ -295,16 +405,20 @@ def batchnorm_backward(grad_out, scale, cache, out=None):
     # with c = scale * inv_std / m and xhat = xc * inv_std per channel:
     # grad_x = c * (m * grad_out - grad_shift - xhat * grad_scale)
     c = scale * inv_std / m
-    for ch, (gy, cs, gx) in enumerate(zip(*map(_channels, (grad_out, xc, grad_x)))):
-        grad_scale[ch] = np.einsum("nl,nl->", gy, cs) * inv_std[ch]
-        grad_shift[ch] = np.einsum("nl->", gy)
-        if mode == "eval":
-            np.multiply(gy, scale[ch] * inv_std[ch], out=gx)
-        else:
-            np.multiply(gy, m * c[ch], out=gx)
-            gx -= c[ch] * grad_shift[ch]
-            gx -= np.multiply(cs, c[ch] * grad_scale[ch] * inv_std[ch], out=cs)
-            g.clear(gx)
+
+    def channels(lo, hi):
+        for ch, (gy, cs, gx) in enumerate(zip(*(_channels(a)[lo:hi] for a in (grad_out, xc, grad_x))), lo):
+            grad_scale[ch] = np.einsum("nl,nl->", gy, cs) * inv_std[ch]
+            grad_shift[ch] = np.einsum("nl->", gy)
+            if mode == "eval":
+                np.multiply(gy, scale[ch] * inv_std[ch], out=gx)
+            else:
+                np.multiply(gy, m * c[ch], out=gx)
+                gx -= c[ch] * grad_shift[ch]
+                gx -= np.multiply(cs, c[ch] * grad_scale[ch] * inv_std[ch], out=cs)
+                g.clear(gx)
+
+    _split(channels, len(scale), 1, g.size)
     return grad_x, grad_scale, grad_shift
 
 

@@ -62,6 +62,7 @@ def pair_tensor(pair: ImagePair) -> np.ndarray:
     return np.stack([pair.a.data, pair.b.data])[None]
 
 
+@layers.blas_pinned()
 def _forward(params: NetParams, x, mode: str, keep: bool, head: bool = True):
     """Full forward pass of an ImagePair or (n, c, h, w) array: (out, caches for
     net_backward or None), or without ``head`` the pre-gamma features. The input
@@ -110,6 +111,7 @@ def net_forward(params: NetParams, inputs, mode: str = "eval") -> np.ndarray:
     return _forward(params, inputs, mode, keep=False)[0]
 
 
+@layers.blas_pinned()
 def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bool = True):
     """(grads aligned with trainable_arrays order, grad wrt input); without
     ``_input_grad`` the input gradient is skipped and returned as None."""
