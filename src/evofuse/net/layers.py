@@ -23,7 +23,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,19 +156,23 @@ def _split(fn, total, step, length):
     w = getattr(_local, "workers", 1) if length >= _SPLIT_MIN else 1
     n = 4 * w if w > 1 else 1
     cuts = [min(total, -(-total // step) * i // n * step) for i in range(n + 1)]
-    todo = iter([(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi])
+    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+    todo = iter(pieces)
 
     def drain():
         for piece in todo:
             fn(*piece)
 
-    if w > 1 and _POOL is None:
+    if len(pieces) > 1 and _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor  # here: importing it costs set-up about 5 ms
+
         _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="evofuse-split")
-    futures = [_POOL.submit(drain) for _ in range(w - 1)]
+    futures = [_POOL.submit(drain) for _ in range(min(w, len(pieces)) - 1)]
     try:
         drain()
     finally:
-        wait(futures)
+        for f in futures:
+            f.exception()  # waits for it
     for f in futures:
         f.result()
 
