@@ -225,7 +225,7 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
         acc = np.empty((n, groups, taps.shape[2], span))
     rows = sum(a[..., 0].size for a in (acc, other) if a is not None)
     stacked = k > 1 and c < _STACK_BELOW
-    held, ends, front, lock = {}, {}, [0], threading.Lock()  # by piece start: partials not added, piece end
+    held, ends, front, lock = {}, {}, 0, threading.Lock()  # by piece start: partials not added, piece end
 
     def piece(lo, hi):
         with lock:
@@ -250,15 +250,16 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
             add_front()
 
     def add_front():  # adds the held partials of the first pieces, in block order
-        while front[0] in held:
-            for block in held[front[0]]:
+        nonlocal front
+        while front in held:
+            for block in held[front]:
                 for out, part in zip(grad, block):
                     out += part
-            held[front[0]].clear()
-            if front[0] not in ends:
+            held[front].clear()
+            if front not in ends:
                 return
-            del held[front[0]]
-            front[0] = ends.pop(front[0])
+            del held[front]
+            front = ends.pop(front)
 
     _split(piece, span, 8 if other is None else _block_cols(src, k, wp, rows, stacked), span)
     return acc
