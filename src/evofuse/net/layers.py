@@ -11,9 +11,10 @@ Batch norm runs every pass over one channel's whole rows of a buffer, border
 included: a zero border adds nothing to the sums, and ``Grid.clear`` zeroes
 the borders it writes again, as it does for the convs.
 
-Inside ``blas_pinned`` (every network call) OpenBLAS runs one thread, and
-long tap loops and batch norms split their columns or channels over as many
-threads as OpenBLAS had; the pieces give the one-piece bits.
+Inside ``blas_pinned`` (the calls of a network with a grouped conv, whose
+small per-group matmuls OpenBLAS leaves on one core) OpenBLAS runs one
+thread, and long tap loops and batch norms split their columns or channels
+over as many threads as OpenBLAS had; the pieces give the one-piece bits.
 """
 
 from __future__ import annotations
@@ -131,15 +132,18 @@ def _openblas():
 
 
 @contextmanager
-def blas_pinned():
-    """OpenBLAS at 1 thread inside, with as many split workers as it had
-    threads, capped at the CPUs this process may use; both are restored on
-    exit. Callers in other threads wait for the region to end."""
+def blas_pinned(on=True):
+    """With on, OpenBLAS at 1 thread inside, with as many split workers as it
+    had threads, capped at the CPUs this process may use; both are restored
+    on exit. Callers in other threads wait for the region to end."""
+    if not on:
+        yield
+        return
     get, put = _openblas() or (lambda: 1, lambda threads: None)
     with _PIN_LOCK:
         threads, before = get(), getattr(_local, "workers", 1)
         put(1)
-        _local.workers = min(threads, len(os.sched_getaffinity(0))) if threads > 1 else 1
+        _local.workers = min(threads, len(os.sched_getaffinity(0)))
         try:
             yield
         finally:
@@ -147,34 +151,26 @@ def blas_pinned():
             put(threads)
 
 
-def _split(fn, total, step, length):
-    """fn(lo, hi) over pieces of [0, total) cut on multiples of step: with w
-    workers (one below _SPLIT_MIN of length), 4 * w pieces that this thread
-    and w - 1 pool workers take in order as each gets free, so that one that
-    gets less CPU takes fewer. Every call has ended when this returns or raises."""
+def _split(fn, total, step, size):
+    """[fn(lo, hi) for each piece of [0, total)], in order: one piece per
+    split worker (one in all below _SPLIT_MIN of size), cut on multiples of
+    step as evenly as they allow. This thread runs the first piece and the
+    pool the others; every call has ended when this returns or raises."""
     global _POOL
-    w = getattr(_local, "workers", 1) if length >= _SPLIT_MIN else 1
-    n = 4 * w if w > 1 else 1
-    cuts = [min(total, -(-total // step) * i // n * step) for i in range(n + 1)]
-    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-    todo = iter(pieces)
-
-    def drain():
-        for piece in todo:
-            fn(*piece)
-
+    w = getattr(_local, "workers", 1) if size >= _SPLIT_MIN else 1
+    cuts = [min(total, -(-total // step) * i // w * step) for i in range(w + 1)]
+    pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, total)]
     if len(pieces) > 1 and _POOL is None:
         from concurrent.futures import ThreadPoolExecutor  # here: importing it costs set-up about 5 ms
 
         _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="evofuse-split")
-    futures = [_POOL.submit(drain) for _ in range(min(w, len(pieces)) - 1)]
+    futures = [_POOL.submit(fn, *piece) for piece in pieces[1:]]
     try:
-        drain()
+        first = fn(*pieces[0])
     finally:
         for f in futures:
             f.exception()  # waits for it
-    for f in futures:
-        f.result()
+    return [first] + [f.result() for f in futures]
 
 
 def _taps(weight, groups):
@@ -219,17 +215,16 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
     slice of src @ other[..., j].T, from the same slices. Split pieces start
     on multiples of 8 columns, which leaves every column's sum as it was
     (_tap_products), or with other on the unsplit loop's block bounds, and
-    each block's weight partials are added once every earlier block's are."""
+    the later pieces' weight partials are added after the first's, in block
+    order."""
     n, groups, c, _ = src.shape
     if taps is not None and acc is None:
         acc = np.empty((n, groups, taps.shape[2], span))
     rows = sum(a[..., 0].size for a in (acc, other) if a is not None)
     stacked = k > 1 and c < _STACK_BELOW
-    held, ends, front, lock = {}, {}, 0, threading.Lock()  # by piece start: partials not added, piece end
 
-    def piece(lo, hi):
-        with lock:
-            held[lo] = []
+    def piece(lo, hi):  # the weight partials of each column block, but the first piece's added
+        parts = []
         for start, stop, views in _tap_blocks(src[..., lo:], k, wp, hi - lo, rows, stacked):
             start, stop = lo + start, lo + stop
             if taps is not None:
@@ -241,27 +236,19 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
                     np.maximum(blk, 0.0, out=blk)
             if other is not None:
                 part = other[..., start:stop].swapaxes(-1, -2)
-                block = [np.matmul(view, part).sum(axis=0) for view in views]
-                with lock:
-                    held[lo].append(block)
-                    add_front()
-        with lock:
-            ends[lo] = hi
-            add_front()
+                parts.append([np.matmul(view, part).sum(axis=0) for view in views])
+                if lo == 0:
+                    add(parts.pop())
+        return parts
 
-    def add_front():  # adds the held partials of the first pieces, in block order
-        nonlocal front
-        while front in held:
-            for block in held[front]:
-                for out, part in zip(grad, block):
-                    out += part
-            held[front].clear()
-            if front not in ends:
-                return
-            del held[front]
-            front = ends.pop(front)
+    def add(block):
+        for out, part in zip(grad, block):
+            out += part
 
-    _split(piece, span, 8 if other is None else _block_cols(src, k, wp, rows, stacked), span)
+    step = 8 if other is None else _block_cols(src, k, wp, rows, stacked)
+    for parts in _split(piece, span, step, span):
+        for block in parts:
+            add(block)
     return acc
 
 

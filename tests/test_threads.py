@@ -1,4 +1,5 @@
-"""The split tap and batch-norm loops and the OpenBLAS pin around network calls.
+"""The split tap and batch-norm loops and the OpenBLAS pin around the calls
+of networks with grouped convs.
 
 Split against unsplit must give the same bits; the pin must leave the
 OpenBLAS thread count as it found it, whatever the call does, and with the
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from evofuse.net import layers
-from evofuse.net.arch import BUILTIN_NAMES
+from evofuse.net.arch import BUILTIN_NAMES, builtin_spec, count_groups
 from evofuse.net.network import build_network, net_forward
 from evofuse.training import TrainConfig, train
 
@@ -66,8 +67,9 @@ def split_counts(monkeypatch):
             pieces.append(piece)
             return fn(*piece)
 
-        real(counted, *args)
+        results = real(counted, *args)
         counts.append(len(pieces))
+        return results
 
     monkeypatch.setattr(layers, "_split", spy)
     return counts
@@ -91,8 +93,8 @@ def backwards(monkeypatch):
     def split(fn, *args):
         pieces = []
         real(lambda *piece: pieces.append(piece), *args)
-        for piece in sorted(pieces, reverse=True):
-            fn(*piece)
+        results = {piece: fn(*piece) for piece in sorted(pieces, reverse=True)}
+        return [results[piece] for piece in sorted(pieces)]
 
     def use():
         monkeypatch.setattr(layers, "_split", split)
@@ -115,7 +117,7 @@ def test_split_conv_equals_unsplit(rng, monkeypatch, tiny_splits, backwards, sta
     g, x, gy, weight, bias = conv_case(rng, groups, k)
     assert g.h * g.wp == 55
     results = []
-    for w in (1, 2, 2):  # the last run adds the weight partials of the later pieces first
+    for w in (1, 2, 2):  # the last run runs the later piece first
         if len(results) == 2:
             backwards()
         with workers(w):
@@ -165,6 +167,20 @@ def test_network_calls_run_blas_at_one_thread_and_restore_it(monkeypatch, blas_a
           TrainConfig(phases=((1e-3, 1),), batch_size=1, patch=32, loss_kind="supervised"))
     assert blas_threads() == 2
     assert seen and set(seen) == {1}
+
+
+@needs_pin
+def test_ungrouped_network_calls_run_blas_as_configured(monkeypatch, blas_at_two, split_counts):
+    seen, real = [], layers._tap_products
+
+    def spy(*args):
+        seen.append(blas_threads())
+        return real(*args)
+
+    monkeypatch.setattr(layers, "_tap_products", spy)
+    net_forward(build_network("regular", seed=0), np.random.default_rng(1).random((1, 2, 64, 64)))
+    assert seen and set(seen) == {2}
+    assert split_counts and set(split_counts) == {1}
 
 
 @needs_pin
@@ -252,7 +268,7 @@ def test_caller_threads_restore_the_count(monkeypatch, blas_at_two):
 DIGESTS = """
 import hashlib, json
 import numpy as np
-from evofuse.net.arch import BUILTIN_NAMES
+from evofuse.net.arch import BUILTIN_NAMES, builtin_spec, count_groups
 from evofuse.net.network import build_network, net_backward, net_forward, net_forward_cached
 
 x = np.random.default_rng(7).random((2, 2, 64, 64))
@@ -269,9 +285,14 @@ print(json.dumps(digests))
 """
 
 
+PINNED = [name for name in BUILTIN_NAMES if count_groups(builtin_spec(name)) > 1]
+
+
 @needs_pin
 def test_bits_do_not_depend_on_blas_threads():
-    # at 2x2x64x64 the tap loops span 4,224 columns, so at 2 threads they split
+    # at 2x2x64x64 the tap loops span 4,224 columns, so at 2 threads they
+    # split; an ungrouped network runs OpenBLAS as configured, and inception's
+    # bits still change with its thread count (ROADMAP item 4)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     runs = {}
     for threads in ("1", "2"):
@@ -281,4 +302,5 @@ def test_bits_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr
         runs[threads] = json.loads(done.stdout.splitlines()[-1])
     assert sorted(runs["1"]) == sorted(BUILTIN_NAMES)
-    assert [n for n in BUILTIN_NAMES if runs["1"][n] != runs["2"][n]] == []
+    assert len(PINNED) == 4
+    assert [n for n in PINNED if runs["1"][n] != runs["2"][n]] == []
