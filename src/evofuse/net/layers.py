@@ -3,13 +3,13 @@ activation and gradient lives in.
 
 The public primitives take (n, c, h, w) arrays, strided views included, and
 write into ``out`` when given; backward passes are hand-written and checked
-against finite differences. A conv sums its taps on the padded image
-flattened over rows, one cache-sized column block at a time: thin inputs
-stack all k * k tap slices of a block into one matmul, wider ones run one
-per tap. Its backward is one such loop that also forms the weight gradient.
-Batch norm runs every pass over one channel's whole rows of a buffer, border
-included: a zero border adds nothing to the sums, and ``Grid.clear`` zeroes
-the borders it writes again, as it does for the convs.
+against finite differences. A conv sums its taps on the padded image flattened
+over rows, one cache-sized column block at a time: thin inputs stack all k * k
+tap slices of a block into one matmul, wider ones run one per tap and add the
+later taps' products in place. Its backward is one such loop that also forms
+the weight gradient. Batch norm runs every pass over one channel's whole rows
+of a buffer, border included: a zero border adds nothing to the sums, and
+``Grid.clear`` zeroes the borders it writes again, as it does for the convs.
 
 Inside ``blas_pinned`` (the calls of a network with a grouped conv, whose
 small per-group matmuls OpenBLAS leaves on one core) OpenBLAS runs one
@@ -102,8 +102,11 @@ def _interior(flat, h, w, pad):
 
 # elements of the largest operand per column block of the tap loop (4 MiB);
 # on a 2-core Xeon (4 MiB L2) 2^18-2^20 ran the 3x3 convs at 400x400
-# fastest, 2^16 and a single whole-image block both slower
+# fastest, 2^16 and a single whole-image block both slower. The blocks also
+# set the order in which grad_w is summed: another size gives other trained bits
 _BLOCK_ELEMS = 1 << 19
+
+_GEMM_K = 256  # the widest inner dimension that _tap_products adds in place
 
 # inputs with fewer channels per group than this stack all k * k shifted
 # slices of a column block and run one matmul per block; wider inputs run
@@ -121,14 +124,19 @@ _POOL = None  # made by the first split, which runs under _PIN_LOCK
 
 @functools.cache
 def _openblas():
-    """(get, set) of the thread count of NumPy's bundled OpenBLAS, or None."""
+    """(threads, gemm) of NumPy's bundled OpenBLAS, each None without its
+    symbols: the (get, set) of its thread count, and its CBLAS dgemm."""
     try:
         lib = ctypes.CDLL(str(next((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))))
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-    return get, put
+    except (StopIteration, OSError):
+        lib = None
+    get, put, gemm = (getattr(lib, f"scipy_{name}64_", None)
+                      for name in ("openblas_get_num_threads", "openblas_set_num_threads", "cblas_dgemm"))
+    i, n, f, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    for fn, args, res in ((get, [], i), (put, [i], None), (gemm, [i, i, i, n, n, n, f, p, n, p, n, f, p, n], None)):
+        if fn is not None:
+            fn.argtypes, fn.restype = args, res
+    return (get, put) if None not in (get, put) else None, gemm
 
 
 @contextmanager
@@ -139,7 +147,7 @@ def blas_pinned(on=True):
     if not on:
         yield
         return
-    get, put = _openblas() or (lambda: 1, lambda threads: None)
+    get, put = _openblas()[0] or (lambda: 1, lambda threads: None)
     with _PIN_LOCK:
         threads, before = get(), getattr(_local, "workers", 1)
         put(1)
@@ -255,7 +263,12 @@ def _tap_sum(src, taps, k, wp, span, acc=None, bias=None, relu=False, other=None
 def _tap_products(taps, views, out):
     """out = the sum over taps of tap @ view. OpenBLAS rounds a last partial
     tile of columns its own way, so the last width % 8 go through a zero-padded
-    copy: a column's sum then depends on neither the block nor the layout."""
+    copy: a column's sum then depends on neither the block nor the layout.
+    The later taps add their products into out in place (dgemm, beta = 1),
+    giving out += tap @ view's bits while no dimension is 1 (NumPy runs a
+    one-row product as a gemv, which rounds its own way) and K fits in one
+    OpenBLAS K panel, whose sums it adds to C panel by panel (0.3.31 on
+    SkylakeX matched up to K = 384; _GEMM_K keeps 256)."""
     body = out.shape[-1] // 8 * 8
     if body < out.shape[-1]:
         wide, tail = np.zeros(views[0].shape[:-1] + (8,)), out.shape[-1] - body
@@ -264,8 +277,25 @@ def _tap_products(taps, views, out):
             np.add(out[..., body:] if t else 0.0, (tap @ wide)[..., :tail], out=out[..., body:])
         views, out = [view[..., :body] for view in views], out[..., :body]
     np.matmul(taps[0], views[0], out=out)
-    for tap, view in zip(taps[1:], views[1:]):
-        out += tap @ view
+    if len(taps) > 1 and not _gemm_into(taps[1:], views[1:], out):
+        for tap, view in zip(taps[1:], views[1:]):
+            out += tap @ view
+
+
+def _gemm_into(taps, views, out):
+    """out += tap @ view for each tap (views of one layout), one dgemm per matrix
+    of out's leading axes; False, out untouched, where that may not give NumPy's bits."""
+    gemm, (m, k), n = _openblas()[1], taps.shape[-2:], out.shape[-1]
+    mats = [np.broadcast_to(a, out.shape[:-2] + a.shape[-2:]) for a in (taps[0], views[0], out)]
+    if (gemm is None or min(m, k, n) < 2 or k > _GEMM_K or [a.shape[-2:] for a in mats] != [(m, k), (k, n), (m, n)]
+            or any(a.dtype != np.float64 or a.strides[-1] != 8 or a.strides[-2] < 8 * a.shape[-1] for a in mats)):
+        return False
+    (lda, ldb, ldc), c = (a.strides[-2] // 8 for a in mats), out.ctypes.data
+    offs = [[sum(i * s for i, s in zip(at, a.strides)) for at in np.ndindex(out.shape[:-2])] for a in mats]
+    for tap, view in zip(taps, views):
+        for da, db, dc in zip(*offs):  # row major (101), neither operand transposed (111)
+            gemm(101, 111, 111, m, n, k, 1.0, tap.ctypes.data + da, lda, view.ctypes.data + db, ldb, 1.0, c + dc, ldc)
+    return True
 
 
 def _conv(x, weight, bias, g, stride, groups, shuffle, relu, out):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -27,20 +28,21 @@ from conftest import random_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 
-needs_pin = pytest.mark.skipif(layers._openblas() is None,
+needs_pin = pytest.mark.skipif(layers._openblas()[0] is None,
                                reason="NumPy's OpenBLAS has no thread-count symbol to pin")
+needs_gemm = pytest.mark.skipif(layers._openblas()[1] is None, reason="NumPy's OpenBLAS has no dgemm symbol")
 needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                     reason="a split needs two CPUs this process may use")
 
 
 def blas_threads():
-    return layers._openblas()[0]()
+    return layers._openblas()[0][0]()
 
 
 @pytest.fixture
 def blas_at_two():
     """OpenBLAS at 2 threads for the test, then as it was."""
-    get, put = layers._openblas()
+    get, put = layers._openblas()[0]
     before = get()
     put(2)
     yield
@@ -217,11 +219,62 @@ def no_pin_symbol(monkeypatch):
 
 
 def test_missing_pin_symbol_runs_unsplit_without_a_pool(no_pin_symbol, split_counts):
-    assert layers._openblas() is None
+    assert layers._openblas() == (None, None)
     params = build_network("gcb", seed=0)
     net_forward(params, np.random.default_rng(1).random((1, 2, 64, 64)))  # spans of 4,224 columns
     assert split_counts and set(split_counts) == {1}
     assert layers._POOL is None
+
+
+@pytest.fixture
+def only_symbols(monkeypatch):
+    """load(*features) makes every library load as NumPy's OpenBLAS with only
+    the symbols of those features ("threads", "gemm"); returns the (m, n, k)
+    of each dgemm call."""
+    (get, put), gemm = layers._openblas()
+    calls = []
+    symbols = {"threads": {"scipy_openblas_get_num_threads64_": get, "scipy_openblas_set_num_threads64_": put},
+               "gemm": {"scipy_cblas_dgemm64_": lambda *args: calls.append(args[3:6]) or gemm(*args)}}
+
+    def load(*features):
+        lib = types.SimpleNamespace(**{k: v for f in features for k, v in symbols[f].items()})
+        monkeypatch.setattr(layers.ctypes, "CDLL", lambda path: lib)
+        layers._openblas.cache_clear()
+        return calls
+
+    yield load
+    layers._openblas.cache_clear()
+
+
+def forwards(x):
+    return [net_forward(build_network(name, seed=0), x) for name in ("regular", "m", "gcb")]
+
+
+@needs_pin
+@needs_gemm
+def test_thread_symbols_without_dgemm_still_pin_and_keep_the_bits(only_symbols, blas_at_two):
+    x = np.random.default_rng(1).random((1, 2, 64, 64))
+    want = forwards(x)
+    assert only_symbols("threads") == [] and layers._openblas()[1] is None
+    with layers.blas_pinned():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    for got, one in zip(forwards(x), want):
+        np.testing.assert_array_equal(got, one)
+
+
+@needs_pin
+@needs_gemm
+def test_dgemm_without_thread_symbols_adds_in_place_and_keeps_the_bits(only_symbols, split_counts):
+    x = np.random.default_rng(1).random((1, 2, 64, 64))
+    want = forwards(x)
+    calls = only_symbols("gemm")
+    split_counts.clear()  # want's gcb call split
+    assert layers._openblas()[0] is None
+    for got, one in zip(forwards(x), want):
+        np.testing.assert_array_equal(got, one)
+    assert (64, 4224, 64) in calls  # regular's 64 -> 64 convs, each span in one block
+    assert split_counts and set(split_counts) == {1}  # no pin, so no split
 
 
 @needs_pin
