@@ -106,7 +106,7 @@ def _interior(flat, h, w, pad):
 # set the order in which grad_w is summed: another size gives other trained bits
 _BLOCK_ELEMS = 1 << 19
 
-_GEMM_K = 256  # the widest inner dimension that _tap_products adds in place
+_GEMM_K = 128  # the widest K added in place: the built-ins' widest (m's 128 -> 64 convs)
 
 # inputs with fewer channels per group than this stack all k * k shifted
 # slices of a column block and run one matmul per block; wider inputs run
@@ -267,8 +267,8 @@ def _tap_products(taps, views, out):
     The later taps add their products into out in place (dgemm, beta = 1),
     giving out += tap @ view's bits while no dimension is 1 (NumPy runs a
     one-row product as a gemv, which rounds its own way) and K fits in one
-    OpenBLAS K panel, whose sums it adds to C panel by panel (0.3.31 on
-    SkylakeX matched up to K = 384; _GEMM_K keeps 256)."""
+    OpenBLAS K panel, whose sums it adds to C panel by panel (SkylakeX's held
+    K = 384; other kernels' depth is unmeasured, so K <= _GEMM_K)."""
     body = out.shape[-1] // 8 * 8
     if body < out.shape[-1]:
         wide, tail = np.zeros(views[0].shape[:-1] + (8,)), out.shape[-1] - body

@@ -1,11 +1,16 @@
-"""The split tap and batch-norm loops and the OpenBLAS pin around the calls
-of networks with grouped convs.
+"""The split tap and batch-norm loops, the OpenBLAS pin around the calls
+of networks with grouped convs, and the tap loop's in-place products
+(``layers._gemm_into``: one dgemm with beta = 1 per matrix).
 
 Split against unsplit must give the same bits; the pin must leave the
 OpenBLAS thread count as it found it, whatever the call does, and with the
-pin in place the seeded bits must not depend on OPENBLAS_NUM_THREADS.
+pin in place the seeded bits must not depend on OPENBLAS_NUM_THREADS. Every
+product the in-place route takes must give the bits of ``out += tap @ view``,
+and every product it declines must leave the output as it was. The bit checks
+run in child interpreters with OPENBLAS_NUM_THREADS set before NumPy loads.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -318,12 +323,25 @@ def test_caller_threads_restore_the_count(monkeypatch, blas_at_two):
         np.testing.assert_array_equal(out, want)
 
 
+def run_child(script, threads, *args):
+    """The JSON of the last line a child interpreter prints running script with
+    args, OpenBLAS at threads threads."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 DIGESTS = """
-import hashlib, json
+import hashlib, json, sys
 import numpy as np
-from evofuse.net.arch import BUILTIN_NAMES, builtin_spec, count_groups
+from evofuse.net import layers
+from evofuse.net.arch import BUILTIN_NAMES
 from evofuse.net.network import build_network, net_backward, net_forward, net_forward_cached
 
+if sys.argv[1] == "numpy":  # every tap loop adds its later products as out += tap @ view
+    layers._gemm_into = lambda *args: False
 x = np.random.default_rng(7).random((2, 2, 64, 64))
 digests = {}
 for name in BUILTIN_NAMES:
@@ -338,6 +356,12 @@ print(json.dumps(digests))
 """
 
 
+@functools.cache
+def digests(threads, route="gemm"):
+    """SHA-256 of every built-in's eval and train forward and backward."""
+    return run_child(DIGESTS, threads, route)
+
+
 PINNED = [name for name in BUILTIN_NAMES if count_groups(builtin_spec(name)) > 1]
 
 
@@ -346,14 +370,82 @@ def test_bits_do_not_depend_on_blas_threads():
     # at 2x2x64x64 the tap loops span 4,224 columns, so at 2 threads they
     # split; an ungrouped network runs OpenBLAS as configured, and inception's
     # bits still change with its thread count (ROADMAP item 4)
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    runs = {}
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, "-c", DIGESTS], env=env, capture_output=True,
-                              text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        runs[threads] = json.loads(done.stdout.splitlines()[-1])
+    runs = {threads: digests(threads) for threads in ("1", "2")}
     assert sorted(runs["1"]) == sorted(BUILTIN_NAMES)
     assert len(PINNED) == 4
     assert [n for n in PINNED if runs["1"][n] != runs["2"][n]] == []
+
+
+@needs_gemm
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_builtins_give_the_numpy_lines_bits(threads):
+    gemm, numpy = digests(threads), digests(threads, "numpy")
+    assert sorted(gemm) == sorted(BUILTIN_NAMES)
+    assert [name for name in BUILTIN_NAMES if gemm[name] != numpy[name]] == []
+
+
+PRODUCTS = """
+import json
+import numpy as np
+from evofuse.net import layers
+
+rng = np.random.default_rng(3)
+cap, results = layers._GEMM_K, []
+
+
+def case(name, m, k, cols, n=1, groups=1, shuffled=False, taps=3):
+    # tap t reads the source at offset 5 * t; the destination is columns
+    # [7, 7 + cols) of a buffer of n samples, groups * m channels
+    weights = rng.standard_normal((taps, groups, m, k))
+    src = layers._grouped(rng.standard_normal((n, groups * k, cols + 5 * taps)), groups)
+    views = [src[..., 5 * t : 5 * t + cols] for t in range(taps)]
+    buf = rng.standard_normal((n, groups * m, cols + 11))
+    out = layers._grouped(buf, groups, shuffled)[..., 7 : 7 + cols]
+    want = buf.copy()
+    block = layers._grouped(want, groups, shuffled)[..., 7 : 7 + cols]
+    for tap, view in zip(weights, views):
+        block += tap @ view
+    before = buf.copy()
+    took = layers._gemm_into(weights, views, out)
+    equal = bool(np.array_equal(buf, want if took else before))
+    results.append([name, took, equal])
+
+
+for m in (2, 8, 64):
+    for k in sorted({32, 64, 128, cap}):
+        for cols in (8, 13, 4101):  # 13 and 4,101 end mid-tile
+            case(f"m{m} k{k} cols{cols}", m, k, cols)
+case("k above the cap", 8, cap + 1, 64)
+case("one row", 1, 64, 64)
+case("shuffled grouped batch of 2", 16, 64, 1003, n=2, groups=2, shuffled=True)
+case("grouped batch of 2", 16, 64, 1003, n=2, groups=2)
+print(json.dumps(results))
+"""
+
+
+@needs_gemm
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_in_place_products_give_numpys_bits(threads):
+    results = run_child(PRODUCTS, threads)
+    assert len(results) == 3 * len({32, 64, 128, layers._GEMM_K}) * 3 + 4
+    declined = [name for name, took, _ in results if not took]
+    assert declined == ["k above the cap", "one row"]
+    assert [name for name, _, equal in results if not equal] == []
+
+
+@needs_gemm
+@pytest.mark.parametrize("bad", ["inner dimension", "output rows", "strided columns", "transposed output"])
+def test_operands_blas_cannot_take_are_declined(bad):
+    taps, src, out = np.ones((2, 1, 4, 8)), np.ones((1, 1, 9, 40)), np.zeros((1, 1, 4, 16))
+    views = [src[..., :8, t : t + 16] for t in range(2)]
+    if bad == "inner dimension":
+        views = [src[..., t : t + 16] for t in range(2)]
+    elif bad == "output rows":
+        out = np.zeros((1, 1, 5, 16))
+    elif bad == "strided columns":
+        views = [src[..., :8, t : t + 32 : 2] for t in range(2)]
+    else:
+        out = np.zeros((1, 1, 16, 4)).swapaxes(-1, -2)
+    before = out.copy()
+    assert not layers._gemm_into(taps, views, out)
+    np.testing.assert_array_equal(out, before)
