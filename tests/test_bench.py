@@ -152,7 +152,12 @@ class TestRunBenchmark:
 
 @pytest.mark.slow
 def test_gcb_not_slower_than_regular_at_400():
+    # medians of 5 timed forwards each, interleaved and alternating which runs
+    # first: on a shared host a spell on one CPU covers about 4 forwards, so
+    # one forward each could compare a one-core gcb with a two-core regular
     protocol = BenchProtocol(image_size=400, trials=2, warmup_skip=1)
-    gcb = time_method("gcb", protocol)
-    regular = time_method("regular", protocol)
-    assert gcb.latency_ms_mean <= regular.latency_ms_mean
+    times = {"gcb": [], "regular": []}
+    for i in range(5):
+        for name in sorted(times, reverse=i % 2 == 1):
+            times[name].append(time_method(name, protocol).latency_ms_mean)
+    assert np.median(times["gcb"]) <= np.median(times["regular"]), times
