@@ -11,10 +11,10 @@ the weight gradient. Batch norm runs every pass over one channel's whole rows
 of a buffer, border included: a zero border adds nothing to the sums, and
 ``Grid.clear`` zeroes the borders it writes again, as it does for the convs.
 
-Inside ``blas_pinned`` (the calls of a network with a grouped conv, whose
-small per-group matmuls OpenBLAS leaves on one core) OpenBLAS runs one
-thread, and long tap loops and batch norms split their columns or channels
-over as many threads as OpenBLAS had; the pieces give the one-piece bits.
+Inside ``blas_pinned`` (every network call) OpenBLAS runs one thread, and
+long tap loops and batch norms split their columns or channels over as many
+threads as OpenBLAS had; the pieces give the one-piece bits, so where the pin
+works a network's bits do not depend on the OpenBLAS thread count.
 """
 
 from __future__ import annotations
@@ -140,13 +140,10 @@ def _openblas():
 
 
 @contextmanager
-def blas_pinned(on=True):
-    """With on, OpenBLAS at 1 thread inside, with as many split workers as it
-    had threads, capped at the CPUs this process may use; both are restored
-    on exit. Callers in other threads wait for the region to end."""
-    if not on:
-        yield
-        return
+def blas_pinned():
+    """OpenBLAS at 1 thread inside, with as many split workers as it had
+    threads, capped at the CPUs this process may use; both are restored on
+    exit. Callers in other threads wait for the region to end."""
     get, put = _openblas()[0] or (lambda: 1, lambda threads: None)
     with _PIN_LOCK:
         threads, before = get(), getattr(_local, "workers", 1)

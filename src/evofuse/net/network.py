@@ -66,14 +66,13 @@ def _forward(params: NetParams, x, mode: str, keep: bool, head: bool = True):
     """Full forward pass of an ImagePair or (n, c, h, w) array: (out, caches for
     net_backward or None), or without ``head`` the pre-gamma features. The input
     is padded by the spec's widest conv padding once and the output read back once."""
-    spec, total = params.spec, _spec_total(params.spec, 1, 1)
-    pad = total.border
+    spec, pad = params.spec, _spec_total(params.spec, 1, 1).border
     x = pair_tensor(x) if isinstance(x, ImagePair) else np.asarray(x, dtype=np.float64)
     if mode not in ("train", "eval"):
         raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.ndim != 4 or x.shape[1] != spec.in_channels or 0 in x.shape:
         raise DimensionError(f"expected (n, {spec.in_channels}, h, w) input, n, h, w >= 1, got {x.shape}")
-    with layers.blas_pinned(total.groups > 1):
+    with layers.blas_pinned():
         xf, g_in = layers._flat(x, 2 * pad + 1, pad), layers.Grid(*x.shape[2:], pad)
         a, g, ac = _path_forward(spec.alpha, params.alpha, xf, g_in, mode, keep)
         z, g, bc = _path_forward(spec.beta, params.beta, a, g, mode, keep, a if spec.residual else None)
@@ -119,7 +118,7 @@ def net_backward(params: NetParams, cache, grad_out: np.ndarray, _input_grad: bo
     a_caches, b_caches, g_caches, out, g, g_in = cache
     gy = g.zeros(*out.shape[:2])
     g.inner(gy)[...] = layers.sigmoid_backward(grad_out, out)
-    with layers.blas_pinned(count_groups(spec) > 1):
+    with layers.blas_pinned():
         gz, g_grads = _path_backward(spec.gamma, params.gamma, g_caches, gy)
         # a block's backward may overwrite its gradient: beta gets its own copy
         gh, b_grads = _path_backward(spec.beta, params.beta, b_caches, gz.copy() if spec.residual else gz)

@@ -1,5 +1,5 @@
-"""The split tap and batch-norm loops, the OpenBLAS pin around the calls
-of networks with grouped convs, and the tap loop's in-place products
+"""The split tap and batch-norm loops, the OpenBLAS pin around every
+network call, and the tap loop's in-place products
 (``layers._gemm_into``: one dgemm with beta = 1 per matrix).
 
 Split against unsplit must give the same bits; the pin must leave the
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from evofuse.net import layers
-from evofuse.net.arch import BUILTIN_NAMES, builtin_spec, count_groups
+from evofuse.net.arch import BUILTIN_NAMES
 from evofuse.net.network import build_network, net_forward
 from evofuse.training import TrainConfig, train
 
@@ -177,20 +177,6 @@ def test_network_calls_run_blas_at_one_thread_and_restore_it(monkeypatch, blas_a
 
 
 @needs_pin
-def test_ungrouped_network_calls_run_blas_as_configured(monkeypatch, blas_at_two, split_counts):
-    seen, real = [], layers._tap_products
-
-    def spy(*args):
-        seen.append(blas_threads())
-        return real(*args)
-
-    monkeypatch.setattr(layers, "_tap_products", spy)
-    net_forward(build_network("regular", seed=0), np.random.default_rng(1).random((1, 2, 64, 64)))
-    assert seen and set(seen) == {2}
-    assert split_counts and set(split_counts) == {1}
-
-
-@needs_pin
 @needs_two_cpus
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_a_piece_that_raises_leaves_blas_and_workers_as_they_were(monkeypatch, blas_at_two, where):
@@ -274,7 +260,7 @@ def test_dgemm_without_thread_symbols_adds_in_place_and_keeps_the_bits(only_symb
     x = np.random.default_rng(1).random((1, 2, 64, 64))
     want = forwards(x)
     calls = only_symbols("gemm")
-    split_counts.clear()  # want's gcb call split
+    split_counts.clear()  # want's calls split
     assert layers._openblas()[0] is None
     for got, one in zip(forwards(x), want):
         np.testing.assert_array_equal(got, one)
@@ -362,18 +348,12 @@ def digests(threads, route="gemm"):
     return run_child(DIGESTS, threads, route)
 
 
-PINNED = [name for name in BUILTIN_NAMES if count_groups(builtin_spec(name)) > 1]
-
-
 @needs_pin
 def test_bits_do_not_depend_on_blas_threads():
-    # at 2x2x64x64 the tap loops span 4,224 columns, so at 2 threads they
-    # split; an ungrouped network runs OpenBLAS as configured, and inception's
-    # bits still change with its thread count (ROADMAP item 4)
+    # at 2x2x64x64 the tap loops span 4,224 columns, so at 2 threads they split
     runs = {threads: digests(threads) for threads in ("1", "2")}
-    assert sorted(runs["1"]) == sorted(BUILTIN_NAMES)
-    assert len(PINNED) == 4
-    assert [n for n in PINNED if runs["1"][n] != runs["2"][n]] == []
+    assert sorted(runs["1"]) == sorted(BUILTIN_NAMES) and len(BUILTIN_NAMES) == 9
+    assert [n for n in BUILTIN_NAMES if runs["1"][n] != runs["2"][n]] == []
 
 
 @needs_gemm
