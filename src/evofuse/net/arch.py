@@ -241,7 +241,8 @@ class UpsampleNearest2(Block):
 
 @dataclass(frozen=True)
 class SkipConcat(Block):
-    """Concat the output of an earlier block of the same path (both written in place)."""
+    """Concat the output of an earlier block of the same path (both written
+    in place); it must have the input's size, unless a pool emptied a side."""
 
     source: int
     holds_output = True
@@ -249,7 +250,10 @@ class SkipConcat(Block):
     def shape(self, c, h, w, outs):
         if not 0 <= self.source < len(outs):
             raise SpecError(f"skip source {self.source} out of range")
-        return Shape(c + outs[self.source].c, h, w)
+        src = outs[self.source]
+        if (src.h, src.w) != (h, w) and min(h, w, src.h, src.w) > 0:
+            raise SpecError(f"skip source is {src.h}x{src.w}, not {h}x{w}")
+        return Shape(c + src.c, h, w)
 
     def forward(self, p, x, g, out, mode, keep):
         return x.shape[1]
@@ -391,7 +395,9 @@ def _total(shapes: list[Shape]) -> Shape:
 def _stage_shapes(spec: ArchSpec, h: int, w: int) -> list[list[Shape]]:
     """The walk of each stage at network input h x w. A stage starts from
     the output of the one before (a residual beta keeps its input's size),
-    and is walked on its own: ``cat`` indices are local to their stage."""
+    and is walked on its own: ``cat`` indices are local to their stage. At
+    0 x 0 every size is 0, so that walk gives the channels and parameter
+    counts of any spec that parses."""
     walks = [[Shape(spec.in_channels, h, w)]]
     for blocks in spec.stages:
         walks.append(_path_shapes(blocks, *walks[-1][-1][:3]))
@@ -412,7 +418,7 @@ def _absorb(blocks, plist, c, end, scale, shift):
     """A copy of plist (a path with c input channels) whose blocks before end,
     walking back (``Block.absorb``), take the affine on block end - 1's output;
     None when one refuses it, none is left, or a SkipConcat reads one it changes."""
-    shapes, sources, plist = _path_shapes(blocks, c, 1, 1), set(_skips(blocks).values()), list(plist)
+    shapes, sources, plist = _path_shapes(blocks, c, 0, 0), set(_skips(blocks).values()), list(plist)
     for i in range(end - 1, -1, -1):
         got = None if i in sources else blocks[i].absorb(plist[i], shapes[i].c, scale, shift)
         if got is None:
@@ -490,9 +496,6 @@ def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
     n, skips, x0 = len(x), _skips(blocks), x
     shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
     grids = [Grid(s.h, s.w, g.p) for s in shapes]
-    for r, s in skips.items():
-        if grids[r] != grids[s + 1]:
-            raise DimensionError(f"skip source is {grids[s + 1].h}x{grids[s + 1].w}, not {grids[r].h}x{grids[r].w}")
     sources, caches, whole = set(skips.values()), [], {}  # whole: the outputs before the tail that it reads
     infer = mode == "eval" and not keep
     plist, done = _fold_bn(blocks, plist, x.shape[1]) if infer else (plist, set())
@@ -670,7 +673,7 @@ def builtin_spec(name: str, in_channels: int = 2, groups: int = DEFAULT_GROUPS) 
 def count_state(spec: ArchSpec) -> tuple[int, int]:
     """(trainable, non-trainable) parameter counts; trainable covers conv
     weights/biases and BN scale/shift, non-trainable the BN running stats."""
-    total = _spec_total(spec, 1, 1)
+    total = _spec_total(spec, 0, 0)
     return total.params, total.running
 
 
@@ -690,7 +693,7 @@ def count_flops(spec: ArchSpec, h: int, w: int) -> int:
 
 def count_groups(spec: ArchSpec) -> int:
     """Largest conv group count; a depthwise conv counts as ungrouped."""
-    return _spec_total(spec, 1, 1).groups
+    return _spec_total(spec, 0, 0).groups
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _forward(params: NetParams, x, mode: str, keep: bool, head: bool = True):
     """Full forward pass of an ImagePair or (n, c, h, w) array: (out, caches for
     net_backward or None), or without ``head`` the pre-gamma features. The input
     is padded by the spec's widest conv padding once and the output read back once."""
-    spec, pad = params.spec, _spec_total(params.spec, 1, 1).border
+    spec, pad = params.spec, _spec_total(params.spec, 0, 0).border
     x = pair_tensor(x) if isinstance(x, ImagePair) else np.asarray(x, dtype=np.float64)
     if mode not in ("train", "eval"):
         raise RangeError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -92,7 +92,7 @@ def trunk_forward(params: NetParams, x: np.ndarray, mode: str = "eval") -> np.nd
 def head_params(params: NetParams, gamma: list) -> NetParams:
     """The output stage with parameters ``gamma`` as a network on trunk_forward's features."""
     spec = params.spec
-    c = _stage_shapes(spec, 1, 1)[2][0].c  # gamma's input channels
+    c = _stage_shapes(spec, 0, 0)[2][0].c  # gamma's input channels
     return NetParams(ArchSpec(spec.name, c, spec.out_channels, (), (), spec.gamma, False), [], [], gamma)
 
 

@@ -198,6 +198,17 @@ conv 64 1 3
             parse_arch_file(path)
         assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
 
+    def test_skip_of_another_size_is_spec_error(self, tmp_path, capsys):
+        head, gamma = "residual 0\nstage alpha\nconv 2 8 3\nstage beta\n", "stage gamma\nconv 16 1 3\n"
+        path = tmp_path / "cat.arch"
+        path.write_text(f"{head}conv 8 8 3\npool\ncat 0\n{gamma}")
+        with pytest.raises(SpecError, match="block 2: skip source is 64x64, not 32x32"):
+            parse_arch_file(path)
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
+        # a stride-2 conv and an upsample give the source's size back
+        path.write_text(f"{head}relu\nconv 8 8 3 1 2\nup\ncat 0\n{gamma}")
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 0
+
     @pytest.mark.parametrize("beta", ["conv 64 64 3 1 2", "pool", "up"])
     def test_residual_beta_must_keep_spatial_size(self, tmp_path, beta):
         path = tmp_path / "strided.arch"
