@@ -6,7 +6,7 @@ init, parameter arrays, and one forward and one backward route on
 padded-flat buffers (``layers.Grid``). ``shape`` maps an input size to the
 block's ``Shape``: its output size and its own costs. One path walk,
 ``_path_shapes``, chains those, and everything that needs a size or a cost
-reads it: the path driver's buffers, spec checks, the border the network
+reads it: the path driver's step plan, spec checks, the border the network
 input is padded by, and the parameter, FLOP and group counters.
 ``Branch`` runs several paths (tuples of blocks) on one input and
 concatenates their outputs, so separable, Fire and Inception modules are
@@ -15,14 +15,15 @@ macros returning one ``Branch``.
 A spec has three stages: ``alpha`` (first conv block), ``beta`` (the
 replaceable middle module) and ``gamma`` (last conv). When ``residual``
 is set, the beta output is added to its input before gamma, and a sigmoid
-caps the final output to (0, 1). On inference the driver runs the blocks
-after a path's last upsample (``m``'s full-size decoder) in bands of rows,
-so that their activations never exist whole; a residual beta adds each
-band into its input, alpha's output, which those blocks never read.
+caps the final output to (0, 1). A path runs as a flat list of steps
+(``_plan``: a block, the blocks it takes over and the buffer it writes);
+on inference those after its last upsample (``m``'s full-size decoder)
+run once per band of rows, so that their activations never exist whole.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -274,25 +275,23 @@ class Branch(Block):
     def init(self, rng):
         return [[blk.init(rng) for blk in path] for path in self.paths]
 
-    def forward(self, p, x, g, out, mode, keep):  # each path writes its channels of out
-        caches, start = [], 0
+    def forward(self, p, x, g, out, mode, keep):  # each path writes the next channels of out
+        caches = []
         for path, pp in zip(self.paths, p):
-            width = _path_shapes(path, x.shape[1], g.h, g.w)[-1].c
-            part = out[:, start : start + width]
-            caches.append((width, _path_forward(path, pp, x, g, mode, keep, part)[2]))
-            start += width
+            y, _, path_caches = _path_forward(path, pp, x, g, mode, keep, out)
+            caches.append((y.shape[1], path_caches))
+            out = out[:, y.shape[1] :]
         return caches
 
     def backward(self, p, cache, gy, want_x):
-        gx, grads, start = 0.0, [], 0
+        gx, grads = 0.0, []
         for path, pp, (width, caches) in zip(self.paths, p, cache):
-            g, path_grads = _path_backward(path, pp, caches, gy[:, start : start + width])
-            gx, start = gx + g, start + width
-            grads += path_grads
+            g, path_grads = _path_backward(path, pp, caches, gy[:, :width])
+            gx, gy, grads = gx + g, gy[:, width:], grads + path_grads
         return gx, grads
 
     def arrays(self, p, with_running):
-        return [a for path, pp in zip(self.paths, p) for a in _path_arrays(path, pp, with_running)]
+        return [a for path, pp in zip(self.paths, p) for blk, q in zip(path, pp) for a in blk.arrays(q, with_running)]
 
     def absorb(self, p, c, scale, shift):  # each path takes its channels' share, or none does
         ends = np.cumsum([0] + [_path_shapes(path, c, 1, 1)[-1].c for path in self.paths])
@@ -409,11 +408,6 @@ def _spec_total(spec: ArchSpec, h: int, w: int) -> Shape:
     return _total([s for walk in _stage_shapes(spec, h, w) for s in walk])
 
 
-def _path_arrays(blocks, plist, with_running: bool) -> list[np.ndarray]:
-    """Parameter tensors in fixed traversal order."""
-    return [a for blk, p in zip(blocks, plist) for a in blk.arrays(p, with_running)]
-
-
 def _absorb(blocks, plist, c, end, scale, shift):
     """A copy of plist (a path with c input channels) whose blocks before end,
     walking back (``Block.absorb``), take the affine on block end - 1's output;
@@ -445,21 +439,19 @@ def _fold_bn(blocks, plist, c):
     return plist, folded
 
 
-def _epilogue(blocks, i, done, sources, relu=True):
-    """(shuffle, relu) after the conv at i, past folded BNs, that its tap loop
-    runs (added to done, so a second call gives the same); a block whose input
-    a SkipConcat reads stops it, and so does a ReLU unless ``relu``."""
-    fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False if relu else None}
+def _epilogue(blocks, i, folded, sources, relu):
+    """((shuffle, relu), last) of the step at block i: the shuffle and, with
+    ``relu``, the ReLU after a conv that its tap loop runs, and the last of
+    them and of the folded BNs after i, stopping at the input of a SkipConcat."""
+    fused = {ChannelShuffle(blocks[i].groups): False, ReLU(): False if relu else None} if blocks[i].epilogue else {}
+    last = i
     for j in range(i + 1, len(blocks)):
-        if j - 1 in sources or not (j in done or fused.get(blocks[j]) is False):
+        if j - 1 in sources or not (j in folded or fused.get(blocks[j]) is False):
             break
         if fused.get(blocks[j]) is False:
             fused[blocks[j]] = True
-            done.update(range(i + 1, j + 1))
-    return tuple(bool(v) for v in fused.values())
-
-
-_FUSED = "fused"  # the cache of a block that the block before it ran
+        last = j
+    return tuple(bool(v) for v in fused.values()), last
 
 
 def _skips(blocks) -> dict:
@@ -480,107 +472,110 @@ def _tail(blocks, shapes, skips):
     return ups[-1], wide[0], shapes[wide[0] + 1].border
 
 
-def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
-    """Run a path on buffer x of grid g into out (or a new buffer): (output,
-    its grid, caches kept with ``keep``); out x itself gets the output added
-    (a residual path). A block writes into its input (if in place and nothing
-    else reads it), its part of a SkipConcat's buffer or a new one. Inference
-    passes (eval without ``keep``) fold BNs into the blocks before them
-    (``_fold_bn``, on every call so that parameter updates count); a conv runs
-    the shuffle, and on inference the ReLU, after it (``_epilogue``). They run
-    the blocks after the last upsample (``_tail``) one band of output rows at
-    a time, from the band's rows of the whole buffers before them, so that no
-    full-size activation of theirs exists whole; they read block outputs
-    only, so x can take the bands. A conv's column sums do not depend on the columns around
-    them (``layers._tap_products``): bands give the bits of the whole pass."""
-    n, skips, x0 = len(x), _skips(blocks), x
-    shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
-    grids = [Grid(s.h, s.w, g.p) for s in shapes]
-    sources, caches, whole = set(skips.values()), [], {}  # whole: the outputs before the tail that it reads
-    infer = mode == "eval" and not keep
-    plist, done = _fold_bn(blocks, plist, x.shape[1]) if infer else (plist, set())
-    tail = _tail(blocks, shapes, skips) if infer else None
-    cut = len(blocks) if tail is None else tail[0]
-    outer = {s for r, s in skips.items() if s < cut < r}
+Step = namedtuple("Step", "i last fused inplace parts source band")  # see _plan
 
-    def plan(grids, cats, dest, top=0):  # buffers of SkipConcats cats and their parts by writer; copies
-        copies = {}
-        for r in sorted(cats, reverse=True):  # a later SkipConcat may hold an earlier's buffer
-            s, c = skips[r], shapes[r].c
-            buf = dest.setdefault(r, grids[r].zeros(n, shapes[r + 1].c))
-            pairs = [(r - 1, buf[:, :c])]
-            if s in whole:
-                buf[:, c:] = grids[r].window(whole[s], top)
-            else:
-                pairs.insert(0, (s, buf[:, c:]))
-            for j, part in pairs:
-                if dest.setdefault(j, part) is not part:
-                    copies.setdefault(j, []).append(part)
-        return copies
 
-    def run(lo, hi, x, g, grids, dest, copies):
-        for i, blk in enumerate(blocks[lo:hi], lo):
-            if i in done:
-                caches.append(_FUSED)
-                continue
-            fused = _epilogue(blocks, i, done, sources, relu=infer) if blk.epilogue else ()
-            last = i  # the fused and folded blocks after it end with its output
-            while last + 1 in done:
-                last += 1
-            y = dest.pop(last, None)  # a planned buffer is held by its readers alone
-            if y is None:
-                own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
-                y = x if blk.inplace and own else grids[i + 1].zeros(n, shapes[last + 1].c)
-            cache = blk.forward(plist[i], x, g, y, mode, keep, *fused)
-            for part in copies.pop(last, ()):
-                part[...] = y
-            if keep:
-                caches.append(cache)
-            if last in outer:
-                whole[last] = y
-            x, g = y, grids[i + 1]
-        return x
-
-    dest = {} if out is None or out is x0 or tail else {len(blocks) - 1: out}
-    x = run(0, cut, x, g, grids, dest, plan(grids, [r for r in skips if r < cut], dest))
-    if tail is None:
-        if out is x0:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
-            x = np.add(x, x0, out=None if keep or x is x0 else x)
-        return x, grids[-1], caches
-    (u, f, h1), full, end = tail, grids[-1], len(blocks)
-    y = out if out is not None else full.zeros(n, shapes[-1].c)
+def _plan(blocks, shapes, folded, infer, keep, n, p):
+    """(steps, passes) of a path's forward at these shapes, n samples and
+    padding p. Step i runs blocks i to last (``_epilogue``) and writes last's
+    output into its input (``inplace``), into the first of its ``parts``
+    (r, lo, hi), channels lo:hi of SkipConcat r's buffer, copying it into the
+    others, or into a new buffer. A pass is (grids by block index, windows,
+    top, rows): the whole-size pass, then on inference with a tail (``_tail``)
+    one per band of output rows [r0, r1), which runs the ``band`` steps so
+    that no full-size activation of theirs exists whole. A band reads block
+    i's input from row r of the buffer before it on grid gi ({i: (gi, r)}),
+    and a source before the tail from row top."""
+    skips, grids = _skips(blocks), [Grid(s.h, s.w, p) for s in shapes]
+    sources, tail = set(skips.values()), _tail(blocks, shapes, skips) if infer else None
+    (u, f, h1), full, parts, steps = tail or (len(blocks), 0, 0), grids[-1], {}, []
+    for r in sorted(skips, reverse=True):  # a later SkipConcat may hold an earlier's buffer
+        s, c = skips[r], shapes[r].c  # a band copies its rows of a source before the tail
+        for j, part in [(s, (r, c, shapes[r + 1].c))] * (not s < u < r) + [(r - 1, (r, 0, c))]:
+            parts.setdefault(j, []).append(part)
+    for i, blk in enumerate(blocks):
+        if not steps or i > steps[-1].last:
+            fused, last = _epilogue(blocks, i, folded, sources, infer)
+            own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
+            steps.append(Step(i, last, fused, blk.inplace and own, parts.get(last, ()), skips.get(i), i >= u))
+    passes = [(grids, {}, 0, None)]
     # a band's output holds about one tap-loop column block (at 1x2x400x400,
     # m ran 5% slower in bands of 10 rows than of 20 to 40)
     step = max(1, layers._BLOCK_ELEMS // (n * shapes[-1].c * full.wp))
-    for r0 in range(0, full.h, step):
+    for r0 in range(0, full.h if tail else 0, step):
         r1 = min(r0 + step, full.h)
         # f's output rows [r0, r1) from its input's rows [e0, e1), even for the upsample
         e0, e1 = max(r0 - h1, 0) // 2 * 2, min(r1 + h1 + 1, full.h) // 2 * 2
-        band, grid_e, grid_v = Grid((e1 - e0) // 2, grids[u].w, g.p), Grid(e1 - e0, full.w, g.p), Grid(r1 - r0, full.w, g.p)
-        bands, dest = [band] * (u + 1) + [grid_e] * (f - u) + [grid_v] * (end - f), {}
-        copies = plan(bands, [r for r in skips if r > u], dest, e0)
-        z = run(u, f, band.window(x, e0 // 2), band, bands, dest, copies)
-        z = run(f, end, grid_v.window(z, r0 - e0), grid_v, bands, dest, copies)
-        rows, got = full.inner(y)[:, :, r0:r1], grid_v.inner(z)
-        np.add(rows, got, out=rows) if y is x0 else np.copyto(rows, got)
-    return y, full, caches
+        band, grid_e, grid_v = Grid((e1 - e0) // 2, grids[u].w, p), Grid(e1 - e0, full.w, p), Grid(r1 - r0, full.w, p)
+        bands = [band] * (u + 1) + [grid_e] * (f - u) + [grid_v] * (len(blocks) - f)
+        passes.append((bands, {u: (band, e0 // 2), f: (grid_v, r0 - e0)}, e0, (r0, r1)))
+    return steps, passes
+
+
+def _path_forward(blocks, plist, x, g, mode, keep=True, out=None):
+    """Run a path on buffer x of grid g into the first channels of out (or a
+    new buffer): (output, its grid, (step, cache) pairs kept with ``keep``);
+    out x itself gets the output added (a residual path). Inference passes
+    (eval without ``keep``) fold BNs into the blocks before them (``_fold_bn``,
+    on every call so that parameter updates count) and run the tail band by
+    band (``_plan``): a conv's column sums do not depend on the columns around
+    them (``layers._tap_products``), so bands give the bits of the whole pass."""
+    n, x0, infer = len(x), x, mode == "eval" and not keep
+    shapes = _path_shapes(blocks, x.shape[1], g.h, g.w)
+    plist, folded = _fold_bn(blocks, plist, x.shape[1]) if infer else (plist, set())
+    steps, passes = _plan(blocks, shapes, folded, infer, keep, n, g.p)
+    full, z, caches, held = passes[0][0][-1], x, [], {}
+    wanted = {st.source for st in steps if st.band}  # the outputs before the tail that it reads
+    for grids, windows, top, rows in passes:
+        x, g, band = z, grids[0], rows is not None
+        bufs = {} if band or out is None or out is x0 else {len(blocks) - 1: out[:, : shapes[-1].c]}
+        seg = [st for st in steps if st.band == band]
+        for st in reversed(seg):  # SkipConcat buffers, then their parts
+            if st.parts:
+                bufs[st.last] = bufs[st.parts[0][0]][:, st.parts[0][1] : st.parts[0][2]]
+            elif st.source is not None:
+                bufs.setdefault(st.i, grids[st.i].zeros(n, shapes[st.i + 1].c))
+        for st in seg:
+            if st.i in windows:
+                g, row = windows[st.i]
+                x = g.window(x, row)
+            y = bufs.pop(st.last, None)  # a planned buffer is held by its readers alone
+            if y is None:
+                y = x if st.inplace else grids[st.i + 1].zeros(n, shapes[st.last + 1].c)
+            if band and st.source in held:
+                y[:, shapes[st.i].c :] = grids[st.i].window(held[st.source], top)
+            # an inference pass drops each cache at once: it holds the step's input
+            (caches if keep else []).append((st, blocks[st.i].forward(plist[st.i], x, g, y, mode, keep, *st.fused)))
+            for r, lo, hi in st.parts[1:]:
+                bufs[r][:, lo:hi] = y
+            if not band and st.last in wanted:
+                held[st.last] = y
+            x, g = y, grids[st.i + 1]
+        if band:
+            dst, got = full.inner(out)[:, :, rows[0] : rows[1]], grids[-1].inner(x)
+            np.add(dst, got, out=dst) if out is x0 else np.copyto(dst, got)
+        elif len(passes) > 1:  # each band's input; the output
+            z, out = x, full.zeros(n, shapes[-1].c) if out is None else out
+        elif out is x0:  # the borders add 0 + 0; a keep pass must not overwrite a ReLU's mask
+            x = np.add(x, x0, out=None if keep or x is x0 else x)
+    return out if band else x, full, caches
 
 
 def _path_backward(blocks, plist, caches, gy, want_x=True):
-    """Walk blocks in reverse, routing skip-concat gradients to their sources:
-    (the path input's gradient buffer, per-block grads in forward order).
-    Without ``want_x`` a first conv leaves out its input gradient (None)."""
-    skips, routed, grads = _skips(blocks), {}, []
-    for i in range(len(blocks) - 1, -1, -1):
-        if i in routed:  # gradient that later skips sent to this output
-            gy = gy + routed.pop(i)
-        cache, s = caches[i], skips.get(i)
-        caches[i] = None  # dead once its backward has run
-        if s is not None:
-            routed[s] = routed[s] + gy[:, cache:] if s in routed else gy[:, cache:]
+    """Walk a path's (step, cache) pairs back, dropping each, and send each
+    SkipConcat's gradient to its source: (the path input's gradient buffer,
+    per-block grads in forward order). Without ``want_x`` a first conv leaves
+    out its input gradient (None)."""
+    routed, grads = {}, []
+    while caches:
+        st, cache = caches.pop()
+        if st.last in routed:  # gradient that later skips sent to this output
+            gy = gy + routed.pop(st.last)
+        if st.source is not None:
+            routed[st.source] = routed[st.source] + gy[:, cache:] if st.source in routed else gy[:, cache:]
             gy = gy[:, :cache]
-        elif cache is not _FUSED:
-            gy, block_grads = blocks[i].backward(plist[i], cache, gy, want_x or i > 0)
+        else:
+            gy, block_grads = blocks[st.i].backward(plist[st.i], cache, gy, want_x or st.i > 0)
             grads[:0] = block_grads
     return gy, grads
 
