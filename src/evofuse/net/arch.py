@@ -496,7 +496,8 @@ def _plan(blocks, shapes, folded, infer, keep, n, p):
     for i, blk in enumerate(blocks):
         if not steps or i > steps[-1].last:
             fused, last = _epilogue(blocks, i, folded, sources, infer)
-            own = i > 0 and i - 1 not in sources and not (keep and blocks[i - 1].holds_output)
+            # not over a SkipConcat's buffer either: the tail may read a source it holds
+            own = i > 0 and i - 1 not in sources and i - 1 not in skips and not (keep and blocks[i - 1].holds_output)
             steps.append(Step(i, last, fused, blk.inplace and own, parts.get(last, ()), skips.get(i), i >= u))
     passes = [(grids, {}, 0, None)]
     # a band's output holds about one tap-loop column block (at 1x2x400x400,

@@ -399,7 +399,7 @@ class TestBandedTail:
             assert len(ups) == whole + bands, (spec.name, ups)
 
     def test_m_eval_peak_pinned(self):
-        """m's eval forward at 1x2x200x200 peaks at 3.47 buffers the size of
+        """m's eval forward at 1x2x200x200 peaks at 3.27 buffers the size of
         alpha's output (tracemalloc; 4.86 before the tail ran in bands),
         pinned here at 3.82."""
         params, x = build_network("m", seed=0), np.random.default_rng(0).random((1, 2, 200, 200))
@@ -441,6 +441,18 @@ def layout_specs(tmp_path):
 
 
 TRAIN_REL = 1e-12
+
+
+def test_tail_reads_a_source_that_a_whole_size_cat_holds(tmp_path):
+    """A ReLU right after a whole-size SkipConcat does not write in place
+    over the cat's buffer: block 0's output, which the buffer holds, is read
+    again by a SkipConcat in the banded tail."""
+    path = tmp_path / "held.arch"
+    path.write_text("stage alpha\nconv 2 8 3\nstage beta\nconv 8 8 3\nconv 8 8 3\ncat 0\nrelu\npool\nup\ncat 0\n"
+                    "conv 24 8 3\nstage gamma\nconv 8 1 3\n")
+    params = build_network(parse_arch_file(path), seed=1)
+    x = np.random.default_rng(5).random((1, 2, 16, 16))
+    np.testing.assert_array_equal(net_forward(params, x), eval_replay(params, x))
 
 
 class TestTrainLayout:
