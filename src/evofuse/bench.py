@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInputError, RangeError, UnknownAlgorithmError
+from .errors import EmptyInputError, IoError, RangeError, UnknownAlgorithmError
 from .evolution import evaluate_candidates
 from .fusion import REGISTRY, FusionCandidate
 from .image import ImagePair
@@ -199,29 +199,29 @@ def run_benchmark(
         )
 
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "report.csv"
     json_path = out_dir / "report.json"
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for row in rows:
-            fh.write(
-                f"{row['method']},{row['combined']:.6f},{row['latency_ms']:.3f},"
-                f"{row['params']},{row['bytes']},{row['flops']}\n"
-            )
-    with open(json_path, "w") as fh:
-        json.dump(
-            {
-                "protocol": {
-                    "image_size": protocol.image_size,
-                    "trials": protocol.trials,
-                    "warmup_skip": protocol.warmup_skip,
-                    "bit_depth": 8,
-                },
-                "flop_convention": FLOP_CONVENTION,
-                "rows": rows,
-            },
-            fh,
-            indent=2,
-        )
+    report = {
+        "protocol": {
+            "image_size": protocol.image_size,
+            "trials": protocol.trials,
+            "warmup_skip": protocol.warmup_skip,
+            "bit_depth": 8,
+        },
+        "flop_convention": FLOP_CONVENTION,
+        "rows": rows,
+    }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w") as fh:
+            fh.write(",".join(CSV_HEADER) + "\n")
+            for row in rows:
+                fh.write(
+                    f"{row['method']},{row['combined']:.6f},{row['latency_ms']:.3f},"
+                    f"{row['params']},{row['bytes']},{row['flops']}\n"
+                )
+        with open(json_path, "w") as fh:
+            json.dump(report, fh, indent=2)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     return csv_path, json_path

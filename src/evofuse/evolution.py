@@ -34,6 +34,7 @@ from .metrics import (
     viff_pool,
 )
 from .niqe import NiqeModel, niqe_score
+from .threads import _run, _workers
 
 # candidates closer than one 8-bit quantization step count as identical
 SAME_IMAGE_TOL = 1.0 / 510.0
@@ -52,31 +53,50 @@ def score_pool(pair: ImagePair, fused: list[ImageGray], niqe_model: NiqeModel | 
 
     Full-reference metrics are computed against a and b separately; VIFF is
     reported as the mean over the two references. NIQE is skipped when no
-    model is supplied. SSIM, VIFF and MI run over the whole pool one metric
-    at a time, so each source's statistics are computed once per call.
+    model is supplied. SSIM, VIFF and MI each run over the whole pool, so
+    each source's statistics are computed once per call.
+
+    The metric families run as two fixed task lists. This thread runs SSIM,
+    then VIFF: the two largest working sets, kept apart from each other.
+    With more than one worker (``evofuse.threads``) the shared pool runs MI
+    and entropy, AG, Brenner, PSNR and NIQE beside them; with one, this
+    thread runs them after VIFF. Both lists have ended when this returns or
+    raises, and an exception of this thread's list wins, as it does in the
+    serial order. Each family computes what it computes alone, so no score
+    depends on the worker count.
     """
     for img in fused:
         if img.shape != pair.a.shape:
             raise DimensionError(f"fused shape {img.shape} != pair {pair.a.shape}")
     sources = [pair.a, pair.b]
-    ssims = ssim_pool(sources, fused)
-    vifs = viff_pool(sources, fused)
-    mis, ens = mutual_information_pool(sources, fused)
+
+    def ssim_then_viff():
+        return ssim_pool(sources, fused), viff_pool(sources, fused)
+
+    def the_rest():
+        return mutual_information_pool(sources, fused), [
+            (avg_gradient(img), brenner(img), psnr(pair.a, img), psnr(pair.b, img),
+             niqe_score(img, niqe_model) if niqe_model is not None else None)
+            for img in fused
+        ]
+
+    tasks = [ssim_then_viff, the_rest]
+    (ssims, vifs), ((mis, ens), rest) = _run(tasks) if _workers() > 1 else [task() for task in tasks]
     return [
         QualityScores(
             en=float(ens[i]),
-            ag=avg_gradient(img),
-            brenner=brenner(img),
+            ag=ag,
+            brenner=sharpness,
             ssim_a=float(ssims[i, 0]),
             ssim_b=float(ssims[i, 1]),
-            psnr_a=psnr(pair.a, img),
-            psnr_b=psnr(pair.b, img),
+            psnr_a=psnr_a,
+            psnr_b=psnr_b,
             mi_a=float(mis[i, 0]),
             mi_b=float(mis[i, 1]),
             viff=float((vifs[i, 0] + vifs[i, 1]) / 2.0),
-            niqe=niqe_score(img, niqe_model) if niqe_model is not None else None,
+            niqe=niqe,
         )
-        for i, img in enumerate(fused)
+        for i, (ag, sharpness, psnr_a, psnr_b, niqe) in enumerate(rest)
     ]
 
 
@@ -179,15 +199,15 @@ MANIFEST_NAME = "manifest.txt"
 
 def save_bank(bank: SolutionBank, directory) -> Path:
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for pair_id in sorted(bank.entries):
-        entry = bank.entries[pair_id]
-        rel = f"{pair_id}.pgm"
-        save_pgm(entry.fused, root / rel)
-        lines.append(f"{pair_id}\t{entry.algo_id}\t{_mark(entry):.6f}\t{rel}\n")
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".manifest-")
     try:
+        root.mkdir(parents=True, exist_ok=True)
+        lines = []
+        for pair_id in sorted(bank.entries):
+            entry = bank.entries[pair_id]
+            rel = f"{pair_id}.pgm"
+            save_pgm(entry.fused, root / rel)
+            lines.append(f"{pair_id}\t{entry.algo_id}\t{_mark(entry):.6f}\t{rel}\n")
+        fd, tmp = tempfile.mkstemp(dir=root, prefix=".manifest-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(lines)
         os.replace(tmp, root / MANIFEST_NAME)

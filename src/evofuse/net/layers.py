@@ -12,25 +12,24 @@ of a buffer, border included: a zero border adds nothing to the sums, and
 ``Grid.clear`` zeroes the borders it writes again, as it does for the convs.
 
 Inside ``blas_pinned`` (every network call) OpenBLAS runs one thread, and
-long tap loops and batch norms split their columns or channels over as many
-threads as OpenBLAS had; the pieces give the one-piece bits, so where the pin
-works a network's bits do not depend on the OpenBLAS thread count.
+long tap loops and batch norms split their columns or channels over the
+package's worker count on its shared pool (``evofuse.threads``); the pieces
+give the one-piece bits, so where the pin works a network's bits do not
+depend on the OpenBLAS thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..errors import DimensionError, RangeError, SpecError
+from ..threads import _openblas, _run, _workers
 
 # flip on to assert finite activations after every op (slow; debug only)
 CHECK_FINITE = False
@@ -119,36 +118,18 @@ _STACK_BELOW = 32
 _SPLIT_MIN = 4096
 _local = threading.local()  # .workers: the split width of this thread's blas_pinned region
 _PIN_LOCK = threading.RLock()
-_POOL = None  # made by the first split, which runs under _PIN_LOCK
-
-
-@functools.cache
-def _openblas():
-    """(threads, gemm) of NumPy's bundled OpenBLAS, each None without its
-    symbols: the (get, set) of its thread count, and its CBLAS dgemm."""
-    try:
-        lib = ctypes.CDLL(str(next((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))))
-    except (StopIteration, OSError):
-        lib = None
-    get, put, gemm = (getattr(lib, f"scipy_{name}64_", None)
-                      for name in ("openblas_get_num_threads", "openblas_set_num_threads", "cblas_dgemm"))
-    i, n, f, p = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    for fn, args, res in ((get, [], i), (put, [i], None), (gemm, [i, i, i, n, n, n, f, p, n, p, n, f, p, n], None)):
-        if fn is not None:
-            fn.argtypes, fn.restype = args, res
-    return (get, put) if None not in (get, put) else None, gemm
 
 
 @contextmanager
 def blas_pinned():
-    """OpenBLAS at 1 thread inside, with as many split workers as it had
-    threads, capped at the CPUs this process may use; both are restored on
-    exit. Callers in other threads wait for the region to end."""
+    """OpenBLAS at 1 thread inside, with the worker count it had outside as
+    the split width; both are restored on exit. Callers in other threads
+    wait for the region to end."""
     get, put = _openblas()[0] or (lambda: 1, lambda threads: None)
     with _PIN_LOCK:
-        threads, before = get(), getattr(_local, "workers", 1)
+        workers, threads, before = _workers(), get(), getattr(_local, "workers", 1)
         put(1)
-        _local.workers = min(threads, len(os.sched_getaffinity(0)))
+        _local.workers = workers
         try:
             yield
         finally:
@@ -160,22 +141,11 @@ def _split(fn, total, step, size):
     """[fn(lo, hi) for each piece of [0, total)], in order: one piece per
     split worker (one in all below _SPLIT_MIN of size), cut on multiples of
     step as evenly as they allow. This thread runs the first piece and the
-    pool the others; every call has ended when this returns or raises."""
-    global _POOL
+    shared pool the others; every call has ended when this returns or raises."""
     w = getattr(_local, "workers", 1) if size >= _SPLIT_MIN else 1
     cuts = [min(total, -(-total // step) * i // w * step) for i in range(w + 1)]
     pieces = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi] or [(0, total)]
-    if len(pieces) > 1 and _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor  # here: importing it costs set-up about 5 ms
-
-        _POOL = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="evofuse-split")
-    futures = [_POOL.submit(fn, *piece) for piece in pieces[1:]]
-    try:
-        first = fn(*pieces[0])
-    finally:
-        for f in futures:
-            f.exception()  # waits for it
-    return [first] + [f.result() for f in futures]
+    return _run([functools.partial(fn, *piece) for piece in pieces])
 
 
 def _taps(weight, groups):

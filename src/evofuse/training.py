@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BankMissError, DimensionError, RangeError, TaskMixError
+from .errors import BankMissError, DimensionError, IoError, RangeError, TaskMixError
 from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
 from .image import ImageGray, ImagePair, tile_grid
@@ -88,11 +88,14 @@ class CurvePoint:
 
 
 def write_curve_csv(curve: list[CurvePoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "phase", "mean_loss"])
-        for pt in curve:
-            writer.writerow([pt.epoch, pt.phase, f"{pt.mean_loss:.8f}"])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "phase", "mean_loss"])
+            for pt in curve:
+                writer.writerow([pt.epoch, pt.phase, f"{pt.mean_loss:.8f}"])
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
 
 
 def _quality_loss(pred: np.ndarray, target: np.ndarray):
@@ -238,7 +241,10 @@ def _train_params(params: NetParams, inputs, refs, cfg: TrainConfig) -> list[Cur
             curve.append(CurvePoint(epoch, phase_no, lr, mean_loss))
             if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
                 ckpt_dir = Path(cfg.checkpoint_dir)
-                ckpt_dir.mkdir(parents=True, exist_ok=True)
+                try:
+                    ckpt_dir.mkdir(parents=True, exist_ok=True)
+                except OSError as exc:
+                    raise IoError(str(exc)) from exc
                 save_weights(params, ckpt_dir / f"epoch_{epoch:04d}.aenw")
             if cfg.loss_threshold > 0 and mean_loss <= cfg.loss_threshold:
                 return curve

@@ -106,6 +106,26 @@ def test_train_cli_writes_weights(tmp_path, niqe_file, capsys):
     assert len(curve_lines) == 3  # header + 2 epochs
 
 
+@pytest.mark.parametrize("flag, under", [("--curve", "c.csv"), ("--bank-dir", "bank"), ("--checkpoint-dir", "ck")])
+def test_train_cli_names_an_output_it_cannot_write(tmp_path, niqe_file, capsys, flag, under):
+    data = tmp_path / "data"
+    data.mkdir()
+    for pair in toy_pairs(n=2, size=96, seed=4):
+        save_pgm(pair.a, data / f"{pair.pair_id}_a.pgm")
+        save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file")
+    every = ["--checkpoint-every", "1"] if flag == "--checkpoint-dir" else []
+    rc = main([
+        "train", "--spec", "gcb", "--data", str(data), "--rounds", "1",
+        "--out", str(tmp_path / "net.aenw"), "--niqe-model", str(niqe_file),
+        "--epochs1", "1", "--epochs2", "1", "--batch", "4", "--patch", "32",
+        flag, str(blocker / under), *every,
+    ])
+    assert rc == 3
+    assert str(blocker / under) in capsys.readouterr().err
+
+
 def test_train_cli_rejects_unpoolable_pairs_first(tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"
     data.mkdir()
@@ -169,6 +189,15 @@ def test_bench_cli(tmp_path, niqe_file, capsys):
     assert rc == 0
     assert (out / "report.csv").exists()
     assert (out / "report.json").exists()
+
+
+def test_bench_cli_names_a_report_dir_it_cannot_write(tmp_path, niqe_file, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file")
+    rc = main(["bench", "--methods", "avg", "--size", "32", "--trials", "2",
+               "--out", str(blocker / "rep"), "--niqe-model", str(niqe_file)])
+    assert rc == 3
+    assert str(blocker / "rep") in capsys.readouterr().err
 
 
 def test_bench_cli_rejects_pairs_dir_without_pairs_first(tmp_path, capsys, monkeypatch):

@@ -1,13 +1,16 @@
 """The split tap and batch-norm loops, the OpenBLAS pin around every
-network call, and the tap loop's in-place products
-(``layers._gemm_into``: one dgemm with beta = 1 per matrix).
+network call, candidate scoring's two task lists on the shared pool, and
+the tap loop's in-place products (``layers._gemm_into``: one dgemm with
+beta = 1 per matrix).
 
 Split against unsplit must give the same bits; the pin must leave the
 OpenBLAS thread count as it found it, whatever the call does, and with the
-pin in place the seeded bits must not depend on OPENBLAS_NUM_THREADS. Every
-product the in-place route takes must give the bits of ``out += tap @ view``,
-and every product it declines must leave the output as it was. The bit checks
-run in child interpreters with OPENBLAS_NUM_THREADS set before NumPy loads.
+pin in place the seeded bits must not depend on OPENBLAS_NUM_THREADS; nor
+may candidate scores or an evolve round's bank, and scoring must end both
+lists before it raises. Every product the in-place route takes must give
+the bits of ``out += tap @ view``, and every product it declines must leave
+the output as it was. The bit checks run in child interpreters with
+OPENBLAS_NUM_THREADS set before NumPy loads.
 """
 
 import functools
@@ -24,9 +27,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evofuse import evolution, threads
+from evofuse.errors import DimensionError
+from evofuse.evolution import evaluate_candidates, score_pool
+from evofuse.fusion import run_bank
 from evofuse.net import layers
 from evofuse.net.arch import BUILTIN_NAMES
 from evofuse.net.network import build_network, net_forward
+from evofuse.synth import toy_pairs
 from evofuse.training import TrainConfig, train
 
 from conftest import random_pair
@@ -202,19 +210,125 @@ def test_a_piece_that_raises_leaves_blas_and_workers_as_they_were(monkeypatch, b
 @pytest.fixture
 def no_pin_symbol(monkeypatch):
     """Every library loads as one without the OpenBLAS thread-count symbols."""
-    monkeypatch.setattr(layers.ctypes, "CDLL", lambda path: object())
-    monkeypatch.setattr(layers, "_POOL", None)
-    layers._openblas.cache_clear()
+    monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(threads, "_POOL", None)
+    threads._openblas.cache_clear()
     yield
-    layers._openblas.cache_clear()
+    threads._openblas.cache_clear()
 
 
 def test_missing_pin_symbol_runs_unsplit_without_a_pool(no_pin_symbol, split_counts):
-    assert layers._openblas() == (None, None)
+    assert threads._openblas() == (None, None)
     params = build_network("gcb", seed=0)
     net_forward(params, np.random.default_rng(1).random((1, 2, 64, 64)))  # spans of 4,224 columns
     assert split_counts and set(split_counts) == {1}
-    assert layers._POOL is None
+    assert threads._POOL is None
+
+
+@pytest.fixture
+def blas_at_one():
+    """OpenBLAS at 1 thread for the test, then as it was."""
+    get, put = threads._openblas()[0]
+    before = get()
+    put(1)
+    yield
+    put(before)
+
+
+def score_toy_pool(niqe_model):
+    pair = toy_pairs(n=1, size=96, seed=21)[0]
+    return evaluate_candidates(pair, run_bank(pair), niqe_model)
+
+
+@pytest.mark.parametrize("one_worker", [pytest.param("blas_at_one", marks=needs_pin), "no_pin_symbol"])
+def test_one_worker_scores_in_this_thread_without_a_pool(request, monkeypatch, niqe_model, one_worker):
+    request.getfixturevalue(one_worker)
+    monkeypatch.setattr(threads, "_POOL", None)
+    seen, real = [], evolution.niqe_score
+    monkeypatch.setattr(evolution, "niqe_score", lambda *args: seen.append(threading.current_thread()) or real(*args))
+    assert len(score_toy_pool(niqe_model)) == 5
+    assert seen and set(seen) == {threading.main_thread()}
+    assert threads._POOL is None
+
+
+@needs_pin
+def test_caller_threads_score_on_the_shared_pool(blas_at_two, niqe_model):
+    # more callers than cores, each putting its list on the one pool beside
+    # the others' and beside a network's split pieces
+    want = [c.scores for c in score_toy_pool(niqe_model)]
+    params, x = build_network("gcb", seed=0), np.random.default_rng(1).random((1, 2, 64, 64))
+    net_want = net_forward(params, x)
+    got, errors = [], []
+
+    def call(k):
+        try:
+            for _ in range(3):
+                got.append(net_forward(params, x) if k == 0 else [c.scores for c in score_toy_pool(niqe_model)])
+        except Exception as exc:  # reported by the main thread's assertion
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers) and not errors
+    assert len(got) == 12
+    for out in got:
+        if isinstance(out, np.ndarray):
+            np.testing.assert_array_equal(out, net_want)
+        else:
+            assert out == want
+
+
+@needs_pin
+@needs_two_cpus
+def test_a_pool_family_that_raises_waits_for_the_callers_families(monkeypatch, blas_at_two, niqe_model):
+    ended, raised_in, real = [], [], evolution.viff_pool
+
+    def slow_viff(*args):
+        time.sleep(0.05)  # the pool's family raises first
+        out = real(*args)
+        ended.append("viff")
+        return out
+
+    def failing_niqe(*args):
+        raised_in.append(threading.current_thread())
+        raise FloatingPointError("injected in NIQE")
+
+    monkeypatch.setattr(evolution, "viff_pool", slow_viff)
+    monkeypatch.setattr(evolution, "niqe_score", failing_niqe)
+    with pytest.raises(FloatingPointError, match="injected in NIQE"):
+        score_toy_pool(niqe_model)
+    assert len(raised_in) == 1 and raised_in[0] is not threading.main_thread()
+    assert ended == ["viff"]
+
+
+@needs_pin
+@needs_two_cpus
+def test_the_callers_error_wins_over_the_pools(monkeypatch, blas_at_two, niqe_model):
+    failed, real = [], evolution.niqe_score
+
+    def spy(*args):
+        time.sleep(0.05)  # the caller's family raises first
+        try:
+            return real(*args)
+        except DimensionError as exc:
+            failed.append((threading.current_thread(), str(exc)))
+            raise
+
+    monkeypatch.setattr(evolution, "niqe_score", spy)
+    pair = random_pair(np.random.default_rng(3), 24, 24)
+    with pytest.raises(DimensionError) as caught:
+        score_pool(pair, [pair.a, pair.b], niqe_model)
+    # VIFF's error, which the serial order meets first, though NIQE failed too
+    assert str(caught.value) == "viff needs dims >= 32 for 4 scales, got (24, 24)"
+    assert [(t is threading.main_thread(), msg) for t, msg in failed] == [(False, "image 24x24 smaller than 96x96 patch")]
 
 
 @pytest.fixture
@@ -229,12 +343,12 @@ def only_symbols(monkeypatch):
 
     def load(*features):
         lib = types.SimpleNamespace(**{k: v for f in features for k, v in symbols[f].items()})
-        monkeypatch.setattr(layers.ctypes, "CDLL", lambda path: lib)
-        layers._openblas.cache_clear()
+        monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: lib)
+        threads._openblas.cache_clear()
         return calls
 
     yield load
-    layers._openblas.cache_clear()
+    threads._openblas.cache_clear()
 
 
 def forwards(x):
@@ -354,6 +468,36 @@ def test_bits_do_not_depend_on_blas_threads():
     runs = {threads: digests(threads) for threads in ("1", "2")}
     assert sorted(runs["1"]) == sorted(BUILTIN_NAMES) and len(BUILTIN_NAMES) == 9
     assert [n for n in BUILTIN_NAMES if runs["1"][n] != runs["2"][n]] == []
+
+
+SCORES = """
+import dataclasses, hashlib, json
+from evofuse.evolution import evaluate_candidates
+from evofuse.fusion import run_bank
+from evofuse.niqe import default_niqe_model
+from evofuse.synth import toy_pairs
+from evofuse.threads import _workers
+from evofuse.training import TrainConfig, evolve
+
+model = default_niqe_model()
+pair = toy_pairs(n=1, size=128, seed=11)[0]
+scores = [dataclasses.asdict(c.scores) for c in evaluate_candidates(pair, run_bank(pair), model)]
+cfg = TrainConfig(phases=((1e-3, 1),), batch_size=2, patch=48, seed=3)
+_, bank = evolve("gcb", toy_pairs(n=2, size=96, seed=12), cfg, 1, model)
+entries = {pair_id: [e.algo_id, e.scores.combined, hashlib.sha256(e.fused.data.tobytes()).hexdigest()]
+           for pair_id, e in bank.entries.items()}
+print(json.dumps({"workers": _workers(), "scores": scores, "bank": entries}))
+"""
+
+
+@needs_pin
+def test_scores_and_an_evolve_round_do_not_depend_on_blas_threads():
+    # a 5-candidate pool with NIQE, then init_bank, one epoch of gcb and update_bank
+    one, two = (run_child(SCORES, n) for n in ("1", "2"))
+    assert one["workers"] == 1 and two["workers"] == min(2, len(os.sched_getaffinity(0)))
+    assert len(one["scores"]) == 5 and None not in [s["niqe"] for s in one["scores"]]
+    assert two["scores"] == one["scores"]
+    assert len(one["bank"]) == 2 and two["bank"] == one["bank"]
 
 
 @needs_gemm
