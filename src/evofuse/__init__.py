@@ -50,8 +50,6 @@ from .training import (  # noqa: F401
     adapt_task,
     adam_step,
     evolve,
-    loss_to_optimal,
-    supervised_loss,
     train,
     train_common,
 )

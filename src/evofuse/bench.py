@@ -25,6 +25,7 @@ from .niqe import NiqeModel
 from .synth import bench_pair, toy_pairs
 
 FLOP_CONVENTION = "1 MAC = 2 FLOPs"
+WARMUP_SKIP = 1  # leading trials left out of the statistics
 
 
 @dataclass
@@ -33,16 +34,13 @@ class BenchProtocol:
 
     image_size: int = 400
     trials: int = 300
-    warmup_skip: int = 1
     seed: int = 2024
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise RangeError(f"image size must be >= 1, got {self.image_size}")
         if self.trials < 2:
             raise RangeError(f"trials must be >= 2, got {self.trials}")
-        if not 0 <= self.warmup_skip < self.trials:
-            raise RangeError(
-                f"warmup_skip must be in [0, trials), got {self.warmup_skip}"
-            )
 
 
 @dataclass
@@ -90,8 +88,8 @@ def time_method(
 ) -> CostReport:
     """Latency of one method over the protocol's trials.
 
-    The first ``warmup_skip`` runs never enter the statistics; the mean and
-    stddev cover exactly trials - warmup_skip runs. ``clock`` is injectable
+    The first ``WARMUP_SKIP`` runs never enter the statistics; the mean and
+    stddev cover exactly trials - WARMUP_SKIP runs. ``clock`` is injectable
     for protocol tests.
     """
     protocol = protocol or BenchProtocol()
@@ -110,11 +108,11 @@ def time_method(
         t3 = clock()
         durations.append((t2 - t1) * 1e3)
         end_to_end.append((t3 - t0) * 1e3)
-    timed = durations[protocol.warmup_skip :]
+    timed = durations[WARMUP_SKIP:]
     report = _profile_or_blank(method, protocol.image_size)
     report.latency_ms_mean = float(np.mean(timed))
     report.latency_ms_std = float(np.std(timed, ddof=1)) if len(timed) > 1 else 0.0
-    report.end_to_end_ms_mean = float(np.mean(end_to_end[protocol.warmup_skip :]))
+    report.end_to_end_ms_mean = float(np.mean(end_to_end[WARMUP_SKIP:]))
     report.input_hw = (protocol.image_size, protocol.image_size)
     report.timed_runs = len(timed)
     return report
@@ -205,7 +203,7 @@ def run_benchmark(
         "protocol": {
             "image_size": protocol.image_size,
             "trials": protocol.trials,
-            "warmup_skip": protocol.warmup_skip,
+            "warmup_skip": WARMUP_SKIP,
             "bit_depth": 8,
         },
         "flop_convention": FLOP_CONVENTION,

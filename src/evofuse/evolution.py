@@ -100,11 +100,6 @@ def score_pool(pair: ImagePair, fused: list[ImageGray], niqe_model: NiqeModel | 
     ]
 
 
-def score_candidate(pair: ImagePair, fused: ImageGray, niqe_model: NiqeModel | None) -> QualityScores:
-    """All raw metrics of one fused image against both sources (a pool of one)."""
-    return score_pool(pair, [fused], niqe_model)[0]
-
-
 def _score_unscored(pair: ImagePair, candidates: list[FusionCandidate], niqe_model: NiqeModel | None):
     todo = [c for c in candidates if c.scores is None]
     if not todo:
@@ -222,10 +217,12 @@ def load_bank(directory) -> SolutionBank:
     is the entry's mark."""
     root = Path(directory)
     manifest = root / MANIFEST_NAME
-    if not manifest.exists():
-        raise IoError(f"no manifest at {manifest}")
     try:
         text = manifest.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise IoError(f"no manifest at {manifest}") from exc
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{manifest}: not UTF-8: {exc}") from exc
     bank = SolutionBank()

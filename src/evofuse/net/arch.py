@@ -624,8 +624,6 @@ BUILTIN_NAMES = (
     "m",
 )
 
-POOLED_NAMES = ("m",)
-
 
 def builtin_spec(name: str, in_channels: int = 2, groups: int = DEFAULT_GROUPS) -> ArchSpec:
     """Named architecture variants; all share the conv-BN-relu head and a
@@ -673,11 +671,6 @@ def count_state(spec: ArchSpec) -> tuple[int, int]:
     return total.params, total.running
 
 
-def count_params(spec: ArchSpec) -> int:
-    """Trainable parameter count (conv weights/biases + BN scale/shift)."""
-    return count_state(spec)[0]
-
-
 def count_flops(spec: ArchSpec, h: int, w: int) -> int:
     """FLOPs at input h x w with the 1 MAC = 2 FLOPs convention.
 
@@ -711,7 +704,7 @@ _BLOCK_DIRECTIVES = {
     "cat": (SkipConcat, 1, 1),
 }
 # header directive -> converter of its one argument
-_HEADER_DIRECTIVES = {"name": str, "in_channels": int, "out_channels": int, "residual": int}
+_HEADER_DIRECTIVES = {"name": str, "in_channels": int, "out_channels": int, "residual": {"0": False, "1": True}.__getitem__}
 
 
 def parse_arch_file(path) -> ArchSpec:
@@ -728,10 +721,12 @@ def parse_arch_file(path) -> ArchSpec:
     every block line is one index for ``cat``.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    header = {"name": Path(path).stem, "in_channels": 2, "out_channels": 1, "residual": 1}
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: not UTF-8: {exc}") from exc
+    header = {"name": Path(path).stem, "in_channels": 2, "out_channels": 1, "residual": True}
     stages: dict[str, list] = {"alpha": [], "beta": [], "gamma": []}
     current: list | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -764,5 +759,5 @@ def parse_arch_file(path) -> ArchSpec:
         tuple(stages["alpha"]),
         tuple(stages["beta"]),
         tuple(stages["gamma"]),
-        bool(header["residual"]),
+        header["residual"],
     )

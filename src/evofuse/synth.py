@@ -38,27 +38,6 @@ def pristine_corpus(n: int = 20, size: int = 192, seed: int = 7) -> list[ImageGr
     return [pink_noise(rng, size, size) for _ in range(n)]
 
 
-def split_focus_pair(size: int = 128, seed: int = 11, pair_id: str = "splitfocus") -> ImagePair:
-    """Left-sharp / right-sharp pair from one textured scene."""
-    rng = np.random.default_rng(seed)
-    scene = 0.6 * smooth_noise(rng, size, size, sigma=2.0).data + 0.4 * rng.random((size, size))
-    scene = _normalize(scene)
-    blurred = gaussian_filter(scene, 3.0)
-    ramp = np.clip((np.arange(size) - size / 2) / 8.0 + 0.5, 0.0, 1.0)[None, :]
-    a = scene * (1.0 - ramp) + blurred * ramp  # sharp on the left
-    b = scene * ramp + blurred * (1.0 - ramp)  # sharp on the right
-    return ImagePair(ImageGray(a), ImageGray(b), pair_id, Task.MULTI_FOCUS)
-
-
-def exposure_pair(size: int = 128, seed: int = 13, pair_id: str = "exposure") -> ImagePair:
-    """Over-exposed / mid-exposed renderings of one textured scene."""
-    rng = np.random.default_rng(seed)
-    scene = smooth_noise(rng, size, size, sigma=2.0).data
-    mid = 0.35 + 0.3 * scene
-    over = 0.9 + 0.1 * scene
-    return ImagePair(ImageGray(over), ImageGray(mid), pair_id, Task.MULTI_EXPOSURE)
-
-
 def toy_pairs(
     n: int = 10, size: int = 96, seed: int = 5, task: Task = Task.IR_VISIBLE
 ) -> list[ImagePair]:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BankMissError, DimensionError, IoError, RangeError, TaskMixError
 from .evolution import init_bank, update_bank
 from .fusion import FusionCandidate
-from .image import ImageGray, ImagePair, tile_grid
+from .image import tile_grid
 from .metrics import _SSIM_TAPS, _ssim
 from .net.arch import ArchSpec
 from .net.network import (
@@ -108,20 +108,6 @@ def _quality_loss(pred: np.ndarray, target: np.ndarray):
     loss = float((MSE_WEIGHT * mse + SSIM_WEIGHT * (1.0 - ssim_val)).mean())
     npix = pred.shape[-2] * pred.shape[-1]
     return loss, (MSE_WEIGHT * 2.0 * diff / npix - SSIM_WEIGHT * ssim_grad) / ssim_val.size
-
-
-def loss_to_optimal(pred: np.ndarray, optimal) -> tuple[float, np.ndarray]:
-    """Loss of a (n, 1, h, w) prediction against the stored optimal image."""
-    target = optimal.data if isinstance(optimal, ImageGray) else np.asarray(optimal)
-    if target.ndim == 2:
-        target = np.broadcast_to(target, pred.shape[:-2] + target.shape)
-    return _quality_loss(pred, target)
-
-
-def supervised_loss(pred: np.ndarray, pair: ImagePair) -> tuple[float, np.ndarray]:
-    """Mean of the quality loss against each source image."""
-    sources = np.stack([pair.a.data, pair.b.data])
-    return _batch_loss(pred, np.broadcast_to(sources, (pred.shape[0], *sources.shape)))
 
 
 def _batch_loss(out: np.ndarray, refs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from evofuse.bench import BenchProtocol, run_benchmark, time_method
+from evofuse.bench import WARMUP_SKIP, BenchProtocol, run_benchmark, time_method
 from evofuse.errors import EvoFuseError
 from evofuse.evolution import evaluate_candidates, init_bank, select_optimal, update_bank
 from evofuse.fusion import FusionCandidate, run_bank
@@ -27,7 +27,7 @@ from evofuse.metrics import (
     viff,
 )
 from evofuse.net import layers
-from evofuse.net.arch import BUILTIN_NAMES, POOLED_NAMES, ConvParams, builtin_spec, count_params, fire
+from evofuse.net.arch import BUILTIN_NAMES, ConvParams, builtin_spec, count_state, fire
 from evofuse.net.network import (
     build_network,
     net_forward,
@@ -35,14 +35,13 @@ from evofuse.net.network import (
     save_weights,
 )
 from evofuse.pyramid import laplacian_decompose, laplacian_reconstruct
-from evofuse.synth import split_focus_pair, toy_pairs
+from evofuse.synth import toy_pairs
 from evofuse.training import (
     TrainConfig,
+    _batch_loss,
     _collect_samples,
     _train_params,
-    loss_to_optimal,
     make_task_weights,
-    supervised_loss,
     task_forward,
     train,
 )
@@ -59,6 +58,7 @@ from oracles import (
     mutual_information_oracle,
     ssim_oracle,
 )
+from scenes import split_focus_pair
 
 GRAD_TOL = 1e-3
 FD_H = 1e-3
@@ -239,18 +239,18 @@ def _check_sigmoid(rng):
 def _check_loss_to_optimal(rng):
     s = int(rng.integers(11, 15))
     pred = rng.random((1, 1, s, s))
-    target = ImageGray(rng.random((s, s)))
-    _, grad = loss_to_optimal(pred, target)
-    fd = finite_diff_grad(lambda: loss_to_optimal(pred, target)[0], pred, FD_H)
+    target = rng.random((1, 1, s, s))
+    _, grad = _batch_loss(pred, target)
+    fd = finite_diff_grad(lambda: _batch_loss(pred, target)[0], pred, FD_H)
     return rel_err(fd, grad, floor=1e-7)
 
 
 def _check_supervised(rng):
     s = int(rng.integers(11, 15))
     pred = rng.random((1, 1, s, s))
-    pair = ImagePair(ImageGray(rng.random((s, s))), ImageGray(rng.random((s, s))), "fd")
-    _, grad = supervised_loss(pred, pair)
-    fd = finite_diff_grad(lambda: supervised_loss(pred, pair)[0], pred, FD_H)
+    sources = rng.random((1, 2, s, s))
+    _, grad = _batch_loss(pred, sources)
+    fd = finite_diff_grad(lambda: _batch_loss(pred, sources)[0], pred, FD_H)
     return rel_err(fd, grad, floor=1e-7)
 
 
@@ -443,7 +443,7 @@ def test_c07_cost_model(tmp_path):
         ),
     }
     exact = all(
-        count_params(builtin_spec(name))
+        count_state(builtin_spec(name))[0]
         == conv_p(2, 64, 3) + 128 + middles[name] + conv_p(64, 1, 3)
         for name in BUILTIN_NAMES
     )
@@ -451,14 +451,14 @@ def test_c07_cost_model(tmp_path):
 
     sizes = {}
     for name in BUILTIN_NAMES:
-        if name in POOLED_NAMES:
+        if builtin_spec(name).spatial_multiple > 1:
             continue
         path = tmp_path / f"{name}.aenw"
         save_weights(build_network(name, seed=0), path)
         sizes[name] = path.stat().st_size
     smallest = min(sizes, key=sizes.get) == "gcb"
 
-    gcb_count = count_params(builtin_spec("gcb"))
+    gcb_count = count_state(builtin_spec("gcb"))[0]
     within_2x = 5378 / 2 <= gcb_count <= 2 * 5378
     report(
         7,
@@ -509,12 +509,12 @@ def test_c10_bench_protocol(tmp_path):
         ticks["n"] += 1.0
         return ticks["n"]
 
-    protocol = BenchProtocol(image_size=16, trials=5, warmup_skip=1)
+    protocol = BenchProtocol(image_size=16, trials=5)
     rep = time_method("avg", protocol, clock=fake_clock)
-    protocol_ok = rep.timed_runs == protocol.trials - protocol.warmup_skip
+    protocol_ok = rep.timed_runs == protocol.trials - WARMUP_SKIP
     mean_ok = rep.latency_ms_mean == 1000.0 and rep.latency_ms_std == 0.0
 
-    small = BenchProtocol(image_size=32, trials=2, warmup_skip=1, seed=11)
+    small = BenchProtocol(image_size=32, trials=2, seed=11)
     csv1, _ = run_benchmark(["avg", "lp"], small, tmp_path / "r1")
     csv2, _ = run_benchmark(["avg", "lp"], small, tmp_path / "r2")
 

@@ -7,11 +7,9 @@ from evofuse.net.arch import (
     BUILTIN_NAMES,
     BatchNorm,
     ConvBlock,
-    POOLED_NAMES,
     ReLU,
     builtin_spec,
     count_flops,
-    count_params,
     count_state,
     parse_arch_file,
 )
@@ -54,7 +52,7 @@ def expected_params(name, in_channels=2):
 class TestBuiltinCounts:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_params_match_hand_arithmetic(self, name):
-        assert count_params(builtin_spec(name)) == expected_params(name)
+        assert count_state(builtin_spec(name))[0] == expected_params(name)
 
     def test_c1_block_6_to_64(self):
         spec = builtin_spec("gcb", in_channels=6)
@@ -65,13 +63,13 @@ class TestBuiltinCounts:
         # reference accounting reports 5378 trainable parameters for the
         # grouped variant; the documented assumption set (2 input channels,
         # 8 groups, BN affine included) must land within a factor of two
-        count = count_params(builtin_spec("gcb"))
+        count = count_state(builtin_spec("gcb"))[0]
         assert 5378 / 2 <= count <= 5378 * 2
 
     def test_gcb_smallest_nonpooled_state(self):
         totals = {}
         for name in BUILTIN_NAMES:
-            if name in POOLED_NAMES:
+            if builtin_spec(name).spatial_multiple > 1:
                 continue
             trainable, running = count_state(builtin_spec(name))
             totals[name] = trainable + running
@@ -103,7 +101,7 @@ class TestFlops:
         )
         assert count_flops(spec, h, w) == 2 * macs
 
-    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n not in POOLED_NAMES])
+    @pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if builtin_spec(n).spatial_multiple == 1])
     def test_quadratic_scaling_for_stride1_specs(self, name):
         spec = builtin_spec(name)
         assert count_flops(spec, 64, 64) * 4 == count_flops(spec, 128, 128)
@@ -175,7 +173,7 @@ conv 64 1 3
         path.write_text(text)
         spec = parse_arch_file(path)
         assert spec.name == "filegcb"
-        assert count_params(spec) == count_params(builtin_spec("gcb"))
+        assert count_state(spec)[0] == count_state(builtin_spec("gcb"))[0]
         assert count_flops(spec, 64, 64) == count_flops(builtin_spec("gcb"), 64, 64)
 
     @pytest.mark.parametrize(
@@ -236,8 +234,12 @@ conv 64 1 3
                 "conv 2 64 3\nstage alpha\nstage gamma\nconv 64 1 3\n",
                 "line 1: block before any stage directive",
             ),
+            (
+                "residual 7\nstage alpha\nconv 2 64 3\nstage gamma\nconv 64 1 3\n",
+                "line 1: bad arguments for 'residual'",
+            ),
         ],
-        ids=["in-channels-0", "gamma-vs-out-channels", "shuffle-3-on-4", "block-before-stage"],
+        ids=["in-channels-0", "gamma-vs-out-channels", "shuffle-3-on-4", "block-before-stage", "residual-7"],
     )
     def test_invalid_spec_is_spec_error(self, tmp_path, text, match):
         path = tmp_path / "bad.arch"
@@ -245,6 +247,14 @@ conv 64 1 3
         with pytest.raises(SpecError, match=match):
             parse_arch_file(path)
         assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
+
+    def test_non_utf8_file_is_spec_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.arch"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(SpecError, match="bad.arch: not UTF-8"):
+            parse_arch_file(path)
+        assert main(["profile", "--spec", str(path), "--h", "16", "--w", "16"]) == 3
+        assert f"{path}: not UTF-8" in capsys.readouterr().err
 
     def test_bad_directive(self, tmp_path):
         path = tmp_path / "bad.arch"

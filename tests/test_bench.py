@@ -5,7 +5,7 @@ import pytest
 
 from evofuse.bench import BenchProtocol, CostReport, profile_arch, run_benchmark, time_method
 from evofuse.errors import EmptyInputError, RangeError, UnknownAlgorithmError
-from evofuse.net.arch import BUILTIN_NAMES, POOLED_NAMES
+from evofuse.net.arch import BUILTIN_NAMES, builtin_spec
 
 
 class FakeClock:
@@ -25,14 +25,10 @@ class TestProtocol:
         with pytest.raises(RangeError):
             BenchProtocol(trials=1)
 
-    def test_skip_must_leave_runs(self):
-        with pytest.raises(RangeError):
-            BenchProtocol(trials=3, warmup_skip=3)
-
 
 class TestTimeMethod:
     def test_fake_clock_skips_first_and_averages_rest(self):
-        protocol = BenchProtocol(image_size=16, trials=4, warmup_skip=1)
+        protocol = BenchProtocol(image_size=16, trials=4)
         report = time_method("avg", protocol, clock=FakeClock(step=1.0))
         # 4 clock reads per trial; core section spans exactly one step
         assert report.timed_runs == 3
@@ -40,14 +36,14 @@ class TestTimeMethod:
         assert report.latency_ms_std == 0.0
 
     def test_two_trials_skip_one_means_single_run(self):
-        protocol = BenchProtocol(image_size=16, trials=2, warmup_skip=1)
+        protocol = BenchProtocol(image_size=16, trials=2)
         report = time_method("avg", protocol, clock=FakeClock(step=2.0))
         assert report.timed_runs == 1
         assert report.latency_ms_mean == 2000.0
 
     def test_variable_clock_statistics(self):
         times = iter([float(v) for v in (0, 0, 1, 1, 1, 1, 4, 4, 4, 4, 9, 9)])
-        protocol = BenchProtocol(image_size=16, trials=3, warmup_skip=1)
+        protocol = BenchProtocol(image_size=16, trials=3)
         report = time_method("avg", protocol, clock=lambda: next(times))
         # core durations per trial: 1, 3, 5 seconds; first dropped
         assert report.timed_runs == 2
@@ -63,7 +59,7 @@ class TestTimeMethod:
         assert np.isfinite(report.end_to_end_ms_mean)
 
     def test_avg_faster_than_pyramid(self):
-        protocol = BenchProtocol(image_size=400, trials=3, warmup_skip=1)
+        protocol = BenchProtocol(image_size=400, trials=3)
         fast = time_method("avg", protocol)
         slow = time_method("lp", protocol)
         assert fast.latency_ms_mean < slow.latency_ms_mean
@@ -86,7 +82,7 @@ class TestProfile:
         sizes = {
             name: profile_arch(name, 64, 64).bytes
             for name in BUILTIN_NAMES
-            if name not in POOLED_NAMES
+            if builtin_spec(name).spatial_multiple == 1
         }
         assert min(sizes, key=sizes.get) == "gcb"
 
@@ -97,7 +93,7 @@ class TestProfile:
 @pytest.fixture(scope="module")
 def report_paths(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
-    protocol = BenchProtocol(image_size=32, trials=2, warmup_skip=1, seed=5)
+    protocol = BenchProtocol(image_size=32, trials=2, seed=5)
     return run_benchmark(["lp", "avg"], protocol, out)
 
 
@@ -122,7 +118,7 @@ class TestRunBenchmark:
             assert row["flops"] == int(csv_row[5])
 
     def test_non_latency_columns_deterministic(self, tmp_path):
-        protocol = BenchProtocol(image_size=32, trials=2, warmup_skip=1, seed=5)
+        protocol = BenchProtocol(image_size=32, trials=2, seed=5)
         csv1, _ = run_benchmark(["avg", "absmax"], protocol, tmp_path / "one")
         csv2, _ = run_benchmark(["avg", "absmax"], protocol, tmp_path / "two")
 
@@ -135,7 +131,7 @@ class TestRunBenchmark:
         assert stable_fields(csv1) == stable_fields(csv2)
 
     def test_duplicate_method_identical_quality(self, tmp_path):
-        protocol = BenchProtocol(image_size=32, trials=2, warmup_skip=1, seed=5)
+        protocol = BenchProtocol(image_size=32, trials=2, seed=5)
         csv_path, _ = run_benchmark(["avg", "avg", "lp"], protocol, tmp_path / "dup")
         lines = csv_path.read_text().splitlines()[1:]
         assert len(lines) == 2  # duplicates collapse to one row
@@ -155,7 +151,7 @@ def test_gcb_not_slower_than_regular_at_400():
     # medians of 5 timed forwards each, interleaved and alternating which runs
     # first: on a shared host a spell on one CPU covers about 4 forwards, so
     # one forward each could compare a one-core gcb with a two-core regular
-    protocol = BenchProtocol(image_size=400, trials=2, warmup_skip=1)
+    protocol = BenchProtocol(image_size=400, trials=2)
     times = {"gcb": [], "regular": []}
     for i in range(5):
         for name in sorted(times, reverse=i % 2 == 1):

@@ -8,7 +8,9 @@ from evofuse.cli import main
 from evofuse.image import load_pgm, save_pgm
 from evofuse.net.network import load_weights
 from evofuse.niqe import save_niqe_model
-from evofuse.synth import pristine_corpus, split_focus_pair, toy_pairs
+from evofuse.synth import pristine_corpus, toy_pairs
+
+from scenes import split_focus_pair
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +210,16 @@ def test_bench_cli_rejects_pairs_dir_without_pairs_first(tmp_path, capsys, monke
                "--out", str(tmp_path / "bench"), "--pairs", str(empty)])
     assert rc == 3
     assert f"no *_a.pgm/*_b.pgm pairs under {empty}" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_bench_cli_rejects_a_size_below_one_first(tmp_path, capsys, monkeypatch, size):
+    monkeypatch.setattr("evofuse.bench.run_method", lambda *a, **k: pytest.fail("fused"))
+    rc = main(["bench", "--methods", "avg", "--size", size, "--trials", "2",
+               "--out", str(tmp_path / "bench")])
+    assert rc == 3
+    assert f"image size must be >= 1, got {size}" in capsys.readouterr().err
     assert not (tmp_path / "bench").exists()
 
 

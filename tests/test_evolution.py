@@ -11,7 +11,7 @@ from evofuse.evolution import (
     init_bank,
     load_bank,
     save_bank,
-    score_candidate,
+    score_pool,
     select_optimal,
     update_bank,
 )
@@ -212,8 +212,8 @@ class TestUpdateBank:
         bank = init_bank([pair], niqe_model)
         incumbent = bank.entries[pair.pair_id]
         sharp = unsharp(incumbent.fused)
-        inc_scores = score_candidate(pair, incumbent.fused, niqe_model)
-        new_scores = score_candidate(pair, sharp, niqe_model)
+        inc_scores = score_pool(pair, [incumbent.fused], niqe_model)[0]
+        new_scores = score_pool(pair, [sharp], niqe_model)[0]
         pairwise = combined_score([inc_scores, new_scores])
         update_bank(bank, pair.pair_id, FusionCandidate("sharp", sharp), pair, niqe_model)
         if pairwise[1] > pairwise[0]:
@@ -240,12 +240,12 @@ class TestUpdateBank:
         for i in range(4):
             current = unsharp(current)
             offered.append(
-                FusionCandidate(f"n{i}", current, score_candidate(pair, current, niqe_model))
+                FusionCandidate(f"n{i}", current, score_pool(pair, [current], niqe_model)[0])
             )
             update_bank(bank, pair.pair_id, FusionCandidate(f"n{i}", current), pair, niqe_model)
             current = bank.entries[pair.pair_id].fused
         incumbent = bank.entries[pair.pair_id]
-        inc_scores = score_candidate(pair, incumbent.fused, niqe_model)
+        inc_scores = score_pool(pair, [incumbent.fused], niqe_model)[0]
         for off in offered:
             if np.max(np.abs(off.fused.data - incumbent.fused.data)) <= 1.0 / 510.0:
                 continue  # effectively the incumbent itself
@@ -269,7 +269,7 @@ class TestNewcomerWins:
         """(the stored entry, the newcomer, the pairwise combined pair)."""
         newcomer = run_bank(pair, ["lp"])[0]
         pairwise = combined_score(
-            [score_candidate(pair, img, niqe_model) for img in (incumbent.fused, newcomer.fused)]
+            [score_pool(pair, [img], niqe_model)[0] for img in (incumbent.fused, newcomer.fused)]
         )
         bank = SolutionBank({pair.pair_id: incumbent})
         update_bank(bank, pair.pair_id, newcomer, pair, niqe_model)
@@ -279,7 +279,7 @@ class TestNewcomerWins:
     def test_stored_mark_is_the_maximum(self, niqe_model, mark):
         pair = toy_pairs(n=1, size=96, seed=5)[0]
         flat = ImageGray(np.full(pair.a.shape, 0.5))
-        incumbent = FusionCandidate("flat", flat, score_candidate(pair, flat, niqe_model))
+        incumbent = FusionCandidate("flat", flat, score_pool(pair, [flat], niqe_model)[0])
         incumbent.scores.combined = mark
         stored, newcomer, (inc_c, new_c) = self.contest(niqe_model, incumbent, pair)
         assert new_c > inc_c
@@ -300,7 +300,7 @@ class TestNewcomerWins:
     def test_mark_survives_save_and_load(self, tmp_path, niqe_model):
         pair = toy_pairs(n=1, size=96, seed=5)[0]
         flat = ImageGray(np.full(pair.a.shape, 0.5))
-        saved = FusionCandidate("flat", flat, score_candidate(pair, flat, niqe_model))
+        saved = FusionCandidate("flat", flat, score_pool(pair, [flat], niqe_model)[0])
         saved.scores.combined = 0.95
         save_bank(SolutionBank({pair.pair_id: saved}), tmp_path / "bank")
         save_bank(load_bank(tmp_path / "bank"), tmp_path / "again")
@@ -353,7 +353,7 @@ class TestBankPersistence:
         # the winner's scores hold no combined value, so the loaded mark is saved
         pair = toy_pairs(n=1, size=96, seed=5)[0]
         lp = run_bank(pair, ["lp"])[0]
-        lp.scores = score_candidate(pair, lp.fused, niqe_model)
+        lp.scores = score_pool(pair, [lp.fused], niqe_model)[0]
         lp.scores.combined = 0.95
         save_bank(SolutionBank({pair.pair_id: lp}), tmp_path / "bank")
         bank = load_bank(tmp_path / "bank")
@@ -373,6 +373,11 @@ class TestBankPersistence:
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         with pytest.raises(IoError, match="no manifest at"):
+            load_bank(tmp_path)
+
+    def test_unreadable_manifest_is_io_error(self, tmp_path):
+        (tmp_path / "manifest.txt").mkdir()
+        with pytest.raises(IoError, match="manifest.txt"):
             load_bank(tmp_path)
 
     def test_non_utf8_manifest_is_parse_error(self, tmp_path):

@@ -14,9 +14,9 @@ from evofuse.fusion import (
     run_bank,
 )
 from evofuse.image import ImageGray, ImagePair, Task
-from evofuse.synth import exposure_pair, split_focus_pair
 
 from conftest import random_pair
+from scenes import exposure_pair, split_focus_pair
 
 
 def identical_pair(rng, h=64, w=64):

@@ -13,12 +13,11 @@ from evofuse.net.arch import (
     BUILTIN_NAMES,
     ArchSpec,
     BatchNorm,
-    POOLED_NAMES,
     Branch,
     ConvBlock,
     UpsampleNearest2,
     builtin_spec,
-    count_params,
+    count_state,
     inception,
     parse_arch_file,
 )
@@ -61,7 +60,7 @@ class TestBuild:
     def test_trainable_count_matches_analytic(self, name):
         params = build_network(name, seed=0)
         flat = sum(a.size for a in trainable_arrays(params))
-        assert flat == count_params(params.spec)
+        assert flat == count_state(params.spec)[0]
 
 
 class TestForward:
@@ -689,7 +688,7 @@ class TestWeightFiles:
     def test_gcb_smallest_file_among_nonpooled(self, tmp_path):
         sizes = {}
         for name in BUILTIN_NAMES:
-            if name in POOLED_NAMES:
+            if builtin_spec(name).spatial_multiple > 1:
                 continue
             path = tmp_path / f"{name}.aenw"
             save_weights(build_network(name, seed=0), path)

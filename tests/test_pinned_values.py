@@ -10,10 +10,10 @@ below the effect of any change of window, constant or border rule.
 import numpy as np
 import pytest
 
-from evofuse.evolution import evaluate_candidates, score_candidate, select_optimal
+from evofuse.evolution import evaluate_candidates, score_pool, select_optimal
 from evofuse.fusion import run_bank
 from evofuse.synth import toy_pairs
-from evofuse.training import loss_to_optimal
+from evofuse.training import _batch_loss
 
 REL = 1e-10
 
@@ -38,7 +38,7 @@ SCORES = {
 
 PICKS = ["gradsel", "gradsel", "gradsel"]
 
-# loss_to_optimal on one seeded 2x1x32x40 prediction; the gradient digest is
+# the training loss on one seeded 2x1x32x40 prediction; the gradient digest is
 # (sum |g|, ||g||_2, <g, w>) with w standard normal from seed 8
 LOSS = 0.33215699200120835
 DIGEST = (1.025284321950429, 0.02408881676130723, 0.018454181656773955)
@@ -53,7 +53,7 @@ def test_candidate_scores_pinned(pairs, niqe_model):
     seen = set()
     for pair in pairs:
         for cand in run_bank(pair):
-            s = score_candidate(pair, cand.fused, niqe_model)
+            s = score_pool(pair, [cand.fused], niqe_model)[0]
             want = SCORES[(pair.pair_id, cand.algo_id)]
             got = (s.ssim_a, s.ssim_b, s.viff, s.niqe)
             np.testing.assert_allclose(got, want, rtol=REL, atol=0.0)
@@ -70,7 +70,7 @@ def test_loss_and_gradient_pinned():
     rng = np.random.default_rng(7)
     pred = rng.random((2, 1, 32, 40))
     target = rng.random((2, 1, 32, 40))
-    loss, grad = loss_to_optimal(pred, target)
+    loss, grad = _batch_loss(pred, target)
     w = np.random.default_rng(8).standard_normal(grad.shape)
     digest = (np.abs(grad).sum(), np.sqrt((grad * grad).sum()), (grad * w).sum())
     assert loss == pytest.approx(LOSS, rel=REL, abs=0.0)

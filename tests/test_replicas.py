@@ -16,6 +16,8 @@ from evofuse.image import correlate1d, filter2_same, gaussian_filter, gaussian_t
 from evofuse.metrics import _SSIM_TAPS
 from evofuse.net.layers import sigmoid
 
+import scenes
+
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = [(1, 1), (3, 5), (12, 17), (2, 1, 9, 4), (7, 64, 64), (400, 400)]
 
@@ -109,7 +111,7 @@ def test_sigmoid_matches_expit(x):
 
 def synth_arrays():
     pairs = synth.toy_pairs(n=2, size=96, seed=5) + synth.toy_pairs(n=1, size=400, seed=0)
-    focus = synth.split_focus_pair(size=128)
+    focus = scenes.split_focus_pair(size=128)
     corpus = synth.pristine_corpus(n=2, size=96)
     return [img.data for p in [*pairs, focus] for img in (p.a, p.b)] + [c.data for c in corpus]
 
@@ -117,6 +119,7 @@ def synth_arrays():
 def test_synth_arrays_match_scipy(monkeypatch):
     got = synth_arrays()
     monkeypatch.setattr(synth, "gaussian_filter", ndimage.gaussian_filter)
+    monkeypatch.setattr(scenes, "gaussian_filter", ndimage.gaussian_filter)
     want = synth_arrays()
     assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
 

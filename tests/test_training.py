@@ -7,7 +7,7 @@ import pytest
 from evofuse import training
 from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixError
 from evofuse.evolution import init_bank
-from evofuse.image import ImageGray, ImagePair, Task
+from evofuse.image import ImageGray, Task
 from evofuse.metrics import _SSIM_TAPS, ssim
 from evofuse.net.network import build_network, head_params, net_forward, state_arrays, trainable_arrays
 from evofuse.synth import toy_pairs
@@ -19,9 +19,7 @@ from evofuse.training import (
     adapt_task,
     evolve,
     init_adam,
-    loss_to_optimal,
     make_task_weights,
-    supervised_loss,
     task_forward,
     train,
     train_common,
@@ -44,84 +42,93 @@ def small_dataset(rng, n=2, size=64, task=Task.IR_VISIBLE):
     return [random_pair(rng, size, size, pair_id=f"{task.value}-{i}", task=task) for i in range(n)]
 
 
+def refs(n, *images):
+    """The loss's (n, k, h, w) references: one channel per image, repeated n times."""
+    stack = np.stack([img.data for img in images])
+    return np.broadcast_to(stack, (n, *stack.shape))
+
+
 class TestLossToOptimal:
+    """The training loss against one reference, the pair's stored optimum."""
+
     def test_zero_at_optimum(self, rng):
         img = random_image(rng)
         pred = img.data[None, None].copy()
-        loss, grad = loss_to_optimal(pred, img)
+        loss, grad = training._batch_loss(pred, refs(1, img))
         assert loss <= 1e-6
         assert np.max(np.abs(grad)) < 1e-9
 
     def test_checkerboard_hand_formula(self):
         checker = ImageGray(np.indices((16, 16)).sum(axis=0) % 2.0)
         pred = np.full((1, 1, 16, 16), 0.5)
-        loss, _ = loss_to_optimal(pred, checker)
+        loss, _ = training._batch_loss(pred, refs(1, checker))
         ssim_term = ssim(ImageGray(pred[0, 0]), checker)
         assert abs(loss - (0.8 * 0.25 + 0.2 * (1.0 - ssim_term))) < 1e-9
 
     def test_gradient_matches_finite_differences(self, rng):
         pred = rng.random((1, 1, 12, 12))
-        target = random_image(rng, 12, 12)
-        _, grad = loss_to_optimal(pred, target)
-        fd = finite_diff_grad(lambda: loss_to_optimal(pred, target)[0], pred, h=1e-3)
+        target = refs(1, random_image(rng, 12, 12))
+        _, grad = training._batch_loss(pred, target)
+        fd = finite_diff_grad(lambda: training._batch_loss(pred, target)[0], pred, h=1e-3)
         assert relative_err(fd, grad, floor=1e-7) < 1e-3
 
     def test_size_mismatch_is_dimension_error(self, rng):
         with pytest.raises(DimensionError):
-            loss_to_optimal(rng.random((2, 1, 12, 12)), random_image(rng, 16, 16))
+            training._batch_loss(rng.random((2, 1, 12, 12)), refs(2, random_image(rng, 16, 16)))
 
 
 class TestSupervisedLoss:
+    """The training loss against both source images."""
+
     def test_zero_when_pred_equals_both(self, rng):
         img = random_image(rng)
-        pair = ImagePair(img, img, "same")
-        loss, _ = supervised_loss(img.data[None, None].copy(), pair)
+        loss, _ = training._batch_loss(img.data[None, None].copy(), refs(1, img, img))
         assert loss <= 1e-6
 
     def test_half_when_pred_equals_one_source(self, rng):
         pair = random_pair(rng)
         pred = pair.a.data[None, None].copy()
-        loss, _ = supervised_loss(pred, pair)
-        only_b, _ = loss_to_optimal(pred, pair.b)
+        loss, _ = training._batch_loss(pred, refs(1, pair.a, pair.b))
+        only_b, _ = training._batch_loss(pred, refs(1, pair.b))
         assert abs(loss - only_b / 2.0) < 1e-12
 
     def test_compositional(self, rng):
         pair = random_pair(rng)
         pred = rng.random((1, 1, 16, 16))
-        loss, grad = supervised_loss(pred, pair)
-        la, ga = loss_to_optimal(pred, pair.a)
-        lb, gb = loss_to_optimal(pred, pair.b)
+        loss, grad = training._batch_loss(pred, refs(1, pair.a, pair.b))
+        la, ga = training._batch_loss(pred, refs(1, pair.a))
+        lb, gb = training._batch_loss(pred, refs(1, pair.b))
         assert abs(loss - (la + lb) / 2.0) < 1e-12
         np.testing.assert_allclose(grad, (ga + gb) / 2.0, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self, rng):
         pair = random_pair(rng, 12, 12)
         pred = rng.random((1, 1, 12, 12))
-        _, grad = supervised_loss(pred, pair)
-        fd = finite_diff_grad(lambda: supervised_loss(pred, pair)[0], pred, h=1e-3)
+        sources = refs(1, pair.a, pair.b)
+        _, grad = training._batch_loss(pred, sources)
+        fd = finite_diff_grad(lambda: training._batch_loss(pred, sources)[0], pred, h=1e-3)
         assert relative_err(fd, grad, floor=1e-7) < 1e-3
 
 
 class TestBatchLoss:
-    """The training step's loss is the public losses' route, bit for bit."""
+    """The training step's loss is the quality loss of each reference,
+    summed from the first and divided once, bit for bit."""
 
     def test_one_reference_is_loss_to_optimal(self, rng):
         pred, target = rng.random((3, 1, 16, 16)), rng.random((3, 1, 16, 16))
         loss, grad = training._batch_loss(pred, target)
-        want_loss, want_grad = loss_to_optimal(pred, target)
+        want_loss, want_grad = training._quality_loss(pred, target)
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
 
     def test_two_sources_are_supervised_loss(self, rng):
         pair = random_pair(rng)
         pred = rng.random((3, 1, 16, 16))
-        sources = np.broadcast_to(np.stack([pair.a.data, pair.b.data]), (3, 2, 16, 16))
-        loss, grad = training._batch_loss(pred, sources)
-        sup_loss, sup_grad = supervised_loss(pred, pair)
-        la, ga = loss_to_optimal(pred, pair.a)
-        lb, gb = loss_to_optimal(pred, pair.b)
-        assert loss == sup_loss == (la + lb) / 2.0
-        assert grad.tobytes() == sup_grad.tobytes() == ((ga + gb) / 2.0).tobytes()
+        loss, grad = training._batch_loss(pred, refs(3, pair.a, pair.b))
+        la, ga = training._quality_loss(pred, refs(3, pair.a))
+        lb, gb = training._quality_loss(pred, refs(3, pair.b))
+        assert loss == (la + lb) / 2.0
+        assert grad.tobytes() == ((ga + gb) / 2.0).tobytes()
 
 
 class TestAdam:
@@ -427,7 +434,7 @@ class TestAdaptTask:
             total = 0.0
             for pair in task_set:
                 pred = forward(pair)
-                total += loss_to_optimal(pred, bank_task.entries[pair.pair_id].fused)[0]
+                total += training._batch_loss(pred, refs(len(pred), bank_task.entries[pair.pair_id].fused))[0]
             return total / len(task_set)
 
         adapted = mean_loss(lambda p: task_forward(tw, p, Task.MULTI_FOCUS.value))
