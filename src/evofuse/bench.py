@@ -126,6 +126,8 @@ def _profile_or_blank(method: str, size: int) -> CostReport:
 
 def profile_arch(spec: ArchSpec | str, h: int, w: int) -> CostReport:
     """Analytic parameters/FLOPs plus actual serialized byte size."""
+    if h < 1 or w < 1:
+        raise RangeError(f"input size must be >= 1, got {h}x{w}")
     params = build_network(spec)
     spec = params.spec
     trainable, running = count_state(spec)

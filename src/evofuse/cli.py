@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +26,23 @@ from .training import TrainConfig, evolve, write_curve_csv
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+
+def _check_output(flag: str, path, directory: bool = False) -> None:
+    """Raise IoError naming flag unless path can be written, before any work
+    and creating nothing: a file needs a writable directory to go into and
+    must not be a directory; a directory, whose writer makes the missing
+    levels, needs its nearest existing level to be a writable directory."""
+    if path is None:
+        return
+    path = Path(path)
+    if not directory and path.is_dir():
+        raise IoError(f"{flag} {path}: is a directory")
+    nearest = path if directory else path.parent
+    while directory and not nearest.exists() and nearest != nearest.parent:
+        nearest = nearest.parent
+    if not nearest.is_dir() or not os.access(nearest, os.W_OK | os.X_OK):
+        raise IoError(f"{flag} {path}: {nearest} is not a writable directory")
 
 
 def _load_pair(args) -> ImagePair:
@@ -51,6 +69,7 @@ def _resolve_spec(name: str):
 
 
 def cmd_fuse(args) -> int:
+    _check_output("--out", args.out)
     pair = _load_pair(args)
     cands = run_bank(pair, [args.algo])
     save_pgm(cands[0].fused, args.out)
@@ -68,6 +87,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_select(args) -> int:
+    _check_output("--out", args.out)
     pair = _load_pair(args)
     algos = args.algos.split(",") if args.algos else None
     scored = evaluate_candidates(pair, run_bank(pair, algos), _niqe_from(args))
@@ -90,6 +110,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_niqe_fit(args) -> int:
+    _check_output("--out", args.out)
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise IoError(f"not a directory: {corpus_dir}")
@@ -101,6 +122,10 @@ def cmd_niqe_fit(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output("--out", args.out)
+    _check_output("--curve", args.curve)
+    _check_output("--bank-dir", args.bank_dir, directory=True)
+    _check_output("--checkpoint-dir", args.checkpoint_dir, directory=True)
     phases = ((args.lr1, args.epochs1), (args.lr2, args.epochs2))
     cfg = TrainConfig(
         phases=phases,
@@ -131,6 +156,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_output("--out", args.out, directory=True)
     protocol = BenchProtocol(image_size=args.size, trials=args.trials)
     methods = args.methods.split(",")
     pairs = _load_pairs(args.pairs) if args.pairs else None

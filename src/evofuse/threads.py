@@ -7,6 +7,16 @@ calling thread and makes no pool; without OpenBLAS's thread-count symbol it
 is 1. The pool and its import are made on the first call that runs beside
 the caller. The names are private, so a tracer that wraps the package's
 public functions times this work in the layer that asked for it.
+
+Importing this module also sets glibc's malloc, once, for the whole
+process. By default glibc maps large arrays fresh and hands freed heap
+back to the kernel, so every array of a 400x400 filter step would fault
+its pages in again, zeroed. Here arrays under 32 MiB come from the heap,
+and freed heap pages stay mapped until 128 MiB of them lie free at the
+top, so the next array reuses them: resident memory stays near its peak
+after a large op. The two calls override the MALLOC_* environment
+variables; a host that wants other values can call mallopt again after
+the import.
 """
 
 from __future__ import annotations
@@ -38,6 +48,19 @@ def _openblas():
         if fn is not None:
             fn.argtypes, fn.restype = args, res
     return (get, put) if None not in (get, put) else None, gemm
+
+
+def _keep_freed_heap():
+    """Sets glibc's malloc to serve arrays under 32 MiB from the heap and to
+    keep freed heap pages mapped up to 128 MiB; nothing without mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's maximum
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 def _workers() -> int:

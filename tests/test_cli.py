@@ -29,6 +29,29 @@ def niqe_file(tmp_path_factory, niqe_model):
     return path
 
 
+def cannot_write(root, where, name):
+    """An output path under root that cannot be written, next to a regular
+    file F: in a missing directory, under F, or root itself."""
+    (root / "F").write_text("a regular file")
+    return {"missing-dir": root / "no-dir" / name, "under-a-file": root / "F" / name, "a-directory": root}[where]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "under-a-file", "a-directory"])
+@pytest.mark.parametrize("command", [
+    ["fuse", "--algo", "avg", "--a", "a.pgm", "--b", "b.pgm"],
+    ["select", "--a", "a.pgm", "--b", "b.pgm"],
+    ["niqe-fit", "--corpus", "."],
+], ids=["fuse", "select", "niqe-fit"])
+def test_file_output_is_checked_before_any_input_is_read(tmp_path, capsys, monkeypatch, command, where):
+    monkeypatch.setattr("evofuse.cli.load_pgm", lambda *a: pytest.fail("input read"))
+    monkeypatch.chdir(tmp_path)
+    out = cannot_write(tmp_path, where, "o.pgm")
+    rc = main([*command, "--out", str(out)])
+    assert rc == 3
+    assert f"--out {out}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+
 def test_fuse_roundtrip(pair_files, tmp_path, capsys):
     out = tmp_path / "fused.pgm"
     rc = main(["fuse", "--algo", "avg", "--a", str(pair_files / "a.pgm"),
@@ -109,7 +132,7 @@ def test_train_cli_writes_weights(tmp_path, niqe_file, capsys):
 
 
 @pytest.mark.parametrize("flag, under", [("--curve", "c.csv"), ("--bank-dir", "bank"), ("--checkpoint-dir", "ck")])
-def test_train_cli_names_an_output_it_cannot_write(tmp_path, niqe_file, capsys, flag, under):
+def test_train_cli_names_an_output_it_cannot_write(tmp_path, niqe_file, capsys, monkeypatch, flag, under):
     data = tmp_path / "data"
     data.mkdir()
     for pair in toy_pairs(n=2, size=96, seed=4):
@@ -117,6 +140,7 @@ def test_train_cli_names_an_output_it_cannot_write(tmp_path, niqe_file, capsys, 
         save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
     blocker = tmp_path / "F"
     blocker.write_text("a regular file")
+    monkeypatch.setattr("evofuse.training._train_params", lambda *a, **k: pytest.fail("trained"))
     every = ["--checkpoint-every", "1"] if flag == "--checkpoint-dir" else []
     rc = main([
         "train", "--spec", "gcb", "--data", str(data), "--rounds", "1",
@@ -125,7 +149,18 @@ def test_train_cli_names_an_output_it_cannot_write(tmp_path, niqe_file, capsys, 
         flag, str(blocker / under), *every,
     ])
     assert rc == 3
-    assert str(blocker / under) in capsys.readouterr().err
+    assert f"{flag} {blocker / under}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "under-a-file", "a-directory"])
+def test_train_cli_checks_its_weight_file_before_reading_data(tmp_path, capsys, monkeypatch, where):
+    monkeypatch.setattr("evofuse.cli.load_pairs", lambda *a, **k: pytest.fail("data read"))
+    monkeypatch.setattr("evofuse.training._train_params", lambda *a, **k: pytest.fail("trained"))
+    out = cannot_write(tmp_path, where, "net.aenw")
+    rc = main(["train", "--spec", "gcb", "--data", str(tmp_path), "--out", str(out)])
+    assert rc == 3
+    assert f"--out {out}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
 
 def test_train_cli_rejects_unpoolable_pairs_first(tmp_path, capsys, monkeypatch):
@@ -193,13 +228,24 @@ def test_bench_cli(tmp_path, niqe_file, capsys):
     assert (out / "report.json").exists()
 
 
-def test_bench_cli_names_a_report_dir_it_cannot_write(tmp_path, niqe_file, capsys):
+def test_bench_cli_names_a_report_dir_it_cannot_write(tmp_path, niqe_file, capsys, monkeypatch):
+    monkeypatch.setattr("evofuse.bench.run_method", lambda *a, **k: pytest.fail("fused"))
     blocker = tmp_path / "F"
     blocker.write_text("a regular file")
     rc = main(["bench", "--methods", "avg", "--size", "32", "--trials", "2",
                "--out", str(blocker / "rep"), "--niqe-model", str(niqe_file)])
     assert rc == 3
-    assert str(blocker / "rep") in capsys.readouterr().err
+    assert f"--out {blocker / 'rep'}" in capsys.readouterr().err
+
+
+def test_bench_cli_rejects_a_report_dir_that_is_a_file_before_reading_pairs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("evofuse.cli.load_pairs", lambda *a, **k: pytest.fail("pairs read"))
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file")
+    rc = main(["bench", "--methods", "avg", "--out", str(blocker), "--pairs", str(tmp_path)])
+    assert rc == 3
+    assert f"--out {blocker}: {blocker} is not a writable directory" in capsys.readouterr().err
+    assert blocker.read_text() == "a regular file"
 
 
 def test_bench_cli_rejects_pairs_dir_without_pairs_first(tmp_path, capsys, monkeypatch):
@@ -230,6 +276,14 @@ def test_profile_cli(capsys):
     assert report["method"] == "gcb"
     assert report["params"] == 6721
     assert report["assumptions"]["groups"] == 8
+
+
+@pytest.mark.parametrize("h, w", [("-5", "-5"), ("0", "128"), ("128", "0")])
+def test_profile_cli_rejects_a_size_below_one(capsys, h, w):
+    rc = main(["profile", "--spec", "gcb", "--h", h, "--w", w])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"input size must be >= 1, got {h}x{w}" in err
 
 
 def test_missing_file_gives_data_error(tmp_path, capsys):

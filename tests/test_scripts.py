@@ -24,6 +24,13 @@ def test_compare_architectures():
     assert done.stdout.splitlines()[0].split() == ["spec", "params", "flops", "bytes"]
 
 
+def test_compare_architectures_rejects_a_size_below_one():
+    done = run_script("compare_architectures.py", "--size", "-4", "--trials", "0")
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert "RangeError: input size must be >= 1, got -4x-4" in done.stderr
+
+
 def test_compare_architectures_timed_prints_peak_memory():
     done = run_script("compare_architectures.py", "--size", "16", "--trials", "2")
     assert done.returncode == 0, done.stderr

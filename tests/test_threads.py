@@ -10,9 +10,12 @@ may candidate scores or an evolve round's bank, and scoring must end both
 lists before it raises. Every product the in-place route takes must give
 the bits of ``out += tap @ view``, and every product it declines must leave
 the output as it was. The bit checks run in child interpreters with
-OPENBLAS_NUM_THREADS set before NumPy loads.
+OPENBLAS_NUM_THREADS set before NumPy loads. So does the check that glibc's
+malloc, set when ``evofuse.threads`` is imported, keeps freed heap pages for
+the next call instead of faulting them in again.
 """
 
+import ctypes
 import functools
 import json
 import os
@@ -44,6 +47,8 @@ ROOT = Path(__file__).resolve().parents[1]
 needs_pin = pytest.mark.skipif(layers._openblas()[0] is None,
                                reason="NumPy's OpenBLAS has no thread-count symbol to pin")
 needs_gemm = pytest.mark.skipif(layers._openblas()[1] is None, reason="NumPy's OpenBLAS has no dgemm symbol")
+needs_mallopt = pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                                   reason="the C library has no mallopt")
 needs_two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                     reason="a split needs two CPUs this process may use")
 
@@ -498,6 +503,34 @@ def test_scores_and_an_evolve_round_do_not_depend_on_blas_threads():
     assert len(one["scores"]) == 5 and None not in [s["niqe"] for s in one["scores"]]
     assert two["scores"] == one["scores"]
     assert len(one["bank"]) == 2 and two["bank"] == one["bank"]
+
+
+FAULTS = """
+import json, resource
+from evofuse.evolution import evaluate_candidates
+from evofuse.fusion import run_bank
+from evofuse.niqe import default_niqe_model
+from evofuse.synth import toy_pairs
+
+pair = toy_pairs(n=1, size=128, seed=11)[0]
+evaluate_candidates(pair, run_bank(pair), default_niqe_model())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    evaluate_candidates(pair, run_bank(pair), default_niqe_model())
+print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3))
+"""
+
+
+@needs_mallopt
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_warm_scoring_reuses_freed_heap_pages(threads):
+    # glibc's defaults fault a freed array's pages in again: about 2,200 a call
+    assert run_child(FAULTS, threads) < 200
+
+
+def test_a_c_library_without_mallopt_leaves_malloc_as_it_is(monkeypatch):
+    monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    threads._keep_freed_heap()
 
 
 @needs_gemm
