@@ -125,7 +125,8 @@ def cmd_train(args) -> int:
     _check_output("--out", args.out)
     _check_output("--curve", args.curve)
     _check_output("--bank-dir", args.bank_dir, directory=True)
-    _check_output("--checkpoint-dir", args.checkpoint_dir, directory=True)
+    if args.checkpoint_every > 0:  # the only case in which training writes it
+        _check_output("--checkpoint-dir", args.checkpoint_dir, directory=True)
     phases = ((args.lr1, args.epochs1), (args.lr2, args.epochs2))
     cfg = TrainConfig(
         phases=phases,

@@ -14,9 +14,11 @@ back to the kernel, so every array of a 400x400 filter step would fault
 its pages in again, zeroed. Here arrays under 32 MiB come from the heap,
 and freed heap pages stay mapped until 128 MiB of them lie free at the
 top, so the next array reuses them: resident memory stays near its peak
-after a large op. The two calls override the MALLOC_* environment
-variables; a host that wants other values can call mallopt again after
-the import.
+after a large op. Either call is skipped where the process was started
+with that setting in its environment (MALLOC_MMAP_THRESHOLD_ or
+MALLOC_TRIM_THRESHOLD_, or the matching glibc.malloc tunable in
+GLIBC_TUNABLES); a host that wants other values later can call mallopt
+again after the import.
 """
 
 from __future__ import annotations
@@ -52,12 +54,17 @@ def _openblas():
 
 def _keep_freed_heap():
     """Sets glibc's malloc to serve arrays under 32 MiB from the heap and to
-    keep freed heap pages mapped up to 128 MiB; nothing without mallopt."""
+    keep freed heap pages mapped up to 128 MiB; nothing without mallopt, and
+    neither setting where the environment already sets it."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's maximum
-        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    # M_MMAP_THRESHOLD at glibc's maximum, then M_TRIM_THRESHOLD
+    for param, value, name in ((-3, 32 << 20, "mmap_threshold"), (-1, 128 << 20, "trim_threshold")):
+        if f"MALLOC_{name.upper()}_" not in os.environ and f"glibc.malloc.{name}=" not in tunables:
+            mallopt(param, value)
 
 
 _keep_freed_heap()

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from evofuse.bench import BenchProtocol, CostReport, profile_arch, run_benchmark, time_method
-from evofuse.errors import EmptyInputError, RangeError, UnknownAlgorithmError
+from evofuse.errors import EmptyInputError, IoError, RangeError, UnknownAlgorithmError
 from evofuse.net.arch import BUILTIN_NAMES, builtin_spec
 
 
@@ -135,6 +136,12 @@ class TestRunBenchmark:
         csv_path, _ = run_benchmark(["avg", "avg", "lp"], protocol, tmp_path / "dup")
         lines = csv_path.read_text().splitlines()[1:]
         assert len(lines) == 2  # duplicates collapse to one row
+
+    def test_report_dir_it_cannot_make_is_io_error(self, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        with pytest.raises(IoError, match=re.escape(str(blocker / "rep"))):
+            run_benchmark(["avg"], BenchProtocol(image_size=32, trials=2), blocker / "rep")
 
     def test_empty_methods_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):

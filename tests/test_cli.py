@@ -116,11 +116,15 @@ def test_train_cli_writes_weights(tmp_path, niqe_file, capsys):
         save_pgm(pair.a, data / f"{pair.pair_id}_a.pgm")
         save_pgm(pair.b, data / f"{pair.pair_id}_b.pgm")
     weights = tmp_path / "net.aenw"
+    blocker = tmp_path / "F"
+    blocker.write_text("a regular file")
     rc = main([
         "train", "--spec", "gcb", "--data", str(data), "--rounds", "1",
         "--out", str(weights), "--niqe-model", str(niqe_file),
         "--epochs1", "1", "--epochs2", "1", "--batch", "4", "--patch", "32",
         "--bank-dir", str(tmp_path / "bank"), "--curve", str(tmp_path / "curve.csv"),
+        # without --checkpoint-every no checkpoint is written, so its dir is not checked
+        "--checkpoint-dir", str(blocker / "ck"),
     ])
     assert rc == 0
     params = load_weights(weights)

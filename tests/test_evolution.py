@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,13 @@ class TestBankPersistence:
             assert np.max(
                 np.abs(back.entries[pid].fused.data - bank.entries[pid].fused.data)
             ) <= 1.0 / 510.0 + 1e-15
+
+    def test_bank_dir_it_cannot_make_is_io_error(self, tmp_path, niqe_model):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        bank = init_bank(toy_pairs(n=1, size=96, seed=5), niqe_model)
+        with pytest.raises(IoError, match=re.escape(str(blocker / "bank"))):
+            save_bank(bank, blocker / "bank")
 
     def test_loaded_incumbent_that_wins_saves_its_mark(self, tmp_path, niqe_model):
         # the winner's scores hold no combined value, so the loaded mark is saved

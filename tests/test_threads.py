@@ -521,16 +521,59 @@ print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) /
 """
 
 
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+
 @needs_mallopt
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_warm_scoring_reuses_freed_heap_pages(threads):
+def test_warm_scoring_reuses_freed_heap_pages(monkeypatch, threads):
+    for name in MALLOC_ENV:  # the child must take the settings made at import
+        monkeypatch.delenv(name, raising=False)
     # glibc's defaults fault a freed array's pages in again: about 2,200 a call
     assert run_child(FAULTS, threads) < 200
 
 
-def test_a_c_library_without_mallopt_leaves_malloc_as_it_is(monkeypatch):
-    monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+class FakeLibc:
+    """A C library whose attribute lookups, and calls to its mallopt if it
+    has one, are recorded."""
+
+    def __init__(self, has_mallopt):
+        self.looked_up, self.calls, self.has_mallopt = [], [], has_mallopt
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        if name != "mallopt" or not self.has_mallopt:
+            raise AttributeError(name)
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        return mallopt
+
+
+@pytest.mark.parametrize("env, calls", [
+    ({}, [(-3, 32 << 20), (-1, 128 << 20)]),
+    ({"MALLOC_MMAP_THRESHOLD_": "65536"}, [(-1, 128 << 20)]),
+    ({"MALLOC_TRIM_THRESHOLD_": "0"}, [(-3, 32 << 20)]),
+    ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0:glibc.malloc.mmap_threshold=65536"}, []),
+], ids=["unset", "mmap-set", "trim-set", "tunables-set"])
+def test_malloc_settings_are_made_unless_the_environment_makes_them(monkeypatch, env, calls):
+    for name in MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    libc = FakeLibc(has_mallopt=True)
+    monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: libc)
     threads._keep_freed_heap()
+    assert libc.calls == calls
+
+
+def test_a_c_library_without_mallopt_leaves_malloc_as_it_is(monkeypatch):
+    libc = FakeLibc(has_mallopt=False)
+    monkeypatch.setattr(threads.ctypes, "CDLL", lambda path: libc)
+    threads._keep_freed_heap()
+    assert libc.looked_up == ["mallopt"] and libc.calls == []
 
 
 @needs_gemm

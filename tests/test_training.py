@@ -1,11 +1,12 @@
 import hashlib
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from evofuse import training
-from evofuse.errors import BankMissError, DimensionError, RangeError, TaskMixError
+from evofuse.errors import BankMissError, DimensionError, IoError, RangeError, TaskMixError
 from evofuse.evolution import init_bank
 from evofuse.image import ImageGray, Task
 from evofuse.metrics import _SSIM_TAPS, ssim
@@ -234,6 +235,14 @@ class TestTrain:
             "epoch_0002.aenw",
         ]
 
+    def test_checkpoint_dir_it_cannot_make_is_io_error(self, rng, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        pairs = small_dataset(rng, n=1)
+        cfg = small_cfg(checkpoint_every=1, checkpoint_dir=str(blocker / "ck"))
+        with pytest.raises(IoError, match=re.escape(str(blocker / "ck"))):
+            train("gcb", pairs, init_bank(pairs, None), cfg)
+
     def test_step_caches_freed_before_next_forward(self, rng, monkeypatch):
         """A train step's block caches (every array in them but the output)
         are freed before the next step's forward runs."""
@@ -263,6 +272,12 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,phase,mean_loss"
         assert lines[1].startswith("1,1,0.5")
+
+    def test_curve_csv_it_cannot_write_is_io_error(self, tmp_path):
+        blocker = tmp_path / "F"
+        blocker.write_text("a regular file")
+        with pytest.raises(IoError, match=re.escape(str(blocker / "curve.csv"))):
+            write_curve_csv([CurvePoint(1, 1, 0.001, 0.5)], blocker / "curve.csv")
 
 
 class TestSettings:
